@@ -148,13 +148,18 @@ void Oracle::check_watchdog() {
 void Oracle::check_metrics() {
   // The Registry and the component structs account independently; they
   // must never disagree (PR 1's accounting bugs were exactly this).
+  ftd_counters_.resize(static_cast<std::size_t>(cluster_.size()));
   for (int i = 0; i < cluster_.size() && ok(); ++i) {
     gm::Node& n = cluster_.node(i);
     if (!n.has_ftd()) continue;
-    const auto* rec =
-        cluster_.metrics().find_counter(n.name() + ".ftd.recoveries");
-    const auto* wake =
-        cluster_.metrics().find_counter(n.name() + ".ftd.wakeups");
+    FtdCounters& c = ftd_counters_[static_cast<std::size_t>(i)];
+    if (c.node != &n) {
+      c = FtdCounters{
+          &n, cluster_.metrics().find_counter(n.name() + ".ftd.recoveries"),
+          cluster_.metrics().find_counter(n.name() + ".ftd.wakeups")};
+    }
+    const metrics::Counter* rec = c.recoveries;
+    const metrics::Counter* wake = c.wakeups;
     if (rec != nullptr && rec->value() != n.ftd().stats().recoveries) {
       violate("metrics-consistency",
               n.name() + ".ftd.recoveries=" + std::to_string(rec->value()) +
@@ -168,7 +173,7 @@ void Oracle::check_metrics() {
                   std::to_string(n.ftd().stats().wakeups));
     }
   }
-  for (net::Link* l : cluster_.topo().links()) {
+  for (const net::Link* l : cluster_.topo().links()) {
     if (!ok()) break;
     const auto& st = l->stats();
     if (st.delivered_bytes > st.offered_bytes || st.delivered > st.sent) {

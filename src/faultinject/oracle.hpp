@@ -160,7 +160,18 @@ class Oracle {
   void check_membership();
   void check_route_convergence();
 
+  // check_metrics' handles on one node's FTD registry counters, resolved
+  // once per node identity: hot-add appends a node and replace_node
+  // swaps a new one in at the same index (the old card is quarantined,
+  // never freed, so its address is never reused).
+  struct FtdCounters {
+    const gm::Node* node = nullptr;
+    const metrics::Counter* recoveries = nullptr;
+    const metrics::Counter* wakeups = nullptr;
+  };
+
   gm::Cluster& cluster_;
+  std::vector<FtdCounters> ftd_counters_;  // indexed by node id
   const mapper::FailoverManager* route_authority_ = nullptr;
   std::vector<net::NodeId> expected_roster_;
   Config cfg_;

@@ -106,11 +106,4 @@ void Topology::bind_metrics(metrics::Registry& reg) {
   for (auto& s : switches_) s->bind_metrics(reg);
 }
 
-std::vector<Link*> Topology::links() {
-  std::vector<Link*> out;
-  out.reserve(links_.size());
-  for (auto& l : links_) out.push_back(l.get());
-  return out;
-}
-
 }  // namespace myri::net

@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ranges>
 #include <string>
 #include <vector>
 
@@ -87,7 +88,14 @@ class Topology {
     return *switches_.at(id);
   }
   [[nodiscard]] std::size_t num_switches() const { return switches_.size(); }
-  [[nodiscard]] std::vector<Link*> links();
+  /// Every link in creation order, as `const Link*`: a view over the
+  /// owned links, nothing is copied.
+  [[nodiscard]] auto links() const {
+    return std::views::transform(
+        links_, [](const std::unique_ptr<Link>& l) -> const Link* {
+          return l.get();
+        });
+  }
 
  private:
   Link& new_link(std::string name);

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace myri::sim {
 
@@ -122,6 +123,49 @@ EventQueue::Handle EventQueue::schedule_at(Time at, Callback cb) {
   return h;
 }
 
+// ---- occupancy bitmap ----------------------------------------------------
+
+void EventQueue::mark_occupied(std::uint64_t idx) noexcept {
+  occ_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
+  occ_summary_ |= std::uint64_t{1} << (idx >> 6);
+}
+
+void EventQueue::mark_empty(std::uint64_t idx) noexcept {
+  std::uint64_t& w = occ_[idx >> 6];
+  w &= ~(std::uint64_t{1} << (idx & 63));
+  if (w == 0) occ_summary_ &= ~(std::uint64_t{1} << (idx >> 6));
+}
+
+std::uint64_t EventQueue::next_occupied(std::uint64_t idx) const noexcept {
+  // First occupied ring index at or after `idx`, wrapping past 4095 to 0.
+  // Precondition: some bucket is occupied (occ_summary_ != 0).
+  std::uint64_t w = idx >> 6;
+  const std::uint64_t here = occ_[w] & (~std::uint64_t{0} << (idx & 63));
+  if (here != 0) return (w << 6) | std::countr_zero(here);
+  // Later words first; failing that wrap to the lowest occupied word,
+  // which may be word `w` itself (its bits below `idx`).
+  const std::uint64_t later =
+      w + 1 < kOccWords ? occ_summary_ & (~std::uint64_t{0} << (w + 1)) : 0;
+  w = std::countr_zero(later != 0 ? later : occ_summary_);
+  return (w << 6) | std::countr_zero(occ_[w]);
+}
+
+template <typename F>
+void EventQueue::for_each_occupied(F&& f) {
+  // Visits every non-empty bucket by ring index. `f` may empty the
+  // bucket; the bitmap is brought up to date after it returns.
+  for (std::uint64_t sum = occ_summary_; sum != 0; sum &= sum - 1) {
+    const std::uint64_t w = std::countr_zero(sum);
+    for (std::uint64_t bits = occ_[w]; bits != 0; bits &= bits - 1) {
+      const std::uint64_t idx = (w << 6) | std::countr_zero(bits);
+      f(buckets_[idx]);
+      if (buckets_[idx].empty()) mark_empty(idx);
+    }
+  }
+}
+
+// ---- calendar ------------------------------------------------------------
+
 void EventQueue::place_item(const Item& it) {
   // Invariant: every pending event satisfies bucket_of(at) >= cur_bn_
   // (schedule_at clamps to now_, and the cursor never passes the bucket
@@ -139,75 +183,92 @@ void EventQueue::place_item(const Item& it) {
     } else {
       b.push_back(it);
     }
-    ++ring_items_;
+    mark_occupied(bn & kBucketMask);
   } else {
     overflow_.push_back(it);
     std::push_heap(overflow_.begin(), overflow_.end(), kLater);
   }
 }
 
-bool EventQueue::advance_to_next(bool bounded, Time limit) {
-  const std::uint64_t limit_bn = bucket_of(limit);
-  for (;;) {
-    auto& b = buckets_[cur_bn_ & kBucketMask];
-    if (!b.empty()) {
-      if (!cur_sorted_) {
-        std::sort(b.begin(), b.end(), kLater);
-        cur_sorted_ = true;
-      }
-      return true;
-    }
-    cur_sorted_ = false;
-    if (ring_items_ == 0) {
-      if (overflow_.empty()) return false;
-      // Rebase: jump the cursor straight to the earliest overflow event
-      // instead of scanning the empty gap bucket by bucket.
-      const std::uint64_t target = bucket_of(overflow_.front().at);
-      if (bounded && target > limit_bn) return false;
-      cur_bn_ = target;
-    } else {
-      // In bounded mode never move the cursor past the limit's bucket;
-      // that keeps cur_bn_ <= bucket_of(now_) after run_until returns,
-      // which place_item's window bijectivity depends on.
-      if (bounded && cur_bn_ >= limit_bn) return false;
-      ++cur_bn_;
-    }
-    // Migrate overflow events that fell inside the new horizon. Doing
-    // this on every cursor move keeps the overflow strictly later than
-    // everything in the ring.
-    while (!overflow_.empty() &&
-           bucket_of(overflow_.front().at) < cur_bn_ + kBucketCount) {
-      std::pop_heap(overflow_.begin(), overflow_.end(), kLater);
-      const Item mig = overflow_.back();
-      overflow_.pop_back();
-      buckets_[bucket_of(mig.at) & kBucketMask].push_back(mig);
-      ++ring_items_;
-    }
+void EventQueue::migrate_overflow() {
+  // Move overflow events that fell inside the horizon into the ring.
+  // Doing this on every cursor move keeps the overflow strictly later
+  // than everything in the ring.
+  while (!overflow_.empty() &&
+         bucket_of(overflow_.front().at) < cur_bn_ + kBucketCount) {
+    std::pop_heap(overflow_.begin(), overflow_.end(), kLater);
+    const Item mig = overflow_.back();
+    overflow_.pop_back();
+    const std::uint64_t idx = bucket_of(mig.at) & kBucketMask;
+    buckets_[idx].push_back(mig);
+    mark_occupied(idx);
   }
+}
+
+bool EventQueue::advance_to_next(bool bounded, Time limit) {
+  auto& cur = buckets_[cur_bn_ & kBucketMask];
+  if (cur.empty()) {
+    cur_sorted_ = false;
+    const std::uint64_t limit_bn = bucket_of(limit);
+    std::uint64_t target = 0;
+    if (occ_summary_ != 0) {
+      // The ring window maps each bucket number to a distinct slot, so
+      // the next occupied slot's ring distance is its bucket distance.
+      // Every overflow event lies past the window, hence past `target`:
+      // jumping there is the same as stepping bucket by bucket.
+      const std::uint64_t cur_idx = cur_bn_ & kBucketMask;
+      target = cur_bn_ + ((next_occupied(cur_idx) - cur_idx) & kBucketMask);
+      if (bounded && target > limit_bn) {
+        // Never move the cursor past the limit's bucket; that keeps
+        // cur_bn_ <= bucket_of(now_) after run_until returns, which
+        // place_item's window bijectivity depends on. Parking still
+        // migrates, so the overflow stays past the window.
+        if (cur_bn_ < limit_bn) {
+          cur_bn_ = limit_bn;
+          migrate_overflow();
+        }
+        return false;
+      }
+    } else {
+      if (overflow_.empty()) return false;
+      // Rebase: jump the cursor straight to the earliest overflow event.
+      target = bucket_of(overflow_.front().at);
+      if (bounded && target > limit_bn) return false;
+    }
+    cur_bn_ = target;
+    migrate_overflow();
+  }
+  if (!cur_sorted_) {
+    auto& b = buckets_[cur_bn_ & kBucketMask];
+    std::sort(b.begin(), b.end(), kLater);
+    cur_sorted_ = true;
+  }
+  return true;
 }
 
 bool EventQueue::pop_and_run(bool bounded, Time limit) {
   Slab& s = *slab_;
   while (s.live > 0) {
     if (!advance_to_next(bounded, limit)) return false;
-    auto& b = buckets_[cur_bn_ & kBucketMask];
+    const std::uint64_t idx = cur_bn_ & kBucketMask;
+    auto& b = buckets_[idx];
     const Item it = b.back();
     Slab::Entry* e = &s.pool[it.slot];
     if (e->gen != it.gen) {  // slot recycled since: stale item
       b.pop_back();
-      --ring_items_;
+      if (b.empty()) mark_empty(idx);
       continue;
     }
     if (e->state == Slab::State::kCancelled) {
       b.pop_back();
-      --ring_items_;
+      if (b.empty()) mark_empty(idx);
       --s.cancelled;
       free_slot(it.slot);
       continue;
     }
     if (bounded && it.at > limit) return false;
     b.pop_back();
-    --ring_items_;
+    if (b.empty()) mark_empty(idx);
     now_ = it.at;
     Callback cb = std::move(e->cb);
     --s.live;
@@ -248,23 +309,20 @@ std::size_t EventQueue::run(std::size_t max_events) {
 void EventQueue::reclaim_all() {
   // No live events remain: every gen-matching entry still queued is
   // cancelled. Drop them all and rewind the cursor to the clock.
-  if (ring_items_ != 0 || !overflow_.empty()) {
-    Slab& s = *slab_;
-    const auto drop = [&](const Item& it) {
-      const Slab::Entry& e = s.pool[it.slot];
-      if (e.gen == it.gen && e.state == Slab::State::kCancelled) {
-        --s.cancelled;
-        free_slot(it.slot);
-      }
-    };
-    for (auto& b : buckets_) {
-      for (const Item& it : b) drop(it);
-      b.clear();
+  Slab& s = *slab_;
+  const auto drop = [&](const Item& it) {
+    const Slab::Entry& e = s.pool[it.slot];
+    if (e.gen == it.gen && e.state == Slab::State::kCancelled) {
+      --s.cancelled;
+      free_slot(it.slot);
     }
-    for (const Item& it : overflow_) drop(it);
-    overflow_.clear();
-    ring_items_ = 0;
-  }
+  };
+  for_each_occupied([&](std::vector<Item>& b) {
+    for (const Item& it : b) drop(it);
+    b.clear();
+  });
+  for (const Item& it : overflow_) drop(it);
+  overflow_.clear();
   cur_sorted_ = false;
   cur_bn_ = bucket_of(now_);
 }
@@ -286,14 +344,11 @@ void EventQueue::maybe_compact() {
     }
     return false;
   };
-  std::size_t kept = 0;
-  for (auto& b : buckets_) {
-    // remove_if preserves the relative order of survivors, so a sorted
-    // current bucket stays sorted and FIFO order is unaffected.
+  // remove_if preserves the relative order of survivors, so a sorted
+  // current bucket stays sorted and FIFO order is unaffected.
+  for_each_occupied([&](std::vector<Item>& b) {
     b.erase(std::remove_if(b.begin(), b.end(), dead), b.end());
-    kept += b.size();
-  }
-  ring_items_ = kept;
+  });
   overflow_.erase(std::remove_if(overflow_.begin(), overflow_.end(), dead),
                   overflow_.end());
   std::make_heap(overflow_.begin(), overflow_.end(), kLater);

@@ -9,11 +9,16 @@
 // buckets plus a min-heap overflow for events beyond the ring's horizon,
 // with all event entries pooled in a slab allocator (closures live inline
 // in the slab via InlineCallback — no per-event heap allocation on the hot
-// path). The execution order is defined purely by the (timestamp, sequence)
-// pair, identical to the classic binary-heap implementation this replaced,
-// so golden traces and chaos digests are bit-stable across the designs.
+// path). An occupancy bitmap over the ring (one bit per bucket plus a
+// summary word) lets the cursor jump straight to the next non-empty bucket
+// with two count-trailing-zeros steps, so a sparse timeline costs nothing
+// per empty bucket. The execution order is defined purely by the
+// (timestamp, sequence) pair, identical to the classic binary-heap
+// implementation this replaced, so golden traces and chaos digests are
+// bit-stable across the designs.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -137,7 +142,19 @@ class EventQueue {
     return at >> kBucketShift;
   }
 
+  // Occupancy bitmap: bit i of occ_ is set iff ring bucket i holds at
+  // least one item (stale and cancelled items included); bit w of
+  // occ_summary_ is set iff occ_[w] is non-zero.
+  static constexpr std::size_t kOccWords = kBucketCount / 64;
+  static_assert(kOccWords <= 64, "one summary bit per bitmap word");
+  void mark_occupied(std::uint64_t idx) noexcept;
+  void mark_empty(std::uint64_t idx) noexcept;
+  [[nodiscard]] std::uint64_t next_occupied(std::uint64_t idx) const noexcept;
+  template <typename F>
+  void for_each_occupied(F&& f);
+
   void place_item(const Item& it);
+  void migrate_overflow();
   bool advance_to_next(bool bounded, Time limit);
   bool pop_and_run(bool bounded, Time limit);
   std::uint32_t alloc_slot();
@@ -147,11 +164,12 @@ class EventQueue {
 
   std::shared_ptr<Slab> slab_;
   std::vector<std::vector<Item>> buckets_;
+  std::array<std::uint64_t, kOccWords> occ_{};
+  std::uint64_t occ_summary_ = 0;
   std::vector<Item> overflow_;  // min-heap on (at, seq)
   std::function<void(Time)> after_event_;
   Time now_ = 0;
   std::uint64_t cur_bn_ = 0;     // absolute bucket number of the cursor
-  std::size_t ring_items_ = 0;   // items in buckets_ (incl. stale/cancelled)
   bool cur_sorted_ = false;      // current bucket sorted & being drained
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

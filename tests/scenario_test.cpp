@@ -8,8 +8,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "faultinject/oracle.hpp"
 #include "faultinject/scenario.hpp"
 #include "faultinject/shrinker.hpp"
+#include "gm/cluster.hpp"
+#include "gm/node.hpp"
 
 namespace myri {
 namespace {
@@ -329,6 +332,54 @@ TEST(Oracle, CatchesDoubleDeliveryMidRun) {
   // audit long after: the violation time is inside the delivery phase.
   EXPECT_GE(r.violation_at, fi::Scenario::kWarmup + sim::usec(500));
   EXPECT_LT(r.violation_at, sim::msec(100));
+}
+
+// ---- oracle: metrics-consistency across membership changes -------------
+//
+// The oracle resolves each node's FTD registry counters once and reuses
+// them. These plant a registry/stats mismatch on a node that appeared
+// after the oracle attached, so a cache still pointing at the old node
+// set (or at the replaced card) would miss it.
+
+gm::ClusterConfig ftgm_pair() {
+  gm::ClusterConfig cc;
+  cc.mode = mcp::McpMode::kFtgm;
+  cc.seed = 5;
+  return cc;
+}
+
+void expect_recoveries_mismatch(gm::Cluster& cluster, fi::Oracle& oracle,
+                                const gm::Node& n) {
+  cluster.run_for(sim::msec(1));
+  ASSERT_TRUE(oracle.ok()) << oracle.violations().front().detail;
+  cluster.metrics().counter(n.name() + ".ftd.recoveries").inc();
+  cluster.run_for(sim::msec(1));
+  ASSERT_FALSE(oracle.ok());
+  const fi::Oracle::Violation& v = oracle.violations().front();
+  EXPECT_EQ(v.invariant, "metrics-consistency");
+  EXPECT_EQ(v.detail, n.name() + ".ftd.recoveries=1 but Ftd::Stats says 0");
+}
+
+TEST(Oracle, MetricsConsistencyCoversAHotAddedNode) {
+  gm::Cluster cluster(ftgm_pair());
+  fi::Oracle oracle(cluster, {});
+  oracle.attach();
+  cluster.run_for(sim::msec(2));
+  ASSERT_GT(oracle.checks_run(), 1u);
+  const net::NodeId id = cluster.add_node();
+  EXPECT_EQ(cluster.node(id).name(), "node2");
+  expect_recoveries_mismatch(cluster, oracle, cluster.node(id));
+}
+
+TEST(Oracle, MetricsConsistencyFollowsAReplacedNode) {
+  gm::Cluster cluster(ftgm_pair());
+  fi::Oracle oracle(cluster, {});
+  oracle.attach();
+  cluster.run_for(sim::msec(2));
+  ASSERT_GT(oracle.checks_run(), 1u);
+  const gm::Node& spare = cluster.replace_node(1);
+  EXPECT_EQ(spare.name(), "node1r1");
+  expect_recoveries_mismatch(cluster, oracle, spare);
 }
 
 TEST(Shrinker, MinimizesDoubleDeliverScheduleToEssentials) {
