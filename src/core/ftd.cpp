@@ -11,9 +11,9 @@ void Ftd::start() {
 
 void Ftd::bind_metrics(metrics::Registry& reg, const std::string& prefix) {
   phase_timer_ = metrics::PhaseTimer(reg, prefix + ".recovery");
-  m_wakeups_ = &reg.counter(prefix + ".wakeups");
-  m_false_alarms_ = &reg.counter(prefix + ".false_alarms");
-  m_recoveries_ = &reg.counter(prefix + ".recoveries");
+  views_.expose(reg, prefix + ".wakeups", stats_.wakeups);
+  views_.expose(reg, prefix + ".false_alarms", stats_.false_alarms);
+  views_.expose(reg, prefix + ".recoveries", stats_.recoveries);
 }
 
 void Ftd::step(sim::Time cost, std::function<void()> fn) {
@@ -26,7 +26,6 @@ void Ftd::on_fatal() {
   phases_.interrupt_raised = eq_.now();
   step(cfg_.wake_latency, [this] {
     ++stats_.wakeups;
-    metrics::bump(m_wakeups_);
     phases_.woken = eq_.now();
     // Detection runs from the injection stamp when an experiment set one
     // (the Table 3 definition); otherwise from the FATAL interrupt.
@@ -45,7 +44,6 @@ void Ftd::on_fatal() {
       if (driver_.read_magic() != cfg_.magic) {
         // The MCP cleared it: interface alive after all.
         ++stats_.false_alarms;
-        metrics::bump(m_false_alarms_);
         busy_ = false;
         if (trace_ && trace_->on(sim::TraceCat::kFt)) {
           trace_->log(sim::TraceCat::kFt, eq_.now(), "ftd",
@@ -100,7 +98,6 @@ void Ftd::run_recovery() {
                 phase_timer_.mark("restore", eq_.now());
                 phase_timer_.finish(eq_.now());
                 ++stats_.recoveries;
-                metrics::bump(m_recoveries_);
                 busy_ = false;  // rewind and stand guard for the next fault
                 if (trace_ && trace_->on(sim::TraceCat::kFt)) {
                   trace_->log(sim::TraceCat::kFt, eq_.now(), "ftd",

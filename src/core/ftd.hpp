@@ -105,9 +105,7 @@ class Ftd {
   Stats stats_;
 
   metrics::PhaseTimer phase_timer_;
-  metrics::Counter* m_wakeups_ = nullptr;
-  metrics::Counter* m_false_alarms_ = nullptr;
-  metrics::Counter* m_recoveries_ = nullptr;
+  metrics::CounterViews views_;
 };
 
 }  // namespace myri::core

@@ -88,7 +88,7 @@ void Oracle::check_now() {
   check_streams();
   check_tokens();
   check_watchdog();
-  check_metrics();
+  check_links();
 }
 
 void Oracle::check_streams() {
@@ -145,39 +145,12 @@ void Oracle::check_watchdog() {
   }
 }
 
-void Oracle::check_metrics() {
-  // The Registry and the component structs account independently; they
-  // must never disagree (PR 1's accounting bugs were exactly this).
-  ftd_counters_.resize(static_cast<std::size_t>(cluster_.size()));
-  for (int i = 0; i < cluster_.size() && ok(); ++i) {
-    gm::Node& n = cluster_.node(i);
-    if (!n.has_ftd()) continue;
-    FtdCounters& c = ftd_counters_[static_cast<std::size_t>(i)];
-    if (c.node != &n) {
-      c = FtdCounters{
-          &n, cluster_.metrics().find_counter(n.name() + ".ftd.recoveries"),
-          cluster_.metrics().find_counter(n.name() + ".ftd.wakeups")};
-    }
-    const metrics::Counter* rec = c.recoveries;
-    const metrics::Counter* wake = c.wakeups;
-    if (rec != nullptr && rec->value() != n.ftd().stats().recoveries) {
-      violate("metrics-consistency",
-              n.name() + ".ftd.recoveries=" + std::to_string(rec->value()) +
-                  " but Ftd::Stats says " +
-                  std::to_string(n.ftd().stats().recoveries));
-    } else if (wake != nullptr &&
-               wake->value() != n.ftd().stats().wakeups) {
-      violate("metrics-consistency",
-              n.name() + ".ftd.wakeups=" + std::to_string(wake->value()) +
-                  " but Ftd::Stats says " +
-                  std::to_string(n.ftd().stats().wakeups));
-    }
-  }
+void Oracle::check_links() {
   for (const net::Link* l : cluster_.topo().links()) {
     if (!ok()) break;
     const auto& st = l->stats();
     if (st.delivered_bytes > st.offered_bytes || st.delivered > st.sent) {
-      violate("metrics-consistency",
+      violate("link-conservation",
               "link " + l->name() + ": delivered exceeds offered (" +
                   std::to_string(st.delivered_bytes) + " > " +
                   std::to_string(st.offered_bytes) + " bytes)");

@@ -11,9 +11,9 @@
 //   stream-corruption    no delivered payload fails verification
 //   token-conservation   a port never holds more tokens than configured
 //   watchdog-soundness   no false alarms; recoveries never exceed wakeups
-//   metrics-consistency  metrics::Registry counters agree with component
-//                        stats (ftd recoveries/wakeups) and per-link
-//                        delivered <= offered accounting
+//   link-conservation    per link, delivered <= offered bytes and
+//                        delivered <= sent packets (a link never delivers
+//                        more than it was handed)
 //   quiescence           after all streams complete and the cluster
 //                        drains: all send tokens free, FTGM send backups
 //                        empty (final_check only; streams abandoned to a
@@ -156,22 +156,11 @@ class Oracle {
   void check_streams();
   void check_tokens();
   void check_watchdog();
-  void check_metrics();
+  void check_links();
   void check_membership();
   void check_route_convergence();
 
-  // check_metrics' handles on one node's FTD registry counters, resolved
-  // once per node identity: hot-add appends a node and replace_node
-  // swaps a new one in at the same index (the old card is quarantined,
-  // never freed, so its address is never reused).
-  struct FtdCounters {
-    const gm::Node* node = nullptr;
-    const metrics::Counter* recoveries = nullptr;
-    const metrics::Counter* wakeups = nullptr;
-  };
-
   gm::Cluster& cluster_;
-  std::vector<FtdCounters> ftd_counters_;  // indexed by node id
   const mapper::FailoverManager* route_authority_ = nullptr;
   std::vector<net::NodeId> expected_roster_;
   Config cfg_;

@@ -17,14 +17,14 @@ bool Port::ftgm() const {
 
 void Port::bind_metrics(metrics::Registry& reg, const std::string& prefix) {
   const std::string p = prefix + '.';
-  m_.sends_posted = &reg.counter(p + "sends_posted");
-  m_.sends_completed = &reg.counter(p + "sends_completed");
-  m_.msgs_received = &reg.counter(p + "msgs_received");
-  m_.bytes_sent = &reg.counter(p + "bytes_sent");
-  m_.bytes_received = &reg.counter(p + "bytes_received");
-  m_.send_cpu_ns = &reg.counter(p + "send_cpu_ns");
-  m_.recv_cpu_ns = &reg.counter(p + "recv_cpu_ns");
-  m_.recoveries = &reg.counter(p + "recoveries");
+  views_.expose(reg, p + "sends_posted", stats_.sends_posted);
+  views_.expose(reg, p + "sends_completed", stats_.sends_completed);
+  views_.expose(reg, p + "msgs_received", stats_.msgs_received);
+  views_.expose(reg, p + "bytes_sent", stats_.bytes_sent);
+  views_.expose(reg, p + "bytes_received", stats_.bytes_received);
+  views_.expose(reg, p + "send_cpu_ns", stats_.send_cpu_ns);
+  views_.expose(reg, p + "recv_cpu_ns", stats_.recv_cpu_ns);
+  views_.expose(reg, p + "recoveries", stats_.recoveries);
   m_.send_tokens_in_flight = &reg.gauge(p + "send_tokens_in_flight");
   m_.recv_tokens_posted = &reg.gauge(p + "recv_tokens_posted");
   m_.event_queue_depth = &reg.gauge(p + "event_queue_depth");
@@ -98,8 +98,6 @@ Status Port::submit_send(const Buffer& buf, std::uint32_t len,
   --send_tokens_free_;
   ++stats_.sends_posted;
   stats_.bytes_sent += len;
-  metrics::bump(m_.sends_posted);
-  metrics::bump(m_.bytes_sent, len);
   sync_token_gauges();
 
   req.port = id_;
@@ -124,7 +122,6 @@ Status Port::submit_send(const Buffer& buf, std::uint32_t len,
   }
   if (cb) send_callbacks_[req.token_id] = std::move(cb);
   stats_.send_cpu_ns += cost;
-  metrics::bump(m_.send_cpu_ns, cost);
 
   // The Node outlives every Port; capture it rather than `this` so a
   // gm_close between the charge and the PIO cannot dangle.
@@ -260,7 +257,6 @@ void Port::pump() {
       cost = t.hostt.recv_api_overhead;
       if (ftgm()) cost += t.hostt.ftgm_recv_backup;
       stats_.recv_cpu_ns += cost;
-      metrics::bump(m_.recv_cpu_ns, cost);
       break;
     case mcp::EventType::kSent:
       cost = sim::usecf(0.15);  // callback dispatch only
@@ -286,8 +282,6 @@ void Port::dispatch(const mcp::EventRecord& ev) {
       ++recv_tokens_free_;
       ++stats_.msgs_received;
       stats_.bytes_received += ev.len;
-      metrics::bump(m_.msgs_received);
-      metrics::bump(m_.bytes_received, ev.len);
       sync_token_gauges();
       RecvInfo info;
       auto it = recv_buffers_.find(ev.token_id);
@@ -312,7 +306,6 @@ void Port::dispatch(const mcp::EventRecord& ev) {
       if (ftgm()) backup_.remove_send(ev.token_id);
       ++send_tokens_free_;
       ++stats_.sends_completed;
-      metrics::bump(m_.sends_completed);
       sync_token_gauges();
       auto it = send_callbacks_.find(ev.token_id);
       if (it != send_callbacks_.end()) {
@@ -375,8 +368,7 @@ void Port::unknown(const mcp::EventRecord& ev) {
 
 void Port::handle_fault_detected() {
   recovering_ = true;
-  ++recoveries_;
-  metrics::bump(m_.recoveries);
+  ++stats_.recoveries;
   recover_started_ = node_.event_queue().now();
 
   // The handler's execution time dominates per-process recovery (paper

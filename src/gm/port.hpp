@@ -75,6 +75,7 @@ struct PortStats {
   // processing (the paper's "host utilization" metric, Table 2).
   sim::Time send_cpu_ns = 0;
   sim::Time recv_cpu_ns = 0;
+  std::uint64_t recoveries = 0;  // FAULT_DETECTED recoveries completed
 };
 
 class Port {
@@ -176,7 +177,7 @@ class Port {
   }
   [[nodiscard]] bool recovering() const noexcept { return recovering_; }
   [[nodiscard]] std::uint64_t recoveries() const noexcept {
-    return recoveries_;
+    return stats_.recoveries;
   }
   [[nodiscard]] const PortStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const core::BackupStore& backup() const noexcept {
@@ -211,14 +212,6 @@ class Port {
   }
 
   struct BoundMetrics {
-    metrics::Counter* sends_posted = nullptr;
-    metrics::Counter* sends_completed = nullptr;
-    metrics::Counter* msgs_received = nullptr;
-    metrics::Counter* bytes_sent = nullptr;
-    metrics::Counter* bytes_received = nullptr;
-    metrics::Counter* send_cpu_ns = nullptr;
-    metrics::Counter* recv_cpu_ns = nullptr;
-    metrics::Counter* recoveries = nullptr;
     metrics::Gauge* send_tokens_in_flight = nullptr;
     metrics::Gauge* recv_tokens_posted = nullptr;
     metrics::Gauge* event_queue_depth = nullptr;
@@ -268,9 +261,9 @@ class Port {
   std::function<void()> on_recovered_;
   core::BackupStore backup_;   // maintained only in FTGM mode
   bool recovering_ = false;
-  std::uint64_t recoveries_ = 0;
   sim::Time recover_started_ = 0;
   PortStats stats_;
+  metrics::CounterViews views_;
   BoundMetrics m_;
   std::shared_ptr<int> life_ = std::make_shared<int>(0);  // liveness token
 };

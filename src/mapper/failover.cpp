@@ -21,8 +21,8 @@ FailoverManager::FailoverManager(gm::Cluster& cluster, Config cfg)
       mapper_(cluster.node(cfg.home_node), cfg.mapper) {
   metrics::Registry& reg = cluster_.metrics();
   cable_events_ = &reg.counter("fabric.cable_events");
-  remaps_ok_ = &reg.counter("fabric.failover.remaps");
-  remaps_failed_ = &reg.counter("fabric.failover.failed_remaps");
+  views_.expose(reg, "fabric.failover.remaps", remaps_);
+  views_.expose(reg, "fabric.failover.failed_remaps", failed_);
   remap_ns_ = &reg.histogram("fabric.failover.remap_ns");
   route_len_ = &reg.histogram("fabric.route_len_hops", route_len_bounds());
   // Snapshot semantics: holds only the current epoch's routes (reset on
@@ -164,7 +164,6 @@ void FailoverManager::finish_remap(bool ok) {
   metrics::observe(remap_ns_, cluster_.eq().now() - trigger_time_);
   if (ok) {
     ++remaps_;
-    metrics::bump(remaps_ok_);
     record_route_lengths();
     if (mapper_.interfaces().size() >=
         static_cast<std::size_t>(cluster_.size())) {
@@ -178,7 +177,6 @@ void FailoverManager::finish_remap(bool ok) {
     if (!fully_converged()) arm_scrub();
   } else {
     ++failed_;
-    metrics::bump(remaps_failed_);
     if (!rerun_) schedule_remap_retry();
   }
   if (rerun_) {

@@ -167,13 +167,12 @@ class FailoverManager {
   std::uint64_t remaps_ = 0;
   std::uint64_t failed_ = 0;
   std::function<void(bool)> user_done_;
+  metrics::CounterViews views_;
 
   metrics::Counter* cable_events_ = nullptr;
   metrics::Counter* joins_ = nullptr;
   metrics::Counter* drains_ = nullptr;
   metrics::Counter* replaces_ = nullptr;
-  metrics::Counter* remaps_ok_ = nullptr;
-  metrics::Counter* remaps_failed_ = nullptr;
   metrics::Histogram* remap_ns_ = nullptr;
   metrics::Histogram* route_len_ = nullptr;
 };

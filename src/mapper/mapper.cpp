@@ -366,7 +366,6 @@ void Mapper::push_routes(net::NodeId x) {
   if (table_.count(x) == 0 || home_route_.count(x) == 0) return;
   if (dist_.count(x) != 0) return;  // push already in flight
   ++stats_.repushes;
-  metrics::bump(m_scrub_repairs_);
   trace("node " + std::to_string(x) + ": re-push @ epoch " +
         std::to_string(epoch_));
   start_distribution(x);
@@ -416,7 +415,6 @@ void Mapper::arm_retry(net::NodeId x) {
     for (std::size_t i = 0; i < d.chunks.size(); ++i) {
       if (d.acked[i]) continue;
       ++stats_.route_retries;
-      metrics::bump(m_retries_);
       send_chunk(x, d, i);
       ++resent;
     }
@@ -595,7 +593,6 @@ void Mapper::scrub() {
       continue;
     }
     ++stats_.census_probes;
-    metrics::bump(m_census_probes_);
     ++census;
     send_probe(x, std::move(route));
   }
@@ -628,8 +625,8 @@ void Mapper::scrub() {
       for (std::size_t i = 0; i < cap; ++i) {
         std::vector<std::uint8_t> route =
             candidates[(sweep_cursor_ + i) % candidates.size()];
+        ++stats_.census_probes;
         ++stats_.census_sweep_probes;
-        metrics::bump(m_census_probes_);
         ++sweep;
         send_probe(net::kInvalidNode, std::move(route));
       }
@@ -723,9 +720,9 @@ void Mapper::trace(const std::string& msg) const {
 
 void Mapper::bind_metrics(metrics::Registry& reg) {
   m_epoch_ = &reg.gauge("mapper.route_epoch");
-  m_retries_ = &reg.counter("mapper.map_route_retries");
-  m_scrub_repairs_ = &reg.counter("mapper.scrub_repairs");
-  m_census_probes_ = &reg.counter("mapper.census_probes");
+  views_.expose(reg, "mapper.map_route_retries", stats_.route_retries);
+  views_.expose(reg, "mapper.scrub_repairs", stats_.repushes);
+  views_.expose(reg, "mapper.census_probes", stats_.census_probes);
   m_converge_us_ =
       &reg.histogram("fabric.route_converge_us", converge_us_bounds());
   if (epoch_ > 0) m_epoch_->set(epoch_);

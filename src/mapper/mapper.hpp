@@ -67,7 +67,9 @@ struct MapperStats {
   std::uint64_t route_retries = 0;  // chunks re-sent after an ack timeout
   std::uint64_t repushes = 0;       // full-table re-pushes (scrub/announce)
   std::uint64_t scrub_probes = 0;   // epoch probes sent by scrub()
-  std::uint64_t census_probes = 0;  // probes to expected-but-unmapped nodes
+  /// Probes to expected-but-unmapped nodes, at their last-known route or
+  /// swept into dark switch ports (the sweep subset is counted below too).
+  std::uint64_t census_probes = 0;
   /// Census probes sent into unmapped switch ports: the transport of last
   /// resort for roster nodes *never* seen in any map (no known route at
   /// all — only knocking on dark ports can reach them).
@@ -299,11 +301,9 @@ class Mapper {
   std::function<void()> on_progress_;
   sim::Trace* trace_ = nullptr;
   metrics::Gauge* m_epoch_ = nullptr;
-  metrics::Counter* m_retries_ = nullptr;
-  metrics::Counter* m_scrub_repairs_ = nullptr;
-  metrics::Counter* m_census_probes_ = nullptr;
   metrics::Histogram* m_converge_us_ = nullptr;
   MapperStats stats_;
+  metrics::CounterViews views_;
 };
 
 }  // namespace myri::mapper

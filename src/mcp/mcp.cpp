@@ -102,8 +102,7 @@ void Mcp::exec(sim::Time cost, std::function<void()> fn) {
   auto& eq = nic_.event_queue();
   const sim::Time start = std::max(eq.now(), busy_until_);
   busy_until_ = start + cost;
-  busy_ns_ += cost;
-  metrics::bump(m_.busy_ns, cost);
+  stats_.busy_ns += cost;
   const std::uint64_t g = gen_;
   eq.schedule_at(busy_until_, [this, g, fn = std::move(fn)] {
     if (hung_ || !loaded_ || g != gen_) return;
@@ -117,8 +116,7 @@ bool Mcp::run_interpreted(std::uint32_t entry) {
   const sim::Time c =
       r.cycles * static_cast<sim::Time>(cfg_.timing.lanai.cycle_time_ns());
   busy_until_ = std::max(busy_until_, nic_.event_queue().now()) + c;
-  busy_ns_ += c;
-  metrics::bump(m_.busy_ns, c);
+  stats_.busy_ns += c;
   if (r.status == lanai::RunStatus::kReturned) return true;
   handle_cpu_failure(r);
   return false;
@@ -140,7 +138,6 @@ void Mcp::become_hung(const std::string& reason) {
   hung_ = true;
   hang_reason_ = reason;
   ++stats_.hangs;
-  metrics::bump(m_.hangs);
   if (trace_ && trace_->on(sim::TraceCat::kMcp)) {
     trace_->log(sim::TraceCat::kMcp, nic_.event_queue().now(), nic_.name(),
                 "HUNG: " + reason);
@@ -176,22 +173,22 @@ void Mcp::inject_hang(const std::string& reason) { become_hung(reason); }
 
 void Mcp::bind_metrics(metrics::Registry& reg, const std::string& prefix) {
   const std::string p = prefix + '.';
-  m_.sends_posted = &reg.counter(p + "sends_posted");
-  m_.fragments_tx = &reg.counter(p + "fragments_tx");
-  m_.retransmissions = &reg.counter(p + "retransmissions");
-  m_.acks_tx = &reg.counter(p + "acks_tx");
-  m_.acks_rx = &reg.counter(p + "acks_rx");
-  m_.nacks_tx = &reg.counter(p + "nacks_tx");
-  m_.nacks_rx = &reg.counter(p + "nacks_rx");
-  m_.crc_drops = &reg.counter(p + "crc_drops");
-  m_.msgs_delivered = &reg.counter(p + "msgs_delivered");
-  m_.events_posted = &reg.counter(p + "events_posted");
-  m_.l_timer_runs = &reg.counter(p + "l_timer_runs");
-  m_.hangs = &reg.counter(p + "hangs");
-  m_.busy_ns = &reg.counter(p + "busy_ns");
-  m_.announces = &reg.counter(p + "announces_tx");
-  m_.announce_retries = &reg.counter(p + "announce_retries");
-  m_.l_timer_gap = &reg.histogram(p + "l_timer_gap_ns");
+  views_.expose(reg, p + "sends_posted", stats_.sends_posted);
+  views_.expose(reg, p + "fragments_tx", stats_.fragments_tx);
+  views_.expose(reg, p + "retransmissions", stats_.retransmissions);
+  views_.expose(reg, p + "acks_tx", stats_.acks_tx);
+  views_.expose(reg, p + "acks_rx", stats_.acks_rx);
+  views_.expose(reg, p + "nacks_tx", stats_.nacks_tx);
+  views_.expose(reg, p + "nacks_rx", stats_.nacks_rx);
+  views_.expose(reg, p + "crc_drops", stats_.crc_drops);
+  views_.expose(reg, p + "msgs_delivered", stats_.msgs_delivered);
+  views_.expose(reg, p + "events_posted", stats_.events_posted);
+  views_.expose(reg, p + "l_timer_runs", stats_.l_timer_runs);
+  views_.expose(reg, p + "hangs", stats_.hangs);
+  views_.expose(reg, p + "busy_ns", stats_.busy_ns);
+  views_.expose(reg, p + "announces_tx", stats_.announces_sent);
+  views_.expose(reg, p + "announce_retries", stats_.announce_retries);
+  m_l_timer_gap_ = &reg.histogram(p + "l_timer_gap_ns");
 }
 
 // --------------------------------------------------------------------------
@@ -212,14 +209,13 @@ void Mcp::arm_watchdog() {
 
 void Mcp::run_l_timer() {
   ++stats_.l_timer_runs;
-  metrics::bump(m_.l_timer_runs);
   const sim::Time now = nic_.event_queue().now();
   if (last_l_timer_ != 0) {
     const sim::Time gap = now - last_l_timer_;
     if (gap > max_l_timer_gap_) max_l_timer_gap_ = gap;
     // The gap distribution underpins the paper's IT1 interval choice
     // (L_timer can lag its nominal period by ~800 us of queueing).
-    metrics::observe(m_.l_timer_gap, gap);
+    metrics::observe(m_l_timer_gap_, gap);
   }
   last_l_timer_ = now;
   nic_.clear_isr_bits(lanai::kIsrIt0);
@@ -298,7 +294,6 @@ Mcp::SendStream& Mcp::send_stream(net::NodeId peer, std::uint32_t sid) {
 void Mcp::host_post_send(const SendRequest& req) {
   if (hung_ || !loaded_) return;
   ++stats_.sends_posted;
-  metrics::bump(m_.sends_posted);
   const std::uint32_t sid = req.internal ? internal_stream_id(req.port)
                                          : stream_id(cfg_.mode, req.port);
 
@@ -500,7 +495,6 @@ void Mcp::finish_fragment_tx() {
   if (!run_interpreted(image_.entry_tx)) return;
   dma_active_ = false;
   ++stats_.fragments_tx;
-  metrics::bump(m_.fragments_tx);
   auto it = send_streams_.find(pending_stream_key_);
   if (it != send_streams_.end()) {
     SendStream& s = it->second;
@@ -508,7 +502,6 @@ void Mcp::finish_fragment_tx() {
       s.high_water = pending_seq_ + 1;
     } else {
       ++stats_.retransmissions;
-      metrics::bump(m_.retransmissions);
     }
     // Only advance if no NACK rewound the cursor while the DMA was in
     // flight; a rewound cursor must win so the receiver's expected
@@ -520,7 +513,6 @@ void Mcp::finish_fragment_tx() {
 
 void Mcp::on_ack(const net::Packet& pkt) {
   ++stats_.acks_rx;
-  metrics::bump(m_.acks_rx);
   auto it = send_streams_.find(stream_key(pkt.src, pkt.stream));
   if (it == send_streams_.end()) return;
   SendStream& s = it->second;
@@ -536,7 +528,6 @@ void Mcp::on_ack(const net::Packet& pkt) {
 
 void Mcp::on_nack(const net::Packet& pkt) {
   ++stats_.nacks_rx;
-  metrics::bump(m_.nacks_rx);
   auto it = send_streams_.find(stream_key(pkt.src, pkt.stream));
   if (it == send_streams_.end()) return;
   SendStream& s = it->second;
@@ -663,7 +654,6 @@ void Mcp::on_packet() {
           on_ack(pkt);
         } else {
           ++stats_.crc_drops;
-    metrics::bump(m_.crc_drops);
         }
         break;
       case net::PacketType::kNack:
@@ -671,7 +661,6 @@ void Mcp::on_packet() {
           on_nack(pkt);
         } else {
           ++stats_.crc_drops;
-    metrics::bump(m_.crc_drops);
         }
         break;
       case net::PacketType::kGetReq:
@@ -697,7 +686,6 @@ void Mcp::on_packet() {
 
 void Mcp::send_ack(net::NodeId to, std::uint32_t sid, std::uint32_t ack_seq) {
   ++stats_.acks_tx;
-  metrics::bump(m_.acks_tx);
   net::Packet ack;
   ack.type = net::PacketType::kAck;
   ack.src = nic_.node_id();
@@ -711,7 +699,6 @@ void Mcp::send_ack(net::NodeId to, std::uint32_t sid, std::uint32_t ack_seq) {
 void Mcp::send_nack(net::NodeId to, std::uint32_t sid,
                     std::uint32_t expected) {
   ++stats_.nacks_tx;
-  metrics::bump(m_.nacks_tx);
   net::Packet nack;
   nack.type = net::PacketType::kNack;
   nack.src = nic_.node_id();
@@ -731,7 +718,6 @@ void Mcp::handle_data(net::Packet pkt) {
     // Transient bit corruption in flight: the CRC check catches it; the
     // sender's Go-Back-N retransmits (paper Section 2).
     ++stats_.crc_drops;
-    metrics::bump(m_.crc_drops);
     return;
   }
   // A closed port generates no protocol responses at all: between an MCP
@@ -939,7 +925,6 @@ void Mcp::fragment_dma_done(std::uint64_t /*key*/, std::uint32_t seq,
                             std::uint8_t src_port, std::uint32_t sid) {
   if (!last) return;
   ++stats_.msgs_delivered;
-  metrics::bump(m_.msgs_delivered);
   EventRecord ev;
   ev.type = EventType::kRecv;
   ev.port = token.port;
@@ -968,7 +953,6 @@ void Mcp::post_event(std::uint8_t port, EventRecord ev,
            [this, g = gen_, port, ev, after = std::move(after)] {
              if (!loaded_ || g != gen_) return;
              ++stats_.events_posted;
-             metrics::bump(m_.events_posted);
              if (host_) host_->post_event(port, ev);
              if (after && !hung_) after();
            });
@@ -1008,7 +992,6 @@ void Mcp::handle_get_req(const net::Packet& pkt) {
   }
   if (!pkt.intact()) {
     ++stats_.crc_drops;
-    metrics::bump(m_.crc_drops);
     return;
   }
   const std::uint8_t port = pkt.dst_port;
@@ -1086,10 +1069,8 @@ void Mcp::send_announce(bool retry) {
                     .encode();
   ann.seal();
   ++stats_.announces_sent;
-  metrics::bump(m_.announces);
   if (retry) {
     ++stats_.announce_retries;
-    metrics::bump(m_.announce_retries);
   }
   exec(cfg_.timing.lanai.dispatch_overhead,
        [this, ann = std::move(ann)]() mutable {
@@ -1122,7 +1103,6 @@ void Mcp::handle_map_packet(net::Packet pkt) {
   // Installing a bit-flipped route would silently misroute data traffic.
   if (!pkt.intact()) {
     ++stats_.crc_drops;
-    metrics::bump(m_.crc_drops);
     return;
   }
   switch (pkt.type) {

@@ -77,8 +77,8 @@ class Mcp {
   [[nodiscard]] std::uint64_t generation() const noexcept { return gen_; }
   void set_host(HostIface* host) { host_ = host; }
   void set_trace(sim::Trace* t) { trace_ = t; }
-  /// Publish protocol counters and the L_timer gap histogram into `reg`
-  /// under "<prefix>."; survives reloads (instruments live in `reg`).
+  /// Expose the protocol counters (McpStats fields) and the L_timer gap
+  /// histogram in `reg` under "<prefix>.".
   void bind_metrics(metrics::Registry& reg, const std::string& prefix);
 
   // ---- host command interface ----
@@ -143,7 +143,7 @@ class Mcp {
   /// Test/fault hook: wedge the network processor right now.
   void inject_hang(const std::string& reason = "injected");
   [[nodiscard]] const McpStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] sim::Time busy_ns() const noexcept { return busy_ns_; }
+  [[nodiscard]] sim::Time busy_ns() const noexcept { return stats_.busy_ns; }
   /// Longest observed gap between consecutive L_timer() completions (the
   /// paper's ~800 us figure the watchdog interval is chosen against).
   [[nodiscard]] sim::Time max_l_timer_gap() const noexcept {
@@ -218,25 +218,6 @@ class Mcp {
     std::uint32_t alarm_id = 0;
   };
 
-  struct BoundMetrics {
-    metrics::Counter* sends_posted = nullptr;
-    metrics::Counter* fragments_tx = nullptr;
-    metrics::Counter* retransmissions = nullptr;
-    metrics::Counter* acks_tx = nullptr;
-    metrics::Counter* acks_rx = nullptr;
-    metrics::Counter* nacks_tx = nullptr;
-    metrics::Counter* nacks_rx = nullptr;
-    metrics::Counter* crc_drops = nullptr;
-    metrics::Counter* msgs_delivered = nullptr;
-    metrics::Counter* events_posted = nullptr;
-    metrics::Counter* l_timer_runs = nullptr;
-    metrics::Counter* hangs = nullptr;
-    metrics::Counter* busy_ns = nullptr;
-    metrics::Counter* announces = nullptr;
-    metrics::Counter* announce_retries = nullptr;
-    metrics::Histogram* l_timer_gap = nullptr;
-  };
-
   // Serialize a routine on the LANai processor and account occupancy.
   void exec(sim::Time cost, std::function<void()> fn);
   // Run interpreted code; on abnormal return, transition to hung/restart.
@@ -298,7 +279,6 @@ class Mcp {
   std::uint64_t gen_ = 0;
 
   sim::Time busy_until_ = 0;
-  sim::Time busy_ns_ = 0;
   sim::Time last_l_timer_ = 0;
   sim::Time max_l_timer_gap_ = 0;
 
@@ -325,7 +305,8 @@ class Mcp {
   sim::Time announce_wait_ = 0;       // current backoff
   std::uint64_t announce_gen_ = 0;    // invalidates stale retry timers
   McpStats stats_;
-  BoundMetrics m_;
+  metrics::CounterViews views_;
+  metrics::Histogram* m_l_timer_gap_ = nullptr;
 };
 
 }  // namespace myri::mcp

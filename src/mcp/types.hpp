@@ -169,6 +169,7 @@ struct McpStats {
   std::uint64_t alarms_fired = 0;
   std::uint64_t announces_sent = 0;     // post-recovery route announces
   std::uint64_t announce_retries = 0;   // announces re-sent (no MAP_ROUTE)
+  sim::Time busy_ns = 0;  // LANai occupancy (Table 2 "LANai utilization")
   // Persistent across reloads (fault classification reads these).
   std::uint64_t hangs = 0;
   std::uint64_t self_restarts = 0;

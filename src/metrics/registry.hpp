@@ -1,12 +1,16 @@
-// Process-wide observability registry (counters, gauges, histograms).
+// Process-wide observability registry: a name index over the stack's
+// accounting.
 //
 // The paper's claims are quantitative (Table 2 overhead, Table 3 recovery
 // breakdown, Figs 7-8), so every layer of the stack publishes its numbers
-// into one named registry instead of hand-rolled locals. Instruments are
-// designed for per-packet hot paths: after registration an update is a
-// pointer-guarded O(1) add with no allocation. Snapshots are exported as
-// deterministic JSON (sorted names, integers only) so benches can diff a
-// machine-readable baseline across PRs.
+// under one naming scheme. Most counters are views: the count itself lives
+// in a component's stats struct (McpStats, PortStats, LinkStats, ...) and
+// the registry reads the field by name (CounterViews), so each fact is
+// counted once. A few counters with no stats twin (fabric.cable_events,
+// mapper.joins, bench.*), and every gauge and histogram, are registry-
+// owned; an update is a pointer-guarded O(1) add with no allocation.
+// Snapshots are exported as deterministic JSON (sorted names, integers
+// only) so benches can diff a machine-readable baseline across commits.
 //
 // Naming scheme (see DESIGN.md "Metrics & observability"):
 //   <owner>.<component>.<metric>[_<unit>]
@@ -21,21 +25,37 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
 
 namespace myri::metrics {
 
-/// Monotonically increasing event/byte count.
+/// Monotonically increasing event/byte count: its own tally (add/inc),
+/// plus the live stats field of the component exposing it, if any.
 class Counter {
  public:
+  Counter() = default;
+  Counter(const Counter&) = delete;  // a copy would alias live fields
+  Counter& operator=(const Counter&) = delete;
+
   void add(std::uint64_t n) noexcept { v_ += n; }
   void inc() noexcept { ++v_; }
-  [[nodiscard]] std::uint64_t value() const noexcept { return v_; }
+  [[nodiscard]] std::uint64_t value() const noexcept {
+    return field_ == nullptr ? v_ : v_ + *field_;
+  }
 
  private:
+  friend class CounterViews;
+  // Stop reading the field; its final value becomes part of the tally.
+  void fold() noexcept {
+    v_ = value();
+    field_ = nullptr;
+  }
+
   std::uint64_t v_ = 0;
+  const std::uint64_t* field_ = nullptr;
 };
 
 /// Instantaneous level (queue depth, tokens in flight) with a high-water
@@ -308,6 +328,36 @@ class Registry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
+};
+
+/// The counters one component exposes: each reads a field of its stats
+/// struct under a registry name. When the component dies (a closed port,
+/// a torn-down FailoverManager) the views fold each field's final value
+/// into its counter, so the registry keeps the last value and a successor
+/// exposed under the same name counts on top of it. Declare it after the
+/// stats it exposes; the registry must outlive it.
+class CounterViews {
+ public:
+  CounterViews() = default;
+  CounterViews(const CounterViews&) = delete;
+  CounterViews& operator=(const CounterViews&) = delete;
+  ~CounterViews() {
+    for (const auto& [c, field] : views_) {
+      if (c->field_ == field) c->fold();
+    }
+  }
+
+  void expose(Registry& reg, const std::string& name,
+              const std::uint64_t& field) {
+    Counter& c = reg.counter(name);
+    if (c.field_ == &field) return;
+    c.fold();  // a live predecessor under this name hands over
+    c.field_ = &field;
+    views_.emplace_back(&c, &field);
+  }
+
+ private:
+  std::vector<std::pair<Counter*, const std::uint64_t*>> views_;
 };
 
 /// Null-safe update helpers: components hold instrument pointers that stay

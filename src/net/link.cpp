@@ -16,11 +16,11 @@ bool Link::can_accept() const { return queued_ < cfg_.max_queued_packets; }
 
 void Link::bind_metrics(metrics::Registry& reg) {
   const std::string p = "link." + name_ + '.';
-  m_.offered_bytes = &reg.counter(p + "offered_bytes");
-  m_.delivered_bytes = &reg.counter(p + "delivered_bytes");
-  m_.dropped = &reg.counter(p + "dropped");
-  m_.corrupted = &reg.counter(p + "corrupted");
-  m_.misrouted = &reg.counter(p + "misrouted");
+  views_.expose(reg, p + "offered_bytes", stats_.offered_bytes);
+  views_.expose(reg, p + "delivered_bytes", stats_.delivered_bytes);
+  views_.expose(reg, p + "dropped", stats_.dropped);
+  views_.expose(reg, p + "corrupted", stats_.corrupted);
+  views_.expose(reg, p + "misrouted", stats_.misrouted);
 }
 
 sim::Time Link::serialization_time(std::size_t bytes) const {
@@ -33,12 +33,10 @@ void Link::apply_faults(Packet& pkt, bool& drop) {
   if (rng_.bernoulli(faults_.drop_prob)) {
     drop = true;
     ++stats_.dropped;
-    metrics::bump(m_.dropped);
     return;
   }
   if (rng_.bernoulli(faults_.corrupt_prob)) {
     ++stats_.corrupted;
-    metrics::bump(m_.corrupted);
     if (!pkt.payload.empty()) {
       const std::size_t bit = static_cast<std::size_t>(
           rng_.below(pkt.payload.size() * 8));
@@ -52,7 +50,6 @@ void Link::apply_faults(Packet& pkt, bool& drop) {
   }
   if (!pkt.route.empty() && rng_.bernoulli(faults_.misroute_prob)) {
     ++stats_.misrouted;
-    metrics::bump(m_.misrouted);
     pkt.route.front() =
         static_cast<std::uint8_t>(pkt.route.front() ^ (1u + rng_.below(7)));
   }
@@ -64,10 +61,8 @@ void Link::send(Packet pkt) {
   const std::size_t wire = pkt.wire_size();
   ++stats_.sent;
   stats_.offered_bytes += wire;
-  metrics::bump(m_.offered_bytes, wire);
   if (down_) {
     ++stats_.dropped;  // unplugged cable: everything is lost
-    metrics::bump(m_.dropped);
     return;
   }
 
@@ -95,7 +90,6 @@ void Link::send(Packet pkt) {
     --queued_;
     ++stats_.delivered;
     stats_.delivered_bytes += wire;
-    metrics::bump(m_.delivered_bytes, wire);
     dst_->deliver(std::move(p), dst_port_);
   });
 }

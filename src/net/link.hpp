@@ -88,14 +88,6 @@ class Link {
  private:
   void apply_faults(Packet& pkt, bool& drop);
 
-  struct BoundMetrics {
-    metrics::Counter* offered_bytes = nullptr;
-    metrics::Counter* delivered_bytes = nullptr;
-    metrics::Counter* dropped = nullptr;
-    metrics::Counter* corrupted = nullptr;
-    metrics::Counter* misrouted = nullptr;
-  };
-
   sim::EventQueue& eq_;
   sim::Rng rng_;
   Config cfg_;
@@ -108,7 +100,7 @@ class Link {
   std::size_t queued_ = 0;
   bool down_ = false;
   sim::Trace* trace_ = nullptr;
-  BoundMetrics m_;
+  metrics::CounterViews views_;
 };
 
 }  // namespace myri::net

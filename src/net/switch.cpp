@@ -17,9 +17,9 @@ void Switch::connect(std::uint8_t port, Link& out) { out_.at(port) = &out; }
 
 void Switch::bind_metrics(metrics::Registry& reg) {
   const std::string p = "switch." + name_ + '.';
-  m_.forwarded = &reg.counter(p + "forwarded");
-  m_.dead_routed = &reg.counter(p + "dead_routed");
-  m_.backpressure_stalls = &reg.counter(p + "backpressure_stalls");
+  views_.expose(reg, p + "forwarded", stats_.forwarded);
+  views_.expose(reg, p + "dead_routed", stats_.dead_routed);
+  views_.expose(reg, p + "backpressure_stalls", stats_.stalled);
 }
 
 void Switch::deliver(Packet pkt, std::uint8_t in_port) {
@@ -36,14 +36,12 @@ void Switch::deliver(Packet pkt, std::uint8_t in_port) {
     pkt.walked.push_back(in_port);
     if (pkt.route.empty()) {
       ++stats_.dead_routed;
-      metrics::bump(m_.dead_routed);
       return;
     }
   } else if (pkt.route.empty()) {
     // A data packet whose route ends at a switch is undeliverable: this is
     // what a misroute fault usually produces. The wormhole just kills it.
     ++stats_.dead_routed;
-    metrics::bump(m_.dead_routed);
     if (trace_ && trace_->on(sim::TraceCat::kNet)) {
       trace_->log(sim::TraceCat::kNet, eq_.now(), name_,
                   "DEAD (route exhausted) " + pkt.describe());
@@ -55,7 +53,6 @@ void Switch::deliver(Packet pkt, std::uint8_t in_port) {
   pkt.route.erase(pkt.route.begin());
   if (out_port >= num_ports_ || out_[out_port] == nullptr) {
     ++stats_.dead_routed;
-    metrics::bump(m_.dead_routed);
     if (trace_ && trace_->on(sim::TraceCat::kNet)) {
       trace_->log(sim::TraceCat::kNet, eq_.now(), name_,
                   "DEAD (bad port " + std::to_string(out_port) + ") " +
@@ -78,11 +75,9 @@ void Switch::forward(Packet pkt, std::uint8_t out_port, unsigned attempts) {
     constexpr unsigned kMaxAttempts = 500;
     if (attempts >= kMaxAttempts) {
       ++stats_.dead_routed;
-      metrics::bump(m_.dead_routed);
       return;
     }
     ++stats_.stalled;
-    metrics::bump(m_.backpressure_stalls);
     eq_.schedule_after(cfg_.stall_retry,
                        [this, p = std::move(pkt), out_port, attempts]() mutable {
                          forward(std::move(p), out_port, attempts + 1);
@@ -90,7 +85,6 @@ void Switch::forward(Packet pkt, std::uint8_t out_port, unsigned attempts) {
     return;
   }
   ++stats_.forwarded;
-  metrics::bump(m_.forwarded);
   link.send(std::move(pkt));
 }
 

@@ -55,12 +55,6 @@ class Switch : public PacketSink {
   void forward(Packet pkt, std::uint8_t out_port, unsigned attempts);
   void answer_scout(const Packet& scout, std::uint8_t in_port);
 
-  struct BoundMetrics {
-    metrics::Counter* forwarded = nullptr;
-    metrics::Counter* dead_routed = nullptr;
-    metrics::Counter* backpressure_stalls = nullptr;
-  };
-
   sim::EventQueue& eq_;
   std::uint16_t id_;
   std::uint8_t num_ports_;
@@ -69,7 +63,7 @@ class Switch : public PacketSink {
   std::vector<Link*> out_;   // indexed by port; nullptr if unconnected
   SwitchStats stats_;
   sim::Trace* trace_ = nullptr;
-  BoundMetrics m_;
+  metrics::CounterViews views_;
 };
 
 }  // namespace myri::net

@@ -2,11 +2,13 @@
 // snapshots, PhaseTimer phase accounting, the nearest-rank percentile fix
 // in LatencyRecorder, offered-vs-delivered link byte accounting, and an
 // end-to-end check that a cluster recovery populates the Table 3 phase
-// histograms.
+// histograms, pinned registry snapshots of two fault runs, and counters
+// outliving the components whose stats they expose.
 #include <gtest/gtest.h>
 
 #include "faultinject/workload.hpp"
 #include "gm/cluster.hpp"
+#include "mapper/failover.hpp"
 #include "metrics/metrics.hpp"
 #include "metrics/registry.hpp"
 #include "net/link.hpp"
@@ -25,6 +27,25 @@ TEST(Registry, CounterAccumulatesAndIsStablePerName) {
   // Same name -> same instrument (components cache the address).
   EXPECT_EQ(&reg.counter("a.b"), &c);
   EXPECT_EQ(reg.counter("other").value(), 0u);
+}
+
+TEST(Registry, CounterViewReadsItsFieldAndKeepsTheLastValue) {
+  metrics::Registry reg;
+  reg.counter("x").add(2);
+  std::uint64_t first = 0;
+  {
+    metrics::CounterViews views;
+    views.expose(reg, "x", first);
+    views.expose(reg, "x", first);  // binding twice must not double count
+    first = 5;
+    EXPECT_EQ(reg.counter("x").value(), 7u);
+  }
+  first = 100;  // its owner is gone: no longer read
+  EXPECT_EQ(reg.counter("x").value(), 7u);
+  std::uint64_t second = 3;
+  metrics::CounterViews successor;
+  successor.expose(reg, "x", second);
+  EXPECT_EQ(reg.counter("x").value(), 10u);
 }
 
 TEST(Registry, GaugeTracksValueAndHighWaterMark) {
@@ -375,6 +396,148 @@ TEST(ClusterMetrics, RecoveryPopulatesTable3PhaseHistograms) {
       reg.find_counter("node0.ftd.recoveries");
   ASSERT_NE(recoveries, nullptr);
   EXPECT_EQ(recoveries->value(), 1u);
+}
+
+// --------------------------------------------------- Registry snapshots
+
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// 2-node FTGM stream; node0's NIC hangs mid-stream and the FTD recovers it.
+std::string ftgm_hang_snapshot() {
+  gm::ClusterConfig cc;
+  cc.nodes = 2;
+  cc.mode = mcp::McpMode::kFtgm;
+  gm::Cluster cluster(cc);
+  fi::StreamWorkload::Config wc;
+  wc.total_msgs = 30;
+  wc.msg_len = 2048;
+  fi::StreamWorkload wl(cluster.node(0).open_port(2),
+                        cluster.node(1).open_port(3), wc);
+  cluster.run_for(sim::usec(900));
+  wl.start();
+  cluster.eq().schedule_after(sim::usec(50), [&] {
+    cluster.node(0).ftd().mark_fault_injected();
+    cluster.node(0).mcp().inject_hang("test");
+  });
+  cluster.run_for(sim::sec(4));
+  EXPECT_TRUE(wl.complete());
+  return cluster.metrics().to_json();
+}
+
+// 8-node fat-tree (two leaves) stream across the spines under a
+// FailoverManager; the leaf0<->spine0 trunk dies mid-stream.
+std::string fat_tree_cable_kill_snapshot() {
+  gm::ClusterConfig cc;
+  cc.nodes = 8;
+  cc.fabric = net::FabricPreset::kFatTree;
+  gm::Cluster cluster(cc);
+  mapper::FailoverManager fm(cluster);
+  fi::StreamWorkload::Config wc;
+  wc.total_msgs = 40;
+  wc.msg_len = 1024;
+  fi::StreamWorkload wl(cluster.node(0).open_port(2),
+                        cluster.node(7).open_port(3), wc);
+  cluster.run_for(sim::usec(900));
+  wl.start();
+  cluster.run_for(sim::usec(300));
+  cluster.topo().set_cable_down(cluster.fabric().trunk_cables()[0], true);
+  cluster.run_for(sim::msec(600));
+  EXPECT_TRUE(wl.complete());
+  EXPECT_GE(fm.remaps(), 1u);
+  return cluster.metrics().to_json();
+}
+
+// Every registry name and value of two fault runs, pinned. The values were
+// computed while each component still counted every fact twice (once in
+// its stats struct, once in a registry-owned counter), before the stats
+// structs became the only storage and the registry a view over them: a
+// renamed, dropped, added or miscounted instrument moves the hash.
+TEST(RegistrySnapshot, PinnedFaultRunsKeepEveryNameAndValue) {
+  EXPECT_EQ(fnv1a(ftgm_hang_snapshot()), 0x465138d8cdd8e520ull);
+  EXPECT_EQ(fnv1a(fat_tree_cable_kill_snapshot()), 0xafe64e8d0a5e2b0dull);
+}
+
+// ------------------------------------------------ Counter lifetimes
+
+TEST(CounterLifetime, ReopenedPortAccumulatesAcrossIncarnations) {
+  gm::ClusterConfig cc;
+  cc.nodes = 2;
+  gm::Cluster cluster(cc);
+  fi::StreamWorkload::Config wc;
+  wc.total_msgs = 6;
+  wc.msg_len = 512;
+  gm::PortStats first;
+  {
+    fi::StreamWorkload wl(cluster.node(0).open_port(2),
+                          cluster.node(1).open_port(3), wc);
+    cluster.run_for(sim::usec(900));
+    wl.start();
+    cluster.run_for(sim::msec(20));
+    ASSERT_TRUE(wl.complete());
+    first = cluster.node(0).port(2)->stats();
+  }
+  cluster.node(0).close_port(2);
+  cluster.node(1).close_port(3);
+  cluster.run_for(sim::msec(1));
+
+  const metrics::Registry& reg = cluster.metrics();
+  // The closed port's last values survive it.
+  const metrics::Counter* sends = reg.find_counter("node0.port2.sends_posted");
+  ASSERT_NE(sends, nullptr);
+  EXPECT_EQ(sends->value(), 6u);
+  EXPECT_EQ(reg.find_counter("node0.port2.send_cpu_ns")->value(),
+            first.send_cpu_ns);
+
+  wc.total_msgs = 4;
+  fi::StreamWorkload wl(cluster.node(0).open_port(2),
+                        cluster.node(1).open_port(3), wc);
+  cluster.run_for(sim::usec(900));
+  wl.start();
+  cluster.run_for(sim::msec(20));
+  ASSERT_TRUE(wl.complete());
+  const gm::PortStats& second = cluster.node(0).port(2)->stats();
+  EXPECT_EQ(second.sends_posted, 4u);
+
+  // The reopened port counts on top of its predecessor.
+  EXPECT_EQ(sends->value(), 10u);
+  EXPECT_EQ(reg.find_counter("node0.port2.bytes_sent")->value(), 10u * 512u);
+  EXPECT_EQ(reg.find_counter("node0.port2.send_cpu_ns")->value(),
+            first.send_cpu_ns + second.send_cpu_ns);
+  EXPECT_EQ(reg.find_counter("node1.port3.msgs_received")->value(), 10u);
+  EXPECT_NE(reg.to_json().find("\"node0.port2.sends_completed\":10"),
+            std::string::npos);
+}
+
+TEST(CounterLifetime, MapperCountersOutliveTheFailoverManager) {
+  gm::ClusterConfig cc;
+  cc.nodes = 8;
+  cc.fabric = net::FabricPreset::kFatTree;
+  gm::Cluster cluster(cc);
+  auto fm = std::make_unique<mapper::FailoverManager>(cluster);
+  cluster.topo().set_cable_down(cluster.fabric().trunk_cables()[0], true);
+  cluster.run_for(sim::msec(400));
+  ASSERT_GE(fm->remaps(), 1u);
+  const std::uint64_t remaps = fm->remaps();
+  const mapper::MapperStats st = fm->mapper().stats();
+  const std::string before = cluster.metrics().to_json();
+
+  fm.reset();
+
+  const metrics::Registry& reg = cluster.metrics();
+  EXPECT_EQ(reg.to_json(), before);
+  EXPECT_EQ(reg.find_counter("fabric.failover.remaps")->value(), remaps);
+  EXPECT_EQ(reg.find_counter("fabric.failover.failed_remaps")->value(), 0u);
+  EXPECT_EQ(reg.find_counter("mapper.map_route_retries")->value(),
+            st.route_retries);
+  EXPECT_EQ(reg.find_counter("mapper.scrub_repairs")->value(), st.repushes);
+  EXPECT_EQ(reg.find_counter("fabric.cable_events")->value(), 1u);
 }
 
 }  // namespace
