@@ -9,6 +9,10 @@
 //
 // MYRI_BENCH_SCALE shrinks the soaked duration for smoke runs (default
 // 120 virtual s; CI smoke uses 0.25 -> 30 s).
+//
+// `events_per_delivery` is deterministic per seed (no wall clock in it):
+// CI gates it, so a change that brings back per-tick housekeeping events
+// fails on any runner, however fast.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -53,6 +57,10 @@ int main(int argc, char** argv) {
   const double events_per_sec =
       wall_s > 0 ? static_cast<double>(rep.events_executed) / wall_s : 0;
   const double virtual_per_wall = wall_s > 0 ? virtual_run_s / wall_s : 0;
+  const double events_per_delivery =
+      rep.deliveries > 0 ? static_cast<double>(rep.events_executed) /
+                               static_cast<double>(rep.deliveries)
+                         : 0;
 
   std::string json = "{";
   json += "\"bench\":\"soak_throughput\"";
@@ -61,6 +69,7 @@ int main(int argc, char** argv) {
   json += ",\"wall_s\":" + std::to_string(wall_s);
   json += ",\"events\":" + std::to_string(rep.events_executed);
   json += ",\"events_per_sec\":" + std::to_string(events_per_sec);
+  json += ",\"events_per_delivery\":" + std::to_string(events_per_delivery);
   json += ",\"virtual_per_wall\":" + std::to_string(virtual_per_wall);
   json += ",\"scheduled_faults\":" + std::to_string(sc.events.size());
   json += ",\"windows_checked\":" + std::to_string(rep.windows_checked);

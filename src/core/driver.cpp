@@ -11,6 +11,7 @@ Driver::Driver(lanai::Nic& nic, mcp::Mcp& mcp, host::InterruptController& irq,
 void Driver::install(mcp::HostIface* host_iface) {
   host_iface_ = host_iface;
   irq_.set_handler(host::IrqLine::kFatal, [this] {
+    mcp_.catch_up();
     ++fatals_;
     // Acknowledge the level-triggered source (write-1-to-clear IT1) so
     // unrelated ISR activity does not re-raise FATAL while the FTD works.
@@ -60,13 +61,16 @@ void Driver::record_local_epoch(std::uint32_t epoch) {
   if (epoch > highest_seen_epoch_) highest_seen_epoch_ = epoch;
 }
 
+// The magic word is tick state: a live MCP's L_timer clears it, so
+// elapsed ticks are replayed before the word is written or read.
 void Driver::write_magic(std::uint32_t value) {
+  mcp_.catch_up();
   nic_.sram().write32(mcp::SramLayout::kMagicAddr, value);
 }
 
 std::uint32_t Driver::read_magic() const {
-  return const_cast<lanai::Nic&>(nic_).sram().read32(
-      mcp::SramLayout::kMagicAddr);
+  mcp_.catch_up();
+  return nic_.sram().read32(mcp::SramLayout::kMagicAddr);
 }
 
 void Driver::disable_interrupts_and_reset() {

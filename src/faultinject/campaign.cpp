@@ -65,6 +65,7 @@ RunRecord Campaign::run_one(std::uint64_t run_seed) {
   rec.word_bit = (rec.flip_addr & 3u) * 8u + rec.flip_bit;
   const sim::Time inject_in = sim::usec(10 + rng.below(150));
   cluster.eq().schedule_after(inject_in, [&] {
+    victim.mcp().catch_up();  // ticks before the flip see old SRAM
     victim.nic().sram().flip_bit(rec.flip_addr, rec.flip_bit);
     if (victim.has_ftd()) victim.ftd().mark_fault_injected();
   });

@@ -527,6 +527,7 @@ RunReport ScenarioRunner::run(const Scenario& s, const Options& opt) {
           gm::Node& victim = cluster.node(ev.node);
           const std::uint32_t addr = mcp::SramLayout::kSendDescAddr +
                                      ev.offset % data_segment_size();
+          victim.mcp().catch_up();  // ticks before the flip see old SRAM
           victim.nic().sram().flip_bit(addr, ev.bit & 7u);
           if (victim.has_ftd()) victim.ftd().mark_fault_injected();
         });
@@ -613,8 +614,8 @@ RunReport ScenarioRunner::run(const Scenario& s, const Options& opt) {
         "eq-pending-events",
         [&eq] { return static_cast<std::uint64_t>(eq.pending_events()); },
         [&cluster] {
-          // Each live node owns a bounded set of timer/link events;
-          // retired-but-simulated cards keep their L_timer chains.
+          // Each node, live or retired-but-simulated, owns a bounded set
+          // of timer/link events.
           return 4096 + 1024 * static_cast<std::uint64_t>(cluster.size());
         });
     oracle.add_drift_probe(

@@ -6,6 +6,12 @@
 
 namespace myri::gm {
 
+void Cluster::end_slice() {
+  for (auto& n : nodes_) n->mcp().catch_up();
+  for (auto& n : quarantined_) n->mcp().catch_up();
+  publish_eq_metrics();
+}
+
 Cluster::Cluster(const ClusterConfig& cfg) : rng_(cfg.seed), cfg_(cfg) {
   if (cfg.nodes < 1) {
     throw std::invalid_argument("cluster needs at least one node");

@@ -100,21 +100,26 @@ class Cluster {
   /// Run the simulation for `d` of virtual time.
   void run_for(sim::Time d) {
     eq_.run_until(eq_.now() + d);
-    publish_eq_metrics();
+    end_slice();
   }
   /// Run until the event queue drains, bounded against runaway loops by
-  /// ClusterConfig::max_events (or an explicit non-zero override).
+  /// ClusterConfig::max_events (or an explicit non-zero override). Idle
+  /// L_timer housekeeping schedules no events, so an idle cluster drains.
   std::size_t run_until_idle(std::size_t max_events = 0) {
     const std::size_t n = eq_.run(max_events != 0 ? max_events : cfg_.max_events);
-    publish_eq_metrics();
+    end_slice();
     return n;
   }
 
   void set_trace(sim::Trace* t);
 
  private:
-  // Event-core health, refreshed after every run slice: compaction sweeps
-  // (cancelled-entry eviction) and the dead-entry backlog.
+  // After every run slice: replay each card's elapsed L_timer ticks, so
+  // registry reads see the counters an eager tick chain would have left,
+  // and refresh the event-core health gauges.
+  void end_slice();
+  // Compaction sweeps (cancelled-entry eviction) and the dead-entry
+  // backlog.
   void publish_eq_metrics() {
     metrics_.gauge("sim.eq_compactions")
         .set(static_cast<std::int64_t>(eq_.compactions()));

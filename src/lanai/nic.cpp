@@ -12,12 +12,9 @@ Nic::Nic(sim::EventQueue& eq, Config cfg, std::string name)
       cfg_(cfg),
       name_(std::move(name)),
       sram_(cfg.sram_bytes),
-      cpu_(sram_, *this) {
-  for (int i = 0; i < kNumTimers; ++i) {
-    timers_.push_back(std::make_unique<IntervalTimer>(
-        eq_, cfg_.timing.timer_tick, [this, i] { on_timer_expired(i); }));
-  }
-}
+      cpu_(sram_, *this),
+      timers_(kNumTimers, IntervalTimer(cfg_.timing.timer_tick)),
+      wake_at_(kNumTimers, kNoWake) {}
 
 void Nic::attach_host(host::HostMemory& hmem, host::PciBus& pci,
                       host::InterruptController& irq) {
@@ -48,17 +45,60 @@ void Nic::maybe_raise_host_irq() {
   }
 }
 
+void Nic::set_imr(std::uint32_t v) {
+  sync();
+  imr_ = v;
+  timers_changed();
+}
+
 void Nic::arm_timer(int idx, std::uint32_t ticks) {
-  timers_.at(static_cast<std::size_t>(idx))->arm(ticks);
+  sync();
+  timer(idx).arm(eq_.now(), ticks);
+  timers_changed();
 }
 
-std::uint32_t Nic::timer_remaining(int idx) const {
-  return timers_.at(static_cast<std::size_t>(idx))->remaining();
+std::uint32_t Nic::timer_remaining(int idx) {
+  sync();
+  return timer(idx).remaining(eq_.now());
 }
 
-void Nic::on_timer_expired(int idx) {
+void Nic::expire_timer(int idx) {
+  timer(idx).disarm();
   set_isr_bits(idx == 0 ? kIsrIt0 : idx == 1 ? kIsrIt1 : kIsrIt2);
   if (hooks_.on_timer) hooks_.on_timer(idx);
+}
+
+void Nic::timers_changed() {
+  if (hooks_.rearmed) {
+    hooks_.rearmed();
+    return;
+  }
+  if (hooks_.sync) return;
+  for (int i = 0; i < kNumTimers; ++i) {
+    if (timer(i).armed()) schedule_timer_wake(i);
+  }
+}
+
+void Nic::schedule_timer_wake(int idx) {
+  // Bare card: one pending wake-up per timer, never later than the
+  // deadline; one that finds the deadline moved later re-schedules.
+  const IntervalTimer& t = timer(idx);
+  auto& wake = wake_at_[static_cast<std::size_t>(idx)];
+  if (wake <= t.deadline()) return;
+  wake = t.deadline();
+  eq_.schedule_at(t.deadline(), [this, idx] {
+    auto& w = wake_at_[static_cast<std::size_t>(idx)];
+    if (w != eq_.now()) return;  // superseded by an earlier wake-up
+    w = kNoWake;
+    if (hooks_.sync) return;     // an MCP took the clock over meanwhile
+    const IntervalTimer& tm = timer(idx);
+    if (!tm.armed()) return;
+    if (tm.deadline() <= eq_.now()) {
+      expire_timer(idx);
+    } else {
+      schedule_timer_wake(idx);  // re-armed later since
+    }
+  });
 }
 
 void Nic::start_hdma(bool to_sram, host::DmaAddr haddr, std::uint32_t laddr,
@@ -199,20 +239,22 @@ void Nic::deliver(net::Packet pkt, std::uint8_t /*in_port*/) {
 }
 
 void Nic::reset() {
+  sync();
   isr_ = 0;
   imr_ = 0;
-  for (auto& t : timers_) t->disarm();
+  for (auto& t : timers_) t.disarm();
   hdma_busy_ = false;
   ++hdma_epoch_;  // orphan any in-flight DMA completion
   rx_queue_.clear();
   routes_.clear();
   scratch_ = 0;
   cpu_.reset();
+  timers_changed();
 }
 
 std::uint32_t Nic::mmio_read(std::uint32_t addr) {
   switch (addr) {
-    case kRegIsr: return isr_;
+    case kRegIsr: sync(); return isr_;
     case kRegImr: return imr_;
     case kRegIt0: return timer_remaining(0);
     case kRegIt1: return timer_remaining(1);
@@ -228,8 +270,8 @@ std::uint32_t Nic::mmio_read(std::uint32_t addr) {
 
 void Nic::mmio_write(std::uint32_t addr, std::uint32_t value) {
   switch (addr) {
-    case kRegIsr: isr_ &= ~value; break;  // write-1-to-clear
-    case kRegImr: imr_ = value; maybe_raise_host_irq(); break;
+    case kRegIsr: sync(); isr_ &= ~value; break;  // write-1-to-clear
+    case kRegImr: set_imr(value); maybe_raise_host_irq(); break;
     case kRegIt0: arm_timer(0, value); break;
     case kRegIt1: arm_timer(1, value); break;
     case kRegIt2: arm_timer(2, value); break;

@@ -4,7 +4,11 @@
 // interpreted MCP code and the native protocol engine drive the same
 // hardware state. The paper's key architectural assumption — timers and
 // interrupt logic keep running when the network processor hangs — holds
-// here by construction: timers are independent simulation events.
+// here by construction: the timers are deadline registers that expire on
+// virtual time whatever the processor is doing. A bare card schedules one
+// wake-up per armed timer; once an MCP is loaded it owns the clock
+// (Hooks::sync / Hooks::rearmed) and replays expiries analytically, so an
+// idle card costs no events at all (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>
@@ -54,6 +58,12 @@ class Nic final : public MmioDevice, public net::PacketSink {
     std::function<void()> on_hdma_done;   // host DMA completed
     std::function<void(int)> on_timer;    // interval timer idx expired
     std::function<void()> on_rx;          // packet appended to RX queue
+    // Clock owner (the loaded MCP). With `sync` set the card schedules no
+    // timer wake-ups of its own: `sync` must apply every expiry due by
+    // the executing event before the card reads or writes timer, ISR or
+    // IMR state, and `rearmed` runs after a deadline or the IMR changed.
+    std::function<void()> sync;
+    std::function<void()> rearmed;
   };
 
   Nic(sim::EventQueue& eq, Config cfg, std::string name);
@@ -93,9 +103,21 @@ class Nic final : public MmioDevice, public net::PacketSink {
   void set_isr_bits(std::uint32_t bits);
   void clear_isr_bits(std::uint32_t bits) { isr_ &= ~bits; }
   [[nodiscard]] std::uint32_t imr() const noexcept { return imr_; }
-  void set_imr(std::uint32_t v) { imr_ = v; }
+  void set_imr(std::uint32_t v);
   void arm_timer(int idx, std::uint32_t ticks);
-  [[nodiscard]] std::uint32_t timer_remaining(int idx) const;
+  [[nodiscard]] std::uint32_t timer_remaining(int idx);
+
+  // ---- clock owner interface (no sync/rearmed callbacks) ----
+  /// The timer's deadline register.
+  [[nodiscard]] IntervalTimer& timer(int idx) {
+    return timers_.at(static_cast<std::size_t>(idx));
+  }
+  [[nodiscard]] const IntervalTimer& timer(int idx) const {
+    return timers_.at(static_cast<std::size_t>(idx));
+  }
+  /// Apply timer `idx`'s expiry now: disarm, set its ISR bit (raising the
+  /// host interrupt if the IMR routes it) and call Hooks::on_timer.
+  void expire_timer(int idx);
 
   // ---- host DMA engine ----
   [[nodiscard]] bool hdma_busy() const noexcept { return hdma_busy_; }
@@ -135,7 +157,11 @@ class Nic final : public MmioDevice, public net::PacketSink {
   void mmio_write(std::uint32_t addr, std::uint32_t value) override;
 
  private:
-  void on_timer_expired(int idx);
+  void sync() {
+    if (hooks_.sync) hooks_.sync();
+  }
+  void timers_changed();
+  void schedule_timer_wake(int idx);
   void maybe_raise_host_irq();
 
   sim::EventQueue& eq_;
@@ -157,7 +183,11 @@ class Nic final : public MmioDevice, public net::PacketSink {
 
   std::uint32_t isr_ = 0;
   std::uint32_t imr_ = 0;
-  std::vector<std::unique_ptr<IntervalTimer>> timers_;
+  std::vector<IntervalTimer> timers_;
+  // Bare-card timer wake-ups: the instant each pending one fires at, or
+  // kNoWake. A wake-up that finds its timer re-armed later re-schedules.
+  static constexpr sim::Time kNoWake = ~sim::Time{0};
+  std::vector<sim::Time> wake_at_;
 
   bool hdma_busy_ = false;
   std::uint32_t hdma_host_ = 0;

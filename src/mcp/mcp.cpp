@@ -21,6 +21,13 @@ const char* to_string(EventType t) {
 
 namespace {
 constexpr std::uint32_t kMagicAddr = SramLayout::kMagicAddr;
+constexpr sim::Time kNever = ~sim::Time{0};
+
+// (at, as_of) runs strictly before (b_at, b_as_of) on the event timeline.
+constexpr bool precedes(sim::Time at, sim::Time as_of, sim::Time b_at,
+                        sim::Time b_as_of) {
+  return at < b_at || (at == b_at && as_of < b_as_of);
+}
 
 std::uint32_t fragments_of(std::uint32_t len) {
   if (len == 0) return 1;
@@ -38,6 +45,7 @@ Mcp::Mcp(lanai::Nic& nic, host::PciBus& pci, host::HostMemory& hmem,
 // --------------------------------------------------------------------------
 
 void Mcp::load() {
+  catch_up();
   // Write the send_chunk image into the SRAM code segment.
   auto& sram = nic_.sram();
   for (std::size_t i = 0; i < image_.program.words.size(); ++i) {
@@ -49,7 +57,9 @@ void Mcp::load() {
   hung_ = false;
   hang_reason_.clear();
   page_hash_registered_ = false;
-  busy_until_ = nic_.event_queue().now();
+  const sim::Time now = nic_.event_queue().now();
+  busy_until_ = now;
+  runs_.clear();  // runs reserved by the previous generation never execute
   for (auto& p : ports_) {
     p.open = false;
     p.tokens.clear();
@@ -66,31 +76,28 @@ void Mcp::load() {
 
   lanai::Nic::Hooks hooks;
   hooks.on_hdma_done = [this] {
+    catch_up();
     if (hung_ || !loaded_ || !dma_active_) return;
     exec(cfg_.timing.lanai.dispatch_overhead, [this] { finish_fragment_tx(); });
   };
-  hooks.on_timer = [this](int idx) {
-    if (hung_ || !loaded_) return;
-    if (idx == 0) {
-      exec(cfg_.timing.lanai.dispatch_overhead + sim::usecf(0.6),
-           [this] { run_l_timer(); });
-    }
-    // IT1 (watchdog) expiry is pure hardware: the Nic already set the ISR
-    // bit and, if the IMR routes it, raised the host FATAL interrupt.
-  };
   hooks.on_rx = [this] {
+    catch_up();
     if (hung_ || !loaded_) return;
     if (rx_handler_pending_) return;
     rx_handler_pending_ = true;
     exec(cfg_.timing.lanai.dispatch_overhead, [this] { on_packet(); });
   };
+  // The MCP owns the card's clock: IT0/IT1 expire in catch_up().
+  hooks.sync = [this] { catch_up(); };
+  hooks.rearmed = [this] { replan(); };
   nic_.set_hooks(std::move(hooks));
 
-  arm_it0();
+  arm_it0(now);
   if (cfg_.mode == McpMode::kFtgm) {
     nic_.set_imr(nic_.imr() | lanai::kIsrIt1);
-    arm_watchdog();
+    arm_watchdog(now);
   }
+  replan();
   // Packets may already be waiting (arrivals during a reload): drain them.
   if (!nic_.rx_empty()) {
     rx_handler_pending_ = true;
@@ -99,24 +106,29 @@ void Mcp::load() {
 }
 
 void Mcp::exec(sim::Time cost, std::function<void()> fn) {
+  catch_up();
   auto& eq = nic_.event_queue();
   const sim::Time start = std::max(eq.now(), busy_until_);
   busy_until_ = start + cost;
   stats_.busy_ns += cost;
+  if (busy_until_ > busy_limit_) replan();
   const std::uint64_t g = gen_;
   eq.schedule_at(busy_until_, [this, g, fn = std::move(fn)] {
+    catch_up();
     if (hung_ || !loaded_ || g != gen_) return;
     fn();
   });
 }
 
 bool Mcp::run_interpreted(std::uint32_t entry) {
+  catch_up();
   ++stats_.send_chunk_runs;
   const lanai::RunResult r = nic_.cpu().run(entry, cfg_.cycle_budget);
   const sim::Time c =
       r.cycles * static_cast<sim::Time>(cfg_.timing.lanai.cycle_time_ns());
   busy_until_ = std::max(busy_until_, nic_.event_queue().now()) + c;
   stats_.busy_ns += c;
+  if (busy_until_ > busy_limit_) replan();
   if (r.status == lanai::RunStatus::kReturned) return true;
   handle_cpu_failure(r);
   return false;
@@ -138,6 +150,7 @@ void Mcp::become_hung(const std::string& reason) {
   hung_ = true;
   hang_reason_ = reason;
   ++stats_.hangs;
+  replan();  // nothing re-arms IT1 any more: it will expire
   if (trace_ && trace_->on(sim::TraceCat::kMcp)) {
     trace_->log(sim::TraceCat::kMcp, nic_.event_queue().now(), nic_.name(),
                 "HUNG: " + reason);
@@ -164,12 +177,18 @@ void Mcp::restart_self() {
   rx_handler_pending_ = false;
   rto_scan_armed_ = false;
   cancel_announce();
-  busy_until_ = nic_.event_queue().now();
-  arm_it0();
-  if (cfg_.mode == McpMode::kFtgm) arm_watchdog();
+  const sim::Time now = nic_.event_queue().now();
+  busy_until_ = now;
+  runs_.clear();
+  arm_it0(now);
+  if (cfg_.mode == McpMode::kFtgm) arm_watchdog(now);
+  replan();
 }
 
-void Mcp::inject_hang(const std::string& reason) { become_hung(reason); }
+void Mcp::inject_hang(const std::string& reason) {
+  catch_up();
+  become_hung(reason);
+}
 
 void Mcp::bind_metrics(metrics::Registry& reg, const std::string& prefix) {
   const std::string p = prefix + '.';
@@ -192,32 +211,109 @@ void Mcp::bind_metrics(metrics::Registry& reg, const std::string& prefix) {
 }
 
 // --------------------------------------------------------------------------
-// L_timer and control path
+// Tickless L_timer (DESIGN.md section 12)
 // --------------------------------------------------------------------------
 
-void Mcp::arm_it0() {
+sim::Time Mcp::it0_reload() const {
+  return cfg_.timing.watchdog.l_timer_interval / cfg_.timing.lanai.timer_tick *
+         cfg_.timing.lanai.timer_tick;
+}
+
+void Mcp::arm_it0(sim::Time at) {
   const auto ticks = static_cast<std::uint32_t>(
       cfg_.timing.watchdog.l_timer_interval / cfg_.timing.lanai.timer_tick);
-  nic_.arm_timer(0, ticks);
+  nic_.timer(0).arm(at, ticks);
 }
 
-void Mcp::arm_watchdog() {
+void Mcp::arm_watchdog(sim::Time at) {
   const auto ticks = static_cast<std::uint32_t>(
       cfg_.timing.watchdog.it1_interval / cfg_.timing.lanai.timer_tick);
-  nic_.arm_timer(1, ticks);
+  nic_.timer(1).arm(at, ticks);
 }
 
-void Mcp::run_l_timer() {
+Mcp::TickEvent Mcp::next_tick() const {
+  // Equal keys keep the eager chain's order: IT0 before IT1 (L_timer arms
+  // them in that order), timers before a run.
+  TickEvent n;  // kNone sorts after everything
+  constexpr Tick kTimerTick[] = {Tick::kIt0, Tick::kIt1, Tick::kIt2};
+  for (int i = 0; i < lanai::kNumTimers; ++i) {
+    const lanai::IntervalTimer& t = nic_.timer(i);
+    if (t.armed() && precedes(t.deadline(), t.armed_at(), n.at, n.as_of)) {
+      n = {kTimerTick[i], t.deadline(), t.armed_at()};
+    }
+  }
+  if (!runs_.empty()) {
+    const ReservedRun& r = runs_.front();
+    if (precedes(r.at, r.as_of, n.at, n.as_of)) n = {Tick::kRun, r.at, r.as_of};
+  }
+  return n;
+}
+
+bool Mcp::due(const TickEvent& t, bool wake) const {
+  // The tie rule: a virtual event at now() precedes the executing event
+  // exactly when its eager event would have been scheduled first. A
+  // wake-up may have been scheduled at the very instant its virtual event
+  // was armed; it applies that event too.
+  const sim::EventQueue& eq = nic_.event_queue();
+  const sim::Time now = eq.now();
+  if (t.at != now) return t.at < now;
+  const sim::Time cur = eq.current_scheduled_at();
+  return t.as_of < cur || (wake && t.as_of == cur);
+}
+
+void Mcp::replay(bool wake) {
+  if (replaying_ || !due(next_, wake)) return;
+  replaying_ = true;
+  for (TickEvent t = next_tick(); due(t, wake); t = next_tick()) {
+    if (t.what == Tick::kIt0 && skip_idle_ticks()) continue;
+    apply_tick(t);
+  }
+  replaying_ = false;
+  replan();
+}
+
+void Mcp::apply_tick(const TickEvent& t) {
+  switch (t.what) {
+    case Tick::kIt0:
+      nic_.expire_timer(0);
+      if (!hung_ && loaded_) reserve_l_timer(t.at);
+      break;
+    case Tick::kIt1:
+      // Pure hardware: the ISR bit and, if the IMR routes it, the host
+      // FATAL interrupt. replan() made sure this runs exactly at t.at.
+      nic_.expire_timer(1);
+      break;
+    case Tick::kIt2:
+      nic_.expire_timer(2);
+      break;
+    case Tick::kRun:
+      runs_.pop_front();
+      if (!hung_ && loaded_) run_l_timer(t.at);
+      break;
+    case Tick::kNone:
+      break;
+  }
+}
+
+void Mcp::reserve_l_timer(sim::Time expiry) {
+  // The IT0 handler's exec(): the run queues behind whatever the LANai is
+  // busy with at the expiry instant.
+  const sim::Time cost = l_timer_cost();
+  busy_until_ = std::max(expiry, busy_until_) + cost;
+  stats_.busy_ns += cost;
+  runs_.push_back({busy_until_, expiry});
+}
+
+void Mcp::run_l_timer(sim::Time at) {
   ++stats_.l_timer_runs;
-  const sim::Time now = nic_.event_queue().now();
   if (last_l_timer_ != 0) {
-    const sim::Time gap = now - last_l_timer_;
+    const sim::Time gap = at - last_l_timer_;
     if (gap > max_l_timer_gap_) max_l_timer_gap_ = gap;
     // The gap distribution underpins the paper's IT1 interval choice
     // (L_timer can lag its nominal period by ~800 us of queueing).
     metrics::observe(m_l_timer_gap_, gap);
   }
-  last_l_timer_ = now;
+  last_l_timer_ = at;
   nic_.clear_isr_bits(lanai::kIsrIt0);
   // A live MCP clears the FTD's magic probe word (paper Section 4.3).
   nic_.sram().write32(kMagicAddr, 0);
@@ -252,21 +348,135 @@ void Mcp::run_l_timer() {
     }
   }
 
-  arm_it0();
-  if (cfg_.mode == McpMode::kFtgm) arm_watchdog();
+  arm_it0(at);
+  if (cfg_.mode == McpMode::kFtgm) arm_watchdog(at);
 }
 
+bool Mcp::skip_idle_ticks() {
+  // Closed form for a run of identical idle ticks. After an undisturbed
+  // run at `last`, IT0 expires at last + L, the LANai is free, and every
+  // following tick runs exactly P = L + 1.05 us after the previous one:
+  // apply all ticks whose run falls strictly before now (and before any
+  // deadline the runs do not re-arm) at once.
+  if (!loaded_ || hung_ || !runs_.empty() || !control_queue_.empty()) {
+    return false;
+  }
+  const sim::Time last = last_l_timer_;
+  const lanai::IntervalTimer& it0 = nic_.timer(0);
+  const sim::Time cost = l_timer_cost();
+  const sim::Time period = it0_reload() + cost;
+  if (last == 0 || it0.armed_at() != last ||
+      it0.deadline() != last + it0_reload() || busy_until_ > it0.deadline() ||
+      ((nic_.isr() | lanai::kIsrIt0) & nic_.imr()) != 0) {
+    return false;
+  }
+  sim::Time limit = nic_.event_queue().now();
+  const lanai::IntervalTimer& it1 = nic_.timer(1);
+  if (it1.armed()) {
+    const bool rearmed_by_runs = cfg_.mode == McpMode::kFtgm &&
+                                 it1.armed_at() == last &&
+                                 it1.deadline() - last > period;
+    if (!rearmed_by_runs) limit = std::min(limit, it1.deadline());
+  }
+  if (nic_.timer(2).armed()) limit = std::min(limit, nic_.timer(2).deadline());
+  if (limit <= last + period) return false;
+  const std::uint64_t n = (limit - last - 1) / period;
+
+  stats_.l_timer_runs += n;
+  stats_.busy_ns += n * cost;
+  max_l_timer_gap_ = std::max(max_l_timer_gap_, period);
+  metrics::observe(m_l_timer_gap_, period, n);
+  last_l_timer_ = last + n * period;
+  busy_until_ = last_l_timer_;
+  nic_.clear_isr_bits(lanai::kIsrIt0);
+  nic_.sram().write32(kMagicAddr, 0);
+  arm_it0(last_l_timer_);
+  if (cfg_.mode == McpMode::kFtgm) arm_watchdog(last_l_timer_);
+  return true;
+}
+
+bool Mcp::watchdog_will_expire() const {
+  // Only a live FTGM MCP's next L_timer run re-arms IT1; it expires if
+  // that run comes after the deadline.
+  if (!loaded_ || hung_ || cfg_.mode != McpMode::kFtgm) return true;
+  const lanai::IntervalTimer& it1 = nic_.timer(1);
+  if (!runs_.empty()) {
+    return !precedes(runs_.front().at, runs_.front().as_of, it1.deadline(),
+                     it1.armed_at());
+  }
+  const lanai::IntervalTimer& it0 = nic_.timer(0);
+  if (!it0.armed()) return true;
+  const sim::Time run = std::max(it0.deadline(), busy_until_) + l_timer_cost();
+  return !precedes(run, it0.deadline(), it1.deadline(), it1.armed_at());
+}
+
+void Mcp::replan() {
+  if (replaying_) return;
+  next_ = next_tick();
+  // The earliest virtual event with an effect outside the card gets the
+  // one wake-up event.
+  TickEvent w;
+  const auto consider = [&w](Tick what, sim::Time at, sim::Time as_of) {
+    if (precedes(at, as_of, w.at, w.as_of)) w = {what, at, as_of};
+  };
+  const auto routed = [this](std::uint32_t bit) {
+    return ((nic_.isr() | bit) & nic_.imr()) != 0;
+  };
+  const bool commands = loaded_ && !hung_ && !control_queue_.empty();
+  const lanai::IntervalTimer& it0 = nic_.timer(0);
+  if (it0.armed() && (commands || routed(lanai::kIsrIt0))) {
+    consider(Tick::kIt0, it0.deadline(), it0.armed_at());
+  }
+  if (commands && !runs_.empty()) {
+    consider(Tick::kRun, runs_.front().at, runs_.front().as_of);
+  }
+  const lanai::IntervalTimer& it1 = nic_.timer(1);
+  busy_limit_ = kNever;
+  if (it1.armed() && routed(lanai::kIsrIt1)) {
+    if (watchdog_will_expire()) {
+      consider(Tick::kIt1, it1.deadline(), it1.armed_at());
+    } else if (runs_.empty()) {
+      // Only a busier LANai can still push the next run past the deadline.
+      busy_limit_ = it1.deadline() - l_timer_cost() - 1;
+    }
+  }
+  const lanai::IntervalTimer& it2 = nic_.timer(2);
+  if (it2.armed() && routed(lanai::kIsrIt2)) {
+    consider(Tick::kIt2, it2.deadline(), it2.armed_at());
+  }
+  if (w.at == wake_at_ && w.as_of == wake_as_of_) return;
+  wake_.cancel();
+  wake_at_ = w.at;
+  wake_as_of_ = w.as_of;
+  if (w.what == Tick::kNone) return;
+  wake_ = nic_.event_queue().schedule_at(w.at, [this] {
+    wake_at_ = kNever;
+    replay(/*wake=*/true);
+    replan();
+  });
+}
+
+// --------------------------------------------------------------------------
+// Control path
+// --------------------------------------------------------------------------
+
 void Mcp::host_open_port(std::uint8_t port) {
+  catch_up();
   control_queue_.push_back({ControlCmd::Kind::kOpen, port, 0});
+  replan();
 }
 
 void Mcp::host_close_port(std::uint8_t port) {
+  catch_up();
   control_queue_.push_back({ControlCmd::Kind::kClose, port, 0});
+  replan();
 }
 
 void Mcp::host_set_alarm(std::uint8_t port, sim::Time delay,
                          std::uint32_t alarm_id) {
+  catch_up();
   control_queue_.push_back({ControlCmd::Kind::kAlarm, port, delay, alarm_id});
+  replan();
 }
 
 bool Mcp::port_open(std::uint8_t port) const {
@@ -292,6 +502,7 @@ Mcp::SendStream& Mcp::send_stream(net::NodeId peer, std::uint32_t sid) {
 }
 
 void Mcp::host_post_send(const SendRequest& req) {
+  catch_up();
   if (hung_ || !loaded_) return;
   ++stats_.sends_posted;
   const std::uint32_t sid = req.internal ? internal_stream_id(req.port)
@@ -349,6 +560,7 @@ void Mcp::host_post_send(const SendRequest& req) {
 }
 
 void Mcp::host_provide_recv_token(const RecvToken& tok) {
+  catch_up();
   if (hung_ || !loaded_) return;
   if (tok.port >= kMaxPorts) return;
   ports_[tok.port].tokens.push_back(tok);
@@ -356,6 +568,7 @@ void Mcp::host_provide_recv_token(const RecvToken& tok) {
 
 void Mcp::host_restore_ack_entry(net::NodeId peer, std::uint32_t stream,
                                  std::uint32_t last_seq) {
+  catch_up();
   if (hung_ || !loaded_) return;
   RecvStream& rs = recv_streams_[stream_key(peer, stream)];
   // Two local ports may hold partial views of the same remote stream (a
@@ -367,6 +580,7 @@ void Mcp::host_restore_ack_entry(net::NodeId peer, std::uint32_t stream,
 }
 
 void Mcp::host_reopen_port(std::uint8_t port) {
+  catch_up();
   if (hung_ || !loaded_ || port >= kMaxPorts) return;
   ports_[port].open = true;
 }
@@ -963,6 +1177,7 @@ void Mcp::post_event(std::uint8_t port, EventRecord ev,
 // --------------------------------------------------------------------------
 
 void Mcp::host_post_get(const GetRequest& get) {
+  catch_up();
   if (hung_ || !loaded_) return;
   if (get.port >= kMaxPorts || !ports_[get.port].open) return;
   if (nic_.route(get.dst) == nullptr) return;  // retry loop times out
@@ -1030,6 +1245,7 @@ void Mcp::handle_get_req(const net::Packet& pkt) {
 // --------------------------------------------------------------------------
 
 void Mcp::send_raw(net::Packet pkt) {
+  catch_up();
   if (hung_ || !loaded_) return;
   exec(cfg_.timing.lanai.dispatch_overhead,
        [this, pkt = std::move(pkt)]() mutable {
@@ -1038,6 +1254,7 @@ void Mcp::send_raw(net::Packet pkt) {
 }
 
 void Mcp::host_restore_routes(net::NodeId mapper_node, std::uint32_t epoch) {
+  catch_up();
   route_epoch_ = epoch;
   // A card that never heard from a mapper has nowhere to announce to; the
   // mapper's census probe / a fresh remap is the only way back in. Epoch 0

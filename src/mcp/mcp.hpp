@@ -21,6 +21,24 @@
 // (exec()), which both accounts LANai occupancy and reproduces the paper's
 // observation that L_timer() invocations can lag their nominal period by
 // queueing delay (max ~800 us).
+//
+// L_timer() is tickless (DESIGN.md §12). IT0 and IT1 are deadline
+// registers on the Nic and a reserved L_timer run is plain data here; no
+// event is scheduled per tick. catch_up() replays every tick due before
+// the executing event — IT0 expiry (reserving the run at
+// max(E, busy_until_) + 1.05 us), the run itself (counters, gap
+// histogram, ISR and magic-word clear, IT0/IT1 re-arm) and IT1 expiry —
+// in the order a chain of per-tick events would run them against the
+// executing event, in closed form for runs of identical idle ticks. Every
+// routine that reads or writes state a tick affects calls it first:
+// exec()/run_interpreted(), the NIC hooks, host_* commands,
+// load/restart/hang, Nic::reset and the ISR/IMR/IT registers, the
+// driver's magic-word access and FATAL handler, SRAM-flip injection, the
+// stats accessors, and the end of every Cluster run slice.
+// A real event is scheduled only for a tick with an effect outside the
+// card: a run that must process queued control commands, or an IT1 expiry
+// that raises the host FATAL interrupt (a hung card, or a run that lags
+// past the deadline). That event is only a wake-up that calls catch_up().
 #pragma once
 
 #include <cstdint>
@@ -101,7 +119,10 @@ class Mcp {
   /// Driver notification that the host page hash table is registered with
   /// the card (at driver load, and again by the FTD after recovery). Sends
   /// are refused with a kSendError event until this has happened.
-  void host_register_page_hash() { page_hash_registered_ = true; }
+  void host_register_page_hash() {
+    catch_up();
+    page_hash_registered_ = true;
+  }
 
   // ---- mapper support ----
   /// Transmit a raw, explicitly routed packet (mapper scouts / route loads).
@@ -142,11 +163,25 @@ class Mcp {
   }
   /// Test/fault hook: wedge the network processor right now.
   void inject_hang(const std::string& reason = "injected");
-  [[nodiscard]] const McpStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] sim::Time busy_ns() const noexcept { return stats_.busy_ns; }
+
+  /// Replay every L_timer tick and IT0/IT1 expiry that precedes the
+  /// executing event (outside event execution: everything up to now()).
+  /// One comparison when nothing is due; see the header comment.
+  void catch_up() {
+    if (next_.at <= nic_.event_queue().now()) replay(/*wake=*/false);
+  }
+
+  // The accessors below first replay elapsed ticks: logically const, the
+  // replay only materialises state that already exists in virtual time.
+  [[nodiscard]] const McpStats& stats() const {
+    const_cast<Mcp*>(this)->catch_up();
+    return stats_;
+  }
+  [[nodiscard]] sim::Time busy_ns() const { return stats().busy_ns; }
   /// Longest observed gap between consecutive L_timer() completions (the
   /// paper's ~800 us figure the watchdog interval is chosen against).
-  [[nodiscard]] sim::Time max_l_timer_gap() const noexcept {
+  [[nodiscard]] sim::Time max_l_timer_gap() const {
+    const_cast<Mcp*>(this)->catch_up();
     return max_l_timer_gap_;
   }
   [[nodiscard]] McpMode mode() const noexcept { return cfg_.mode; }
@@ -226,9 +261,29 @@ class Mcp {
   void become_hung(const std::string& reason);
   void restart_self();
 
-  void run_l_timer();
-  void arm_it0();
-  void arm_watchdog();
+  // Tickless L_timer. A virtual event is an IT0/IT1/IT2 expiry or a
+  // reserved run, keyed like a queue entry: (time, scheduling time).
+  enum class Tick { kNone, kIt0, kIt1, kIt2, kRun };
+  struct TickEvent {
+    Tick what = Tick::kNone;
+    sim::Time at = ~sim::Time{0};
+    sim::Time as_of = 0;
+  };
+  [[nodiscard]] TickEvent next_tick() const;
+  [[nodiscard]] bool due(const TickEvent& t, bool wake) const;
+  void replay(bool wake);
+  void apply_tick(const TickEvent& t);
+  bool skip_idle_ticks();
+  void reserve_l_timer(sim::Time expiry);
+  void run_l_timer(sim::Time at);
+  void arm_it0(sim::Time at);
+  void arm_watchdog(sim::Time at);
+  [[nodiscard]] sim::Time it0_reload() const;  // IT0 arm, in whole ticks
+  [[nodiscard]] sim::Time l_timer_cost() const {
+    return cfg_.timing.lanai.dispatch_overhead + sim::usecf(0.6);
+  }
+  [[nodiscard]] bool watchdog_will_expire() const;
+  void replan();
 
   // Sender pipeline.
   SendStream& send_stream(net::NodeId peer, std::uint32_t sid);
@@ -281,6 +336,23 @@ class Mcp {
   sim::Time busy_until_ = 0;
   sim::Time last_l_timer_ = 0;
   sim::Time max_l_timer_gap_ = 0;
+
+  // Tick state besides the Nic's IT0/IT1 deadline registers: reserved
+  // L_timer runs (R, and the IT0 expiry E that reserved it), the cached
+  // earliest virtual event, and the one wake-up event, if any.
+  struct ReservedRun {
+    sim::Time at;
+    sim::Time as_of;
+  };
+  std::deque<ReservedRun> runs_;
+  TickEvent next_;
+  // exec() and run_interpreted() replan only once busy_until_ passes this:
+  // beyond it the next run may lag past the IT1 deadline.
+  sim::Time busy_limit_ = ~sim::Time{0};
+  bool replaying_ = false;
+  sim::EventQueue::Handle wake_;
+  sim::Time wake_at_ = ~sim::Time{0};
+  sim::Time wake_as_of_ = 0;
 
   std::array<PortState, kMaxPorts> ports_{};
   std::deque<ControlCmd> control_queue_;

@@ -107,12 +107,14 @@ class Histogram {
     return kBounds;
   }
 
-  void add(std::uint64_t v) noexcept {
+  /// Record `n` samples of value `v` (n = 0 records nothing).
+  void add(std::uint64_t v, std::uint64_t n = 1) noexcept {
+    if (n == 0) return;
     // First bound >= v (inclusive upper bounds); off the end -> overflow.
     const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-    ++counts_[static_cast<std::size_t>(it - bounds_.begin())];
-    ++count_;
-    sum_ += v;
+    counts_[static_cast<std::size_t>(it - bounds_.begin())] += n;
+    count_ += n;
+    sum_ += v * n;
     min_ = std::min(min_, v);
     max_ = std::max(max_, v);
   }
@@ -369,8 +371,9 @@ inline void bump(Counter* c, std::uint64_t n = 1) noexcept {
 inline void level(Gauge* g, std::int64_t v) noexcept {
   if (g != nullptr) g->set(v);
 }
-inline void observe(Histogram* h, std::uint64_t v) noexcept {
-  if (h != nullptr) h->add(v);
+inline void observe(Histogram* h, std::uint64_t v,
+                    std::uint64_t n = 1) noexcept {
+  if (h != nullptr) h->add(v, n);
 }
 
 /// Timing of a multi-stage operation (the FTD's recovery sequence): each

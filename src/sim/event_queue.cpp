@@ -20,8 +20,11 @@ struct EventQueue::Slab {
 
   enum class State : std::uint8_t { kFree, kPending, kCancelled };
 
+  // The event's (at, seq) live in its queue Item; the entry keeps the
+  // clock at scheduling time for current_scheduled_at(). 192 bytes: three
+  // cache lines.
   struct Entry {
-    Time at = 0;
+    Time scheduled_at = 0;
     std::uint64_t seq = 0;
     Callback cb;
     std::uint32_t gen = 0;
@@ -112,7 +115,7 @@ EventQueue::Handle EventQueue::schedule_at(Time at, Callback cb) {
   at = std::max(at, now_);
   const std::uint32_t slot = alloc_slot();
   Slab::Entry& e = slab_->pool[slot];
-  e.at = at;
+  e.scheduled_at = now_;
   e.seq = next_seq_++;
   e.cb = std::move(cb);
   e.state = Slab::State::kPending;
@@ -270,6 +273,7 @@ bool EventQueue::pop_and_run(bool bounded, Time limit) {
     b.pop_back();
     if (b.empty()) mark_empty(idx);
     now_ = it.at;
+    const Time scheduled_at = e->scheduled_at;
     Callback cb = std::move(e->cb);
     --s.live;
     ++executed_;
@@ -277,8 +281,10 @@ bool EventQueue::pop_and_run(bool bounded, Time limit) {
     e = nullptr;  // pool may reallocate once user code runs
     // Run after the entry leaves the queue so the callback may schedule
     // or cancel freely, including rescheduling itself.
+    cur_scheduled_at_ = scheduled_at;
     cb();
     if (after_event_) after_event_(now_);
+    cur_scheduled_at_ = kNotExecuting;
     return true;
   }
   reclaim_all();

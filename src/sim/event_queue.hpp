@@ -5,6 +5,14 @@
 // Events at equal timestamps run in FIFO scheduling order, which keeps every
 // experiment fully deterministic for a given seed.
 //
+// Every entry also records the virtual time it was scheduled at, exposed
+// for the executing event as current_scheduled_at(). Lazily modelled
+// components use it to break equal-timestamp ties the way an eager model
+// would have: the tickless L_timer (mcp::Mcp::catch_up) replays card
+// ticks analytically, and a virtual tick at now() precedes the executing
+// event exactly when its eager event would have been scheduled first
+// (DESIGN.md §12).
+//
 // Internally the queue is a calendar queue: a ring of fixed-width time
 // buckets plus a min-heap overflow for events beyond the ring's horizon,
 // with all event entries pooled in a slab allocator (closures live inline
@@ -76,6 +84,14 @@ class EventQueue {
   Handle schedule_after(Time delay, Callback cb) {
     return schedule_at(now_ + delay, std::move(cb));
   }
+
+  /// Virtual time at which the event now executing was scheduled. Outside
+  /// event execution (between run slices) it is kNotExecuting: the caller
+  /// then comes after every event at or before now().
+  [[nodiscard]] Time current_scheduled_at() const noexcept {
+    return cur_scheduled_at_;
+  }
+  static constexpr Time kNotExecuting = ~Time{0};
 
   /// Run the next pending event, advancing the clock. False if queue empty.
   bool step();
@@ -169,6 +185,7 @@ class EventQueue {
   std::vector<Item> overflow_;  // min-heap on (at, seq)
   std::function<void(Time)> after_event_;
   Time now_ = 0;
+  Time cur_scheduled_at_ = kNotExecuting;
   std::uint64_t cur_bn_ = 0;     // absolute bucket number of the cursor
   bool cur_sorted_ = false;      // current bucket sorted & being drained
   std::uint64_t next_seq_ = 0;

@@ -2,6 +2,7 @@
 // multi-switch clusters (the paper's testbed scaled past one M3M-SW8).
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <set>
 
 #include "faultinject/workload.hpp"
@@ -285,12 +286,41 @@ TEST(Fabric, MapperDiscoversTheBuiltFatTree3) {
 TEST(Fabric, RunUntilIdleHonoursConfiguredEventBound) {
   ClusterConfig cc;
   cc.nodes = 2;
-  cc.max_events = 500;  // L_timer housekeeping alone would run forever
+  cc.max_events = 500;
   Cluster cluster(cc);
+  // A self-rescheduling event never lets the queue drain: only the bound
+  // ends the run.
+  std::function<void()> forever = [&] {
+    cluster.eq().schedule_after(sim::usec(1), forever);
+  };
+  forever();
   EXPECT_EQ(cluster.run_until_idle(), 500u);
   // An explicit override beats the config without mutating it.
   EXPECT_EQ(cluster.run_until_idle(100), 100u);
   EXPECT_EQ(cluster.config().max_events, 500u);
+}
+
+TEST(Fabric, IdleClusterDrainsBelowTheEventBound) {
+  // L_timer housekeeping schedules no events: booted, idle GM and FTGM
+  // clusters drain, and the ticks that elapsed are still accounted.
+  for (const mcp::McpMode mode : {mcp::McpMode::kGm, mcp::McpMode::kFtgm}) {
+    ClusterConfig cc;
+    cc.nodes = 4;
+    cc.mode = mode;
+    cc.max_events = 500;
+    Cluster cluster(cc);
+    cluster.node(0).open_port(2);
+    EXPECT_LT(cluster.run_until_idle(), 500u);
+    EXPECT_TRUE(cluster.eq().empty());
+    EXPECT_TRUE(cluster.node(0).mcp().port_open(2));
+    // The queue drained after the first L_timer run (551.05 us), which
+    // opened the port; 11 ms later the clock is at 11.55 ms, and an idle
+    // card runs L_timer every 551.05 us.
+    cluster.run_for(sim::msec(11));
+    EXPECT_TRUE(cluster.eq().empty());
+    EXPECT_EQ(cluster.eq().now(), sim::usecf(551.05) + sim::msec(11));
+    EXPECT_EQ(cluster.node(1).mcp().stats().l_timer_runs, 20u);
+  }
 }
 
 }  // namespace

@@ -37,6 +37,19 @@ TEST(HostMemory, BoundaryExactFits) {
   EXPECT_EQ(mem.at(124, 4).size(), 4u);
 }
 
+TEST(HostMemory, ZeroLengthTransfersWithNullSpansAreNoOps) {
+  // A zero-byte message DMAs an empty payload whose data() is null;
+  // memcpy must not see it (UBSan flags even a zero-length copy).
+  HostMemory mem(128);
+  std::array<std::byte, 1> before{std::byte{7}};
+  ASSERT_TRUE(mem.write(64, before));
+  EXPECT_TRUE(mem.write(64, std::span<const std::byte>{}));
+  EXPECT_TRUE(mem.read(64, std::span<std::byte>{}));
+  std::array<std::byte, 1> after{};
+  ASSERT_TRUE(mem.read(64, after));
+  EXPECT_EQ(after, before);
+}
+
 TEST(HostMemory, OverflowAddressDoesNotWrap) {
   HostMemory mem(128);
   EXPECT_TRUE(mem.at(~0ull, 4).empty());
