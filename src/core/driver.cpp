@@ -52,8 +52,9 @@ std::uint32_t Driver::map_route_update(const net::RouteUpdate& update,
 }
 
 void Driver::install_route(net::NodeId dst, std::vector<std::uint8_t> route) {
-  routes_[dst] = route;
-  nic_.set_route(dst, std::move(route));
+  auto& mirror = routes_[dst];
+  mirror = std::move(route);
+  nic_.set_route(dst, mirror);
 }
 
 void Driver::record_local_epoch(std::uint32_t epoch) {

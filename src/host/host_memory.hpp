@@ -16,6 +16,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "host/zero_pages.hpp"
+
 namespace myri::host {
 
 /// Physical/DMA address in host memory.
@@ -23,6 +25,8 @@ using DmaAddr = std::uint64_t;
 
 inline constexpr std::size_t kPageSize = 4096;
 
+/// Host DRAM of a fixed logical size, zero at start. Backed by ZeroPages,
+/// so only the pages a node writes become resident. Move-only.
 class HostMemory {
  public:
   explicit HostMemory(std::size_t bytes) : mem_(bytes) {}
@@ -39,7 +43,7 @@ class HostMemory {
   bool read(DmaAddr addr, std::span<std::byte> out) const;
 
  private:
-  std::vector<std::byte> mem_;
+  ZeroPages mem_;
 };
 
 /// Bump-with-free-list allocator over a pinned window of host memory.

@@ -23,8 +23,8 @@ void Nic::attach_host(host::HostMemory& hmem, host::PciBus& pci,
   irq_ = &irq;
 }
 
-void Nic::set_route(net::NodeId dst, std::vector<std::uint8_t> route) {
-  routes_[dst] = std::move(route);
+void Nic::set_route(net::NodeId dst, std::span<const std::uint8_t> route) {
+  routes_[dst].assign(route.begin(), route.end());
 }
 
 const std::vector<std::uint8_t>* Nic::route(net::NodeId dst) const {

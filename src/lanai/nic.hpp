@@ -16,6 +16,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -93,7 +94,9 @@ class Nic final : public MmioDevice, public net::PacketSink {
   // ---- identity & routing (programmed by the driver / mapper) ----
   void set_node_id(net::NodeId id) { node_id_ = id; }
   [[nodiscard]] net::NodeId node_id() const noexcept { return node_id_; }
-  void set_route(net::NodeId dst, std::vector<std::uint8_t> route);
+  /// Install (or overwrite) the route to `dst`; a re-install reuses the
+  /// entry's capacity.
+  void set_route(net::NodeId dst, std::span<const std::uint8_t> route);
   [[nodiscard]] const std::vector<std::uint8_t>* route(net::NodeId dst) const;
   void clear_routes() { routes_.clear(); }
   [[nodiscard]] std::size_t num_routes() const { return routes_.size(); }

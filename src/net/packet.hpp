@@ -83,7 +83,7 @@ struct Packet {
   [[nodiscard]] std::string describe() const;
 };
 
-/// Standard CRC-32 (IEEE 802.3 polynomial), table-driven.
+/// Standard CRC-32 (IEEE 802.3 polynomial), table-driven (slicing-by-8).
 std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
                     std::uint32_t seed = 0xffffffffu);
 

@@ -1,7 +1,14 @@
 // Unit tests for host memory, pinned allocation, page hash, PCI, interrupts.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <array>
+#include <cstdint>
+#include <limits>
+#include <new>
+#include <type_traits>
+#include <utility>
 
 #include "host/host_memory.hpp"
 #include "host/interrupts.hpp"
@@ -11,6 +18,17 @@
 
 namespace myri::host {
 namespace {
+
+// True if the page holding `p` is resident, per mincore(2). Reading an
+// untouched page maps the shared zero page, which mincore also reports as
+// resident, so callers check residency before reading.
+bool resident(const std::byte* p) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto base = reinterpret_cast<std::uintptr_t>(p) / page * page;
+  unsigned char vec = 0;
+  EXPECT_EQ(::mincore(reinterpret_cast<void*>(base), 1, &vec), 0);
+  return (vec & 1u) != 0;
+}
 
 TEST(HostMemory, ReadWriteRoundTrip) {
   HostMemory mem(4096);
@@ -53,6 +71,81 @@ TEST(HostMemory, ZeroLengthTransfersWithNullSpansAreNoOps) {
 TEST(HostMemory, OverflowAddressDoesNotWrap) {
   HostMemory mem(128);
   EXPECT_TRUE(mem.at(~0ull, 4).empty());
+}
+
+TEST(HostMemory, UntouchedPagesReadAsZero) {
+  HostMemory mem(8 << 20);
+  for (const DmaAddr a : {DmaAddr{0}, DmaAddr{kPageSize * 100 + 13},
+                          DmaAddr{(8 << 20) - 4}}) {
+    std::array<std::byte, 4> out{std::byte{0xff}, std::byte{0xff},
+                                 std::byte{0xff}, std::byte{0xff}};
+    ASSERT_TRUE(mem.read(a, out));
+    EXPECT_EQ(out, (std::array<std::byte, 4>{}));
+  }
+}
+
+TEST(HostMemory, TransfersSpanAPageBoundary) {
+  HostMemory mem(4 * kPageSize);
+  std::array<std::byte, 10> data{};
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::byte>(i + 1);
+  }
+  const DmaAddr a = 2 * kPageSize - 5;
+  ASSERT_TRUE(mem.write(a, data));
+  std::array<std::byte, 10> out{};
+  ASSERT_TRUE(mem.read(a, out));
+  EXPECT_EQ(out, data);
+  const auto view = mem.at(a, data.size());
+  ASSERT_EQ(view.size(), data.size());
+  EXPECT_EQ(view[5], std::byte{6});  // first byte of the second page
+}
+
+TEST(HostMemory, OnlyWrittenPagesBecomeResident) {
+  constexpr std::size_t kPages = 64;
+  HostMemory mem(kPages * kPageSize);
+  const std::byte* base = mem.at(0, mem.size()).data();
+  for (std::size_t pg = 0; pg < kPages; ++pg) {
+    EXPECT_FALSE(resident(base + pg * kPageSize)) << "page " << pg;
+  }
+  const std::array<std::byte, 1> one{std::byte{1}};
+  ASSERT_TRUE(mem.write(17 * kPageSize + 100, one));
+  EXPECT_TRUE(resident(base + 17 * kPageSize));
+  EXPECT_FALSE(resident(base + 16 * kPageSize));
+  EXPECT_FALSE(resident(base + 18 * kPageSize));
+}
+
+TEST(HostMemory, ZeroSizeRegion) {
+  HostMemory mem(0);
+  EXPECT_EQ(mem.size(), 0u);
+  EXPECT_TRUE(mem.at(0, 0).empty());
+  EXPECT_TRUE(mem.at(0, 1).empty());
+  std::array<std::byte, 1> b{};
+  EXPECT_FALSE(mem.write(0, b));
+  EXPECT_FALSE(mem.read(0, b));
+  EXPECT_TRUE(mem.write(0, std::span<const std::byte>{}));
+}
+
+TEST(HostMemory, UnmappableSizeThrowsBadAlloc) {
+  EXPECT_THROW(HostMemory(std::numeric_limits<std::size_t>::max() / 2),
+               std::bad_alloc);
+}
+
+TEST(HostMemory, MoveOnlyAndMoveKeepsContents) {
+  static_assert(!std::is_copy_constructible_v<HostMemory>);
+  static_assert(!std::is_copy_assignable_v<HostMemory>);
+  static_assert(std::is_nothrow_move_constructible_v<HostMemory>);
+  const std::array<std::byte, 2> data{std::byte{9}, std::byte{8}};
+  HostMemory c(kPageSize);
+  {
+    HostMemory a(2 * kPageSize);
+    ASSERT_TRUE(a.write(kPageSize - 1, data));
+    HostMemory b(std::move(a));
+    c = std::move(b);
+  }  // the moved-from objects are gone; `c` still owns the mapping
+  EXPECT_EQ(c.size(), 2 * kPageSize);
+  std::array<std::byte, 2> out{};
+  ASSERT_TRUE(c.read(kPageSize - 1, out));
+  EXPECT_EQ(out, data);
 }
 
 TEST(PinnedAllocator, AllocationsAreDisjoint) {

@@ -1,8 +1,12 @@
 // Unit tests for the NIC device model: timers, registers, DMA engines,
 // packet interface and reset semantics.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <cstring>
+#include <type_traits>
 
 #include "host/host_memory.hpp"
 #include "host/interrupts.hpp"
@@ -173,7 +177,7 @@ TEST_F(NicTest, DmaStartWhileBusyIgnored) {
 TEST_F(NicTest, TxFromDescriptorBuildsSealedPacket) {
   using L = TxDescLayout;
   const std::uint32_t d = 0x4200;
-  nic.set_route(9, {3});
+  nic.set_route(9, std::vector<std::uint8_t>{3});
   nic.sram().write32(d + L::kDst, 9);
   nic.sram().write32(d + L::kSeq, 17);
   nic.sram().write32(d + L::kStream, 2);
@@ -217,7 +221,7 @@ TEST_F(NicTest, TxWithoutRouteCountsError) {
 
 TEST_F(NicTest, TxOversizedPayloadRejected) {
   using L = TxDescLayout;
-  nic.set_route(9, {3});
+  nic.set_route(9, std::vector<std::uint8_t>{3});
   nic.sram().write32(0x4200 + L::kDst, 9);
   nic.sram().write32(0x4200 + L::kPayloadAddr, 0x8000);
   nic.sram().write32(0x4200 + L::kPayloadLen, 5000);  // > 4 KB
@@ -262,7 +266,7 @@ TEST_F(NicTest, DoorbellSetsIsrAndHook) {
 TEST_F(NicTest, ResetClearsVolatileState) {
   nic.set_imr(kIsrIt1);
   nic.set_isr_bits(kIsrRecv);
-  nic.set_route(9, {1});
+  nic.set_route(9, std::vector<std::uint8_t>{1});
   net::Packet p;
   nic.deliver(p, 0);
   nic.arm_timer(0, 1000);
@@ -310,7 +314,7 @@ TEST_F(NicTest, MmioHdmaCtrlReadsBusyFlag) {
 }
 
 TEST_F(NicTest, SendPacketResolvesRouteFromTable) {
-  nic.set_route(9, {4, 2});
+  nic.set_route(9, std::vector<std::uint8_t>{4, 2});
   net::Packet p;
   p.dst = 9;
   p.seal();
@@ -322,9 +326,117 @@ TEST_F(NicTest, SendPacketResolvesRouteFromTable) {
   EXPECT_EQ(wire_sink.packets[0].route, (std::vector<std::uint8_t>{4, 2}));
 }
 
+TEST_F(NicTest, SetRouteOverwritesAnEarlierRoute) {
+  nic.set_route(9, std::vector<std::uint8_t>{4, 2, 7});
+  nic.set_route(9, std::vector<std::uint8_t>{1});
+  ASSERT_NE(nic.route(9), nullptr);
+  EXPECT_EQ(*nic.route(9), std::vector<std::uint8_t>{1});
+  EXPECT_EQ(nic.num_routes(), 1u);
+}
+
 TEST_F(NicTest, ScratchRegisterRoundTrip) {
   nic.mmio_write(kRegScratch, 0x77);
   EXPECT_EQ(nic.mmio_read(kRegScratch), 0x77u);
+}
+
+// True if the page holding `p` is resident, per mincore(2). Reading an
+// untouched page maps the shared zero page, which mincore also reports as
+// resident, so these tests check residency before reading.
+bool resident(const std::byte* p) {
+  const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
+  const auto base = reinterpret_cast<std::uintptr_t>(p) / page * page;
+  unsigned char vec = 0;
+  EXPECT_EQ(::mincore(reinterpret_cast<void*>(base), 1, &vec), 0);
+  return (vec & 1u) != 0;
+}
+
+constexpr std::uint32_t kSramPage = 4096;
+
+TEST(Sram, UntouchedBytesReadAsZero) {
+  Sram sram(1 << 20);
+  EXPECT_EQ(sram.read32(0), 0u);
+  EXPECT_EQ(sram.read32(0x8000), 0u);
+  EXPECT_EQ(sram.read8((1 << 20) - 1), 0u);
+}
+
+TEST(Sram, AccessesSpanAPageBoundary) {
+  Sram sram(4 * kSramPage);
+  const std::uint32_t a = 2 * kSramPage - 2;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    sram.write8(a + i, static_cast<std::uint8_t>(0xa0 + i));
+  }
+  EXPECT_EQ(sram.read32(a), 0xa3a2a1a0u);  // unaligned, read byte-wise
+  const auto view = sram.bytes(a, 4);
+  ASSERT_EQ(view.size(), 4u);
+  EXPECT_EQ(view[2], std::byte{0xa2});  // first byte of the third page
+}
+
+TEST(Sram, OnlyWrittenPagesBecomeResident) {
+  Sram sram(1 << 20);
+  const std::byte* base = sram.bytes(0, sram.size()).data();
+  for (std::uint32_t pg = 0; pg < (1u << 20) / kSramPage; ++pg) {
+    EXPECT_FALSE(resident(base + pg * kSramPage)) << "page " << pg;
+  }
+  sram.write32(9 * kSramPage + 8, 0xdeadbeef);
+  EXPECT_TRUE(resident(base + 9 * kSramPage));
+  EXPECT_FALSE(resident(base + 8 * kSramPage));
+  EXPECT_FALSE(resident(base + 10 * kSramPage));
+}
+
+TEST(Sram, ClearZeroesWrittenBytesAndDropsTheirPages) {
+  Sram sram(64 * kSramPage);
+  const std::byte* base = sram.bytes(0, sram.size()).data();
+  sram.write32(0x8000, 0x12345678);
+  sram.write8(63 * kSramPage, 0x5a);
+  ASSERT_TRUE(resident(base + 0x8000));
+  sram.clear();
+  EXPECT_FALSE(resident(base + 0x8000));
+  EXPECT_FALSE(resident(base + 63 * kSramPage));
+  EXPECT_EQ(sram.read32(0x8000), 0u);
+  EXPECT_EQ(sram.read8(63 * kSramPage), 0u);
+  sram.write32(0x8000, 7);  // usable again after the drop
+  EXPECT_EQ(sram.read32(0x8000), 7u);
+}
+
+TEST(Sram, FlipBitOnANeverWrittenByte) {
+  Sram sram(64 * kSramPage);
+  sram.flip_bit(0x9001, 3);
+  EXPECT_EQ(sram.read8(0x9001), 0x08u);
+  sram.flip_bit(0x9001, 11);  // the bit index wraps within the byte
+  EXPECT_EQ(sram.read8(0x9001), 0x00u);
+}
+
+TEST(Sram, OutOfRangeBytesIsEmpty) {
+  Sram sram(64 * kSramPage);
+  EXPECT_TRUE(sram.bytes(sram.size() - 3, 4).empty());
+  EXPECT_TRUE(sram.bytes(sram.size() + 1, 0).empty());
+  EXPECT_TRUE(sram.bytes(0xffffffffu, 1).empty());
+  EXPECT_EQ(sram.bytes(sram.size() - 4, 4).size(), 4u);
+  EXPECT_FALSE(sram.in_range(sram.size() - 3, 4));
+}
+
+TEST(Sram, ZeroSizeRegion) {
+  Sram sram(0);
+  EXPECT_EQ(sram.size(), 0u);
+  EXPECT_TRUE(sram.in_range(0, 0));
+  EXPECT_FALSE(sram.in_range(0, 1));
+  EXPECT_TRUE(sram.bytes(0, 1).empty());
+  sram.clear();  // nothing mapped, nothing to drop
+}
+
+TEST(Sram, MoveOnlyAndMoveKeepsContents) {
+  static_assert(!std::is_copy_constructible_v<Sram>);
+  static_assert(!std::is_copy_assignable_v<Sram>);
+  static_assert(std::is_nothrow_move_constructible_v<Sram>);
+  Sram c(kSramPage);
+  {
+    Sram a(2 * kSramPage);
+    a.write32(kSramPage, 0xcafe);
+    Sram b(std::move(a));
+    c = std::move(b);
+  }  // the moved-from objects are gone; `c` still owns the mapping
+  EXPECT_EQ(c.size(), 2 * kSramPage);
+  EXPECT_EQ(c.read32(kSramPage), 0xcafeu);
 }
 
 }  // namespace

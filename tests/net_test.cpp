@@ -1,7 +1,10 @@
 // Unit tests for packets, links, switches and topology wiring.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "net/link.hpp"
 #include "net/map_info.hpp"
@@ -45,6 +48,130 @@ TEST(Crc32, KnownVector) {
 
 TEST(Crc32, EmptyInput) {
   EXPECT_EQ(crc32(nullptr, 0), 0u);
+}
+
+// Reference CRC-32: one byte at a time, one bit at a time, no tables.
+// The production fold must agree with it on every length and alignment.
+std::uint32_t reference_fold(std::uint32_t c, const std::uint8_t* p,
+                             std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c;
+}
+
+std::vector<std::uint8_t> pseudo_random_bytes(std::size_t n) {
+  std::vector<std::uint8_t> v(n);
+  std::uint32_t x = 0x9e3779b9u;
+  for (auto& b : v) {
+    x ^= x << 13;
+    x ^= x >> 17;
+    x ^= x << 5;
+    b = static_cast<std::uint8_t>(x >> 24);
+  }
+  return v;
+}
+
+TEST(Crc32, MatchesByteWiseReferenceAtEveryLengthAndOffset) {
+  const auto buf = pseudo_random_bytes(4096 + 7 + 8);
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (const std::size_t n : {4089u, 4095u, 4097u, 4103u}) {
+    lengths.push_back(n);
+  }
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (const std::size_t n : lengths) {
+      const std::uint8_t* p = buf.data() + off;
+      EXPECT_EQ(crc32(p, n), reference_fold(0xffffffffu, p, n) ^ 0xffffffffu)
+          << "offset " << off << " length " << n;
+      EXPECT_EQ(crc32(p, n, 0x12345678u),
+                reference_fold(0x12345678u, p, n) ^ 0xffffffffu)
+          << "seeded, offset " << off << " length " << n;
+    }
+  }
+}
+
+TEST(Packet, CrcMatchesByteWiseReferenceOverHeaderAndPayload) {
+  const auto bytes = pseudo_random_bytes(4097);
+  for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 63u, 64u, 4095u, 4097u}) {
+    Packet p;
+    p.type = PacketType::kAck;
+    p.src = 3;
+    p.dst = 9;
+    p.src_port = 2;
+    p.dst_port = 5;
+    p.priority = 1;
+    p.stream = 0x01020304;
+    p.seq = 77;
+    p.ack_seq = 76;
+    p.msg_id = 0xabcdef;
+    p.msg_len = static_cast<std::uint32_t>(n);
+    p.frag_offset = 4096;
+    p.directed = true;
+    p.target_vaddr = 0x8000;
+    for (std::size_t i = 0; i < n; ++i) {
+      p.payload.push_back(static_cast<std::byte>(bytes[i]));
+    }
+    // The header as compute_crc serializes it: twelve host-order words.
+    const std::array<std::uint32_t, 12> hdr = {
+        static_cast<std::uint32_t>(p.type),
+        static_cast<std::uint32_t>(p.src) << 16 | p.dst,
+        static_cast<std::uint32_t>(p.src_port) << 16 | p.dst_port,
+        p.priority, p.stream, p.seq, p.ack_seq, p.msg_id, p.msg_len,
+        p.frag_offset, 1u, p.target_vaddr};
+    std::uint32_t c = reference_fold(
+        0xffffffffu, reinterpret_cast<const std::uint8_t*>(hdr.data()),
+        sizeof(hdr));
+    c = reference_fold(c, bytes.data(), n);
+    EXPECT_EQ(p.compute_crc(), c ^ 0xffffffffu) << "payload " << n;
+  }
+}
+
+TEST(Packet, EverySingleBitFlipIsDetected) {
+  Packet p = make_data(7, 100);
+  p.stream = 0x55;
+  p.msg_id = 3;
+  p.target_vaddr = 0x1000;
+  p.seal();
+  ASSERT_TRUE(p.intact());
+  for (std::size_t i = 0; i < p.payload.size(); ++i) {
+    for (unsigned b = 0; b < 8; ++b) {
+      p.payload[i] ^= static_cast<std::byte>(1u << b);
+      EXPECT_FALSE(p.intact()) << "payload byte " << i << " bit " << b;
+      p.payload[i] ^= static_cast<std::byte>(1u << b);
+    }
+  }
+  for (std::uint32_t* field : {&p.stream, &p.seq, &p.ack_seq, &p.msg_id,
+                               &p.msg_len, &p.frag_offset, &p.target_vaddr}) {
+    for (unsigned b = 0; b < 32; ++b) {
+      *field ^= 1u << b;
+      EXPECT_FALSE(p.intact()) << "header word bit " << b;
+      *field ^= 1u << b;
+    }
+  }
+  for (unsigned b = 0; b < 16; ++b) {
+    p.src ^= static_cast<NodeId>(1u << b);
+    EXPECT_FALSE(p.intact()) << "src bit " << b;
+    p.src ^= static_cast<NodeId>(1u << b);
+    p.dst ^= static_cast<NodeId>(1u << b);
+    EXPECT_FALSE(p.intact()) << "dst bit " << b;
+    p.dst ^= static_cast<NodeId>(1u << b);
+  }
+  for (std::uint8_t* field : {&p.src_port, &p.dst_port, &p.priority}) {
+    for (unsigned b = 0; b < 8; ++b) {
+      *field ^= static_cast<std::uint8_t>(1u << b);
+      EXPECT_FALSE(p.intact()) << "byte field bit " << b;
+      *field ^= static_cast<std::uint8_t>(1u << b);
+    }
+  }
+  p.directed = !p.directed;
+  EXPECT_FALSE(p.intact());
+  p.directed = !p.directed;
+  p.notify = !p.notify;
+  EXPECT_FALSE(p.intact());
+  p.notify = !p.notify;
+  EXPECT_TRUE(p.intact());
 }
 
 TEST(Packet, SealThenIntact) {

@@ -133,6 +133,36 @@ TEST(ScenarioChaos, FatTree3With512NodesHangMidStream) {
   EXPECT_EQ(fi::ScenarioRunner::run(s).digest, r.digest);
 }
 
+TEST(ScenarioChaos, FatTree3With1024NodesHangMidStream) {
+  // The same case at the radix-16 Clos's full capacity: every one of the
+  // 1024 endpoint ports is taken. Each node's 8 MiB host memory and 1 MiB
+  // SRAM are lazily backed, so resident memory follows what the run
+  // touches rather than the ~9 GB the fabric addresses. Pinned seed; CI's
+  // perf-smoke job runs it beside the 512-node case.
+  fi::Scenario s;
+  s.seed = 7;
+  s.nodes = 1024;
+  s.fabric = net::FabricPreset::kFatTree3;
+  s.radix = 16;
+  s.msgs = 12;
+  s.msg_len = 1024;
+  s.drop = 0.01;
+  fi::ScenarioEvent hang;
+  hang.kind = fi::ScenarioEvent::Kind::kNicHang;
+  hang.node = 100;
+  hang.at = fi::Scenario::kWarmup + sim::usec(500);
+  s.events.push_back(hang);
+
+  const fi::RunReport r = fi::ScenarioRunner::run(s);
+  if (r.failed()) {
+    report_and_dump(s, r, "fattree3_1024_hang");
+    return;
+  }
+  EXPECT_EQ(r.recoveries, 1u);
+  EXPECT_EQ(r.deliveries, 1024u * 12u);
+  EXPECT_EQ(fi::ScenarioRunner::run(s).digest, r.digest);
+}
+
 TEST(ScenarioChaos, RingHangPlusLossWindow) {
   fi::Scenario s;
   s.seed = 3;
