@@ -37,8 +37,8 @@ Cluster::Cluster(const ClusterConfig& cfg) : rng_(cfg.seed), cfg_(cfg) {
   if (cfg.install_routes) {
     // Pristine routes straight from the builder's graph (the mapper would
     // compute the same ones on an undamaged fabric, minus the discovery).
-    // One BFS per source row: the per-pair route() would be O(n²) BFS,
-    // which dominates construction from ~512 nodes up.
+    // Rows read the builder's cached per-switch BFS trees: one BFS per
+    // hosting switch for the whole table, not one per node or per pair.
     for (int a = 0; a < cfg.nodes; ++a) {
       auto row = fabric_->routes_from(static_cast<net::NodeId>(a));
       for (int b = 0; b < cfg.nodes; ++b) {
@@ -78,7 +78,8 @@ std::unique_ptr<Node> Cluster::build_node(net::NodeId id,
 
 void Cluster::install_pristine_routes(net::NodeId id) {
   // Both directions: the new card's full row, and a route to it on every
-  // existing member. A live mapper overwrites these at its next epoch.
+  // existing member (per-switch trees, shared across those members). A
+  // live mapper overwrites these at its next epoch.
   auto row = fabric_->routes_from(id);
   for (std::size_t b = 0; b < row.size(); ++b) {
     if (b == id || row[b].empty()) continue;

@@ -258,11 +258,9 @@ void FailoverManager::record_route_lengths() {
   // soak mode additionally rolls all windowed histograms per check
   // window via Registry::roll_windowed().
   route_len_->reset();
-  for (const net::NodeId a : mapper_.interfaces()) {
-    for (const auto& [b, route] : mapper_.routes_from_interface(a)) {
-      (void)b;
-      metrics::observe(route_len_, route.size());
-    }
+  const std::vector<std::uint64_t> counts = mapper_.route_length_counts();
+  for (std::size_t len = 0; len < counts.size(); ++len) {
+    metrics::observe(route_len_, len, counts[len]);
   }
 }
 

@@ -1,7 +1,6 @@
 #include "mapper/mapper.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <utility>
 
 namespace myri::mapper {
@@ -11,6 +10,10 @@ namespace {
 constexpr std::uint32_t vertex_key(net::DeviceKind k, std::uint16_t id) {
   return static_cast<std::uint32_t>(k) << 16 | id;
 }
+
+/// Out of range for any graph: RouteGraph::route() finds no route from or
+/// to it, as the old map walk found none for a key it lacked.
+constexpr net::RouteGraph::Vertex kNoVertex = ~net::RouteGraph::Vertex{0};
 
 /// MAP_ROUTE payloads are bounded by the packet size; chunk the table.
 constexpr std::size_t kChunk = 40;
@@ -29,6 +32,48 @@ std::vector<std::uint64_t> converge_us_bounds() {
 
 }  // namespace
 
+void DeviceGraph::build(const std::map<std::uint32_t, DeviceInfo>& devices) {
+  graph_.clear();
+  keys_.clear();
+  for (const auto& [key, d] : devices) {
+    keys_.push_back(key);
+    graph_.add_vertex(d.ref.kind == net::DeviceKind::kSwitch);
+  }
+  num_devices_ = keys_.size();
+  net::RouteGraph::Vertex u = 0;
+  for (const auto& [key, d] : devices) {
+    for (const auto& [port, edge] : d.neighbours) {
+      auto w = vertex(edge.first);
+      if (!w) {
+        keys_.push_back(edge.first);
+        w = graph_.add_vertex(false);
+      }
+      graph_.add_edge(u, *w, port);
+    }
+    ++u;
+  }
+}
+
+std::optional<net::RouteGraph::Vertex> DeviceGraph::vertex(
+    std::uint32_t key) const {
+  const auto devices_end =
+      keys_.begin() + static_cast<std::ptrdiff_t>(num_devices_);
+  auto it = std::lower_bound(keys_.begin(), devices_end, key);
+  if (it == devices_end || *it != key) {
+    it = std::find(devices_end, keys_.end(), key);  // leaves: rare, few
+    if (it == keys_.end()) return std::nullopt;
+  }
+  return static_cast<net::RouteGraph::Vertex>(it - keys_.begin());
+}
+
+std::optional<std::vector<std::uint8_t>> DeviceGraph::route(
+    std::uint32_t from, std::uint32_t to) const {
+  const auto u = vertex(from);
+  const auto w = vertex(to);
+  if (!u || !w) return std::nullopt;
+  return graph_.route(*u, *w);
+}
+
 Mapper::Mapper(gm::Node& home, Config cfg) : home_(home), cfg_(cfg) {
   // The handler survives MCP reloads, so it is safe to install once: the
   // mapper host keeps receiving scout replies, chunk acks and announces
@@ -45,6 +90,7 @@ Mapper::Mapper(gm::Node& home, Config cfg) : home_(home), cfg_(cfg) {
 void Mapper::run(std::function<void(bool)> done) {
   done_ = std::move(done);
   devices_.clear();
+  graph_dirty_ = true;
   pending_.clear();
   running_ = true;
   ++stats_.runs;
@@ -122,6 +168,7 @@ void Mapper::on_reply(const net::Packet& pkt) {
           ? info.walked.back()
           : 0;
 
+  graph_dirty_ = true;
   const bool fresh = devices_.find(vkey) == devices_.end();
   if (fresh) {
     DeviceInfo d;
@@ -175,70 +222,39 @@ std::size_t Mapper::num_switches() const {
   return n;
 }
 
-std::map<std::uint32_t, std::vector<std::uint8_t>> Mapper::routes_from(
-    std::uint32_t src_key) const {
-  // BFS producing, per reachable vertex, the source route (the output port
-  // taken at each *switch* along the path; interface hops emit no byte).
-  struct Hop {
-    std::uint32_t parent;
-    std::uint8_t out_port;  // port used at the parent
-  };
-  std::map<std::uint32_t, Hop> prev;
-  std::deque<std::uint32_t> frontier{src_key};
-  prev[src_key] = {src_key, 0};
-  while (!frontier.empty()) {
-    const std::uint32_t u = frontier.front();
-    frontier.pop_front();
-    auto it = devices_.find(u);
-    if (it == devices_.end()) continue;
-    for (const auto& [port, edge] : it->second.neighbours) {
-      const auto [w, wport] = edge;
-      if (prev.count(w) != 0) continue;
-      prev[w] = {u, port};
-      frontier.push_back(w);
-    }
+const DeviceGraph& Mapper::graph() const {
+  if (graph_dirty_) {
+    graph_.build(devices_);
+    graph_dirty_ = false;
   }
-  std::map<std::uint32_t, std::vector<std::uint8_t>> out;
-  for (const auto& [v, hop] : prev) {
-    if (v == src_key) continue;
-    // Reconstruct backwards, collecting switch output ports.
-    std::vector<std::uint8_t> rev;
-    std::uint32_t cur = v;
-    while (cur != src_key) {
-      const Hop& h = prev.at(cur);
-      const auto pit = devices_.find(h.parent);
-      const bool parent_is_switch =
-          pit != devices_.end() &&
-          pit->second.ref.kind == net::DeviceKind::kSwitch;
-      if (parent_is_switch) rev.push_back(h.out_port);
-      cur = h.parent;
-    }
-    out[v] = {rev.rbegin(), rev.rend()};
-  }
-  return out;
-}
-
-std::map<net::NodeId, std::vector<std::uint8_t>>
-Mapper::routes_from_interface(net::NodeId a) const {
-  std::map<net::NodeId, std::vector<std::uint8_t>> out;
-  const auto routes = routes_from(vertex_key(net::DeviceKind::kInterface, a));
-  for (const auto& [key, route] : routes) {
-    const auto it = devices_.find(key);
-    if (it == devices_.end() ||
-        it->second.ref.kind != net::DeviceKind::kInterface) {
-      continue;
-    }
-    out.emplace(it->second.ref.id, route);
-  }
-  return out;
+  return graph_;
 }
 
 std::optional<std::vector<std::uint8_t>> Mapper::route_between(
     net::NodeId a, net::NodeId b) const {
-  const auto routes = routes_from(vertex_key(net::DeviceKind::kInterface, a));
-  auto it = routes.find(vertex_key(net::DeviceKind::kInterface, b));
-  if (it == routes.end()) return std::nullopt;
-  return it->second;
+  return graph().route(vertex_key(net::DeviceKind::kInterface, a),
+                       vertex_key(net::DeviceKind::kInterface, b));
+}
+
+std::vector<std::uint64_t> Mapper::route_length_counts() const {
+  const DeviceGraph& g = graph();
+  std::vector<net::RouteGraph::Vertex> ifaces;
+  for (const auto& [key, d] : devices_) {
+    if (d.ref.kind == net::DeviceKind::kInterface) {
+      ifaces.push_back(*g.vertex(key));
+    }
+  }
+  std::vector<std::uint64_t> counts;
+  for (const net::RouteGraph::Vertex a : ifaces) {
+    for (const net::RouteGraph::Vertex b : ifaces) {
+      if (a == b) continue;
+      const auto len = g.graph().route_len(a, b);
+      if (!len) continue;
+      if (*len >= counts.size()) counts.resize(*len + 1, 0);
+      ++counts[*len];
+    }
+  }
+  return counts;
 }
 
 // --------------------------------------------------------------------------
@@ -263,13 +279,23 @@ void Mapper::compute_and_distribute() {
   for (const net::NodeId x : interfaces()) {
     if (retired_.count(x) == 0) ifaces.push_back(x);
   }
-  const auto home_routes =
-      routes_from(vertex_key(net::DeviceKind::kInterface, home_.id()));
-  for (net::NodeId x : ifaces) {
-    auto hit = home_routes.find(vertex_key(net::DeviceKind::kInterface, x));
-    if (hit != home_routes.end()) {
-      home_route_[x] = hit->second;
-      last_route_[x] = hit->second;  // census fallback, survives epochs
+  // Every row reads the cached tree of the row's attach switch: one BFS
+  // per distinct switch, none at all when the graph has not changed.
+  const DeviceGraph& g = graph();
+  std::vector<net::RouteGraph::Vertex> vx;  // parallel to ifaces
+  vx.reserve(ifaces.size());
+  for (const net::NodeId x : ifaces) {
+    vx.push_back(g.vertex(vertex_key(net::DeviceKind::kInterface, x))
+                     .value_or(kNoVertex));
+  }
+  const net::RouteGraph::Vertex home_v =
+      g.vertex(vertex_key(net::DeviceKind::kInterface, home_.id()))
+          .value_or(kNoVertex);
+  for (std::size_t i = 0; i < ifaces.size(); ++i) {
+    const net::NodeId x = ifaces[i];
+    if (auto r = g.graph().route(home_v, vx[i])) {
+      home_route_[x] = *r;
+      last_route_[x] = std::move(*r);  // census fallback, survives epochs
     }
     // Remember the attach point (switch, port) across epochs: the census
     // re-derives probe routes to it from whatever the graph looks like
@@ -285,15 +311,15 @@ void Mapper::compute_and_distribute() {
   // Build the whole table before distributing anything: mark_converged's
   // "everyone acked" check walks table_, so a partially built table would
   // declare convergence the moment the home node self-installs.
-  for (net::NodeId x : ifaces) {
-    const auto routes = routes_from(vertex_key(net::DeviceKind::kInterface, x));
+  for (std::size_t i = 0; i < ifaces.size(); ++i) {
     std::vector<net::RouteEntry> entries;
-    for (net::NodeId y : ifaces) {
-      if (y == x) continue;
-      auto rit = routes.find(vertex_key(net::DeviceKind::kInterface, y));
-      if (rit != routes.end()) entries.push_back({y, rit->second});
+    for (std::size_t j = 0; j < ifaces.size(); ++j) {
+      if (j == i) continue;
+      if (auto r = g.graph().route(vx[i], vx[j])) {
+        entries.push_back({ifaces[j], std::move(*r)});
+      }
     }
-    table_[x] = std::move(entries);
+    table_[ifaces[i]] = std::move(entries);
   }
   for (const auto& [x, entries] : table_) {
     if (x == home_.id()) {
@@ -308,9 +334,11 @@ void Mapper::compute_and_distribute() {
     }
     if (home_route_.count(x) != 0) start_distribution(x);
   }
-  trace("epoch " + std::to_string(epoch_) + ": routes for " +
-        std::to_string(table_.size()) + " node(s), " +
-        std::to_string(dist_.size()) + " remote push(es)");
+  if (tracing()) {
+    trace("epoch " + std::to_string(epoch_) + ": routes for " +
+          std::to_string(table_.size()) + " node(s), " +
+          std::to_string(dist_.size()) + " remote push(es)");
+  }
   check_distribution_done();
 }
 
@@ -337,6 +365,7 @@ bool Mapper::fold_in(net::NodeId x) {
   }
   dit->second.neighbours[sw_port] = {vkey, 0};
   devices_[vkey].neighbours[0] = {sw_key, sw_port};
+  graph_dirty_ = true;
   ++stats_.census_folds;
   compute_and_distribute();
   return true;
@@ -366,8 +395,10 @@ void Mapper::push_routes(net::NodeId x) {
   if (table_.count(x) == 0 || home_route_.count(x) == 0) return;
   if (dist_.count(x) != 0) return;  // push already in flight
   ++stats_.repushes;
-  trace("node " + std::to_string(x) + ": re-push @ epoch " +
-        std::to_string(epoch_));
+  if (tracing()) {
+    trace("node " + std::to_string(x) + ": re-push @ epoch " +
+          std::to_string(epoch_));
+  }
   start_distribution(x);
 }
 
@@ -404,8 +435,10 @@ void Mapper::arm_retry(net::NodeId x) {
     if (d.round >= cfg_.max_ack_retries) {
       // Retry budget exhausted: leave the node to scrub/announce repair
       // so a single dead card cannot wedge the remap forever.
-      trace("node " + std::to_string(x) +
-            ": ack retries exhausted, leaving to scrub");
+      if (tracing()) {
+        trace("node " + std::to_string(x) +
+              ": ack retries exhausted, leaving to scrub");
+      }
       dist_.erase(dit);
       check_distribution_done();
       return;
@@ -418,9 +451,11 @@ void Mapper::arm_retry(net::NodeId x) {
       send_chunk(x, d, i);
       ++resent;
     }
-    trace("node " + std::to_string(x) + ": retry round " +
-          std::to_string(d.round) + " (" + std::to_string(resent) +
-          " chunk(s))");
+    if (tracing()) {
+      trace("node " + std::to_string(x) + ": retry round " +
+            std::to_string(d.round) + " (" + std::to_string(resent) +
+            " chunk(s))");
+    }
     arm_retry(x);
   });
 }
@@ -472,10 +507,12 @@ void Mapper::on_route_ack(const net::Packet& pkt) {
     // attach port), so graft it in incrementally; only fall back to a
     // full remap when the attach point is unknown or contested.
     const bool folded = fold_in(node);
-    trace("node " + std::to_string(node) + ": " +
-          (a.announce ? "announced" : "answered census probe,") +
-          " installed epoch " + std::to_string(a.installed_epoch) +
-          (folded ? ", not in map -> fold in" : ", not in map -> remap"));
+    if (tracing()) {
+      trace("node " + std::to_string(node) + ": " +
+            (a.announce ? "announced" : "answered census probe,") +
+            " installed epoch " + std::to_string(a.installed_epoch) +
+            (folded ? ", not in map -> fold in" : ", not in map -> remap"));
+    }
     if (!folded && on_node_returned_) on_node_returned_(node);
   }
   if (progress && on_progress_) on_progress_();
@@ -487,7 +524,7 @@ void Mapper::mark_converged(net::NodeId x) {
     if (converged_.count(node) == 0) return;
   }
   converge_observed_ = true;
-  trace("epoch " + std::to_string(epoch_) + " converged");
+  if (tracing()) trace("epoch " + std::to_string(epoch_) + " converged");
   metrics::observe(m_converge_us_,
                    (home_.event_queue().now() - dist_start_) / 1000);
 }
@@ -552,13 +589,11 @@ void Mapper::scrub() {
   for (const net::NodeId x : roster_) {
     if (x != home_.id() && table_.count(x) == 0) missing.push_back(x);
   }
-  std::map<std::uint32_t, std::vector<std::uint8_t>> fresh;
-  if (!missing.empty()) {
-    // Probe routes are re-derived from the *current* switch graph every
-    // pass: bytes frozen at the epoch the node vanished in may no longer
-    // reach its attach point after the fabric was remapped around faults.
-    fresh = routes_from(vertex_key(net::DeviceKind::kInterface, home_.id()));
-  }
+  // Probe routes are re-derived from the *current* switch graph every
+  // pass: bytes frozen at the epoch the node vanished in may no longer
+  // reach its attach point after the fabric was remapped around faults.
+  const std::uint32_t home_key =
+      vertex_key(net::DeviceKind::kInterface, home_.id());
   const auto send_probe = [&](net::NodeId dst,
                               std::vector<std::uint8_t> route) {
     net::Packet pkt;
@@ -576,9 +611,8 @@ void Mapper::scrub() {
     if (ait != last_attach_.end() && devices_.count(ait->second.first) != 0) {
       // Current-graph route to the node's last attach switch, plus the
       // host port it sat on.
-      const auto rit = fresh.find(ait->second.first);
-      if (rit != fresh.end()) {
-        route = rit->second;
+      if (auto r = graph().route(home_key, ait->second.first)) {
+        route = std::move(*r);
         route.push_back(ait->second.second);
       }
     }
@@ -610,11 +644,11 @@ void Mapper::scrub() {
     std::vector<std::vector<std::uint8_t>> candidates;
     for (const auto& [key, dev] : devices_) {
       if (dev.ref.kind != net::DeviceKind::kSwitch) continue;
-      const auto rit = fresh.find(key);
-      if (rit == fresh.end()) continue;
+      const auto to_switch = graph().route(home_key, key);
+      if (!to_switch) continue;
       for (std::uint8_t p = 0; p < dev.ports; ++p) {
         if (dev.neighbours.count(p) != 0) continue;
-        std::vector<std::uint8_t> route = rit->second;
+        std::vector<std::uint8_t> route = *to_switch;
         route.push_back(p);
         candidates.push_back(std::move(route));
       }
@@ -633,7 +667,7 @@ void Mapper::scrub() {
       sweep_cursor_ = (sweep_cursor_ + cap) % candidates.size();
     }
   }
-  if (probes > 0 || census > 0 || sweep > 0) {
+  if ((probes > 0 || census > 0 || sweep > 0) && tracing()) {
     trace("scrub: " + std::to_string(probes) + " probe(s), " +
           std::to_string(census) + " census probe(s), " +
           std::to_string(sweep) + " sweep probe(s) @ epoch " +
@@ -679,8 +713,9 @@ void Mapper::retire_node(net::NodeId x) {
       }
     }
     devices_.erase(dit);
+    graph_dirty_ = true;
   }
-  trace("node " + std::to_string(x) + ": retired from roster");
+  if (tracing()) trace("node " + std::to_string(x) + ": retired from roster");
 }
 
 void Mapper::node_replaced(net::NodeId x) {
@@ -712,10 +747,8 @@ std::vector<net::NodeId> Mapper::missing_nodes() const {
 }
 
 void Mapper::trace(const std::string& msg) const {
-  if (trace_ != nullptr && trace_->on(sim::TraceCat::kMapper)) {
-    trace_->log(sim::TraceCat::kMapper, home_.event_queue().now(), "mapper",
-                msg);
-  }
+  trace_->log(sim::TraceCat::kMapper, home_.event_queue().now(), "mapper",
+              msg);
 }
 
 void Mapper::bind_metrics(metrics::Registry& reg) {

@@ -32,6 +32,7 @@
 #include "metrics/registry.hpp"
 #include "net/map_info.hpp"
 #include "net/packet.hpp"
+#include "net/route_graph.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
 
@@ -54,6 +55,30 @@ struct DeviceInfo {
   std::vector<std::uint8_t> scout_route;  // shortest probe route found
   /// port -> (neighbour, neighbour's port)
   std::map<std::uint8_t, std::pair<std::uint32_t, std::uint8_t>> neighbours;
+};
+
+/// The dense route graph of a device map: one net::RouteGraph vertex per
+/// device in key order (switches emit route bytes), neighbours in
+/// ascending port order. A neighbour key the map lacks becomes a leaf
+/// vertex: reachable, never expanded.
+class DeviceGraph {
+ public:
+  void build(const std::map<std::uint32_t, DeviceInfo>& devices);
+  /// Vertex of a device or leaf key; nullopt when the graph lacks it.
+  [[nodiscard]] std::optional<net::RouteGraph::Vertex> vertex(
+      std::uint32_t key) const;
+  /// Source route between two keys; nullopt when either is absent, they
+  /// are equal, or `to` is unreachable.
+  [[nodiscard]] std::optional<std::vector<std::uint8_t>> route(
+      std::uint32_t from, std::uint32_t to) const;
+  [[nodiscard]] const net::RouteGraph& graph() const noexcept {
+    return graph_;
+  }
+
+ private:
+  net::RouteGraph graph_;
+  std::vector<std::uint32_t> keys_;  // by vertex: devices (sorted), leaves
+  std::size_t num_devices_ = 0;
 };
 
 struct MapperStats {
@@ -112,10 +137,14 @@ class Mapper {
   /// Source route from interface `a` to interface `b` (after run()).
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> route_between(
       net::NodeId a, net::NodeId b) const;
-  /// All source routes out of interface `a` (one BFS; route-length
-  /// telemetry uses this instead of O(n^2) route_between calls).
-  [[nodiscard]] std::map<net::NodeId, std::vector<std::uint8_t>>
-  routes_from_interface(net::NodeId a) const;
+  /// Ordered pairs of mapped interfaces by route length: counts[n] pairs
+  /// have an n-byte route. Read from the BFS trees; no bytes are built.
+  [[nodiscard]] std::vector<std::uint64_t> route_length_counts() const;
+  /// The route graph as last built from devices(); its trees_built() is
+  /// the BFS work counter.
+  [[nodiscard]] const net::RouteGraph& route_graph() const noexcept {
+    return graph_.graph();
+  }
   [[nodiscard]] const MapperStats& stats() const noexcept { return stats_; }
 
   // ---- route control plane (single source of truth) ----
@@ -241,8 +270,8 @@ class Mapper {
   /// Returns false (caller falls back to a full remap) when the attach
   /// point is unknown, absent from the current graph, or contested.
   bool fold_in(net::NodeId x);
-  [[nodiscard]] std::map<std::uint32_t, std::vector<std::uint8_t>>
-  routes_from(std::uint32_t src_key) const;
+  /// devices_ as a route graph, rebuilt on first use after a change.
+  [[nodiscard]] const DeviceGraph& graph() const;
 
   void start_distribution(net::NodeId x);
   void send_chunk(net::NodeId x, const Distribution& d, std::size_t i);
@@ -250,12 +279,20 @@ class Mapper {
   void on_route_ack(const net::Packet& pkt);
   void mark_converged(net::NodeId x);
   void check_distribution_done();
+  [[nodiscard]] bool tracing() const {
+    return trace_ != nullptr && trace_->on(sim::TraceCat::kMapper);
+  }
+  /// Callers check tracing() first, so an untraced run formats nothing.
   void trace(const std::string& msg) const;
 
   gm::Node& home_;
   Config cfg_;
   std::function<void(bool)> done_;
   std::map<std::uint32_t, DeviceInfo> devices_;
+  /// Route cache over devices_: every mutation of devices_ sets
+  /// graph_dirty_ (run, on_reply, fold_in, retire_node).
+  mutable DeviceGraph graph_;
+  mutable bool graph_dirty_ = true;
   std::map<std::uint32_t, PendingScout> pending_;  // scout id -> context
   std::uint32_t next_scout_ = 1;
   bool running_ = false;

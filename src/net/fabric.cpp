@@ -1,7 +1,6 @@
 #include "net/fabric.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 #include <string>
 
@@ -81,7 +80,7 @@ std::uint16_t FabricBuilder::add_switch(std::uint8_t ports,
                                         std::string name) {
   const std::uint16_t id = topo_.add_switch(ports, std::move(name));
   sw_ids_.push_back(id);
-  adj_.emplace_back();
+  graph_.add_vertex(true);
   return static_cast<std::uint16_t>(sw_ids_.size() - 1);  // local index
 }
 
@@ -89,15 +88,24 @@ void FabricBuilder::add_trunk(std::uint16_t a, std::uint8_t port_a,
                               std::uint16_t b, std::uint8_t port_b) {
   trunks_.push_back(
       topo_.connect_switches(sw_ids_[a], port_a, sw_ids_[b], port_b));
-  adj_[a].push_back({b, port_a});
-  adj_[b].push_back({a, port_b});
+  graph_.add_edge(a, b, port_a);
+  graph_.add_edge(b, a, port_b);
+}
+
+Placement FabricBuilder::place(std::uint16_t s, std::uint8_t port) {
+  // Endpoints follow every switch in the graph (see endpoint()): the
+  // builders add all their switches before placing anyone.
+  const Placement at{sw_ids_[s], port};
+  placements_.push_back(at);
+  local_index_.push_back(s);
+  graph_.add_edge(s, graph_.add_vertex(false), port);
+  return at;
 }
 
 void FabricBuilder::build_single_switch() {
   const std::uint16_t s = add_switch(cfg_.radix, "sw0");
   for (int i = 0; i < cfg_.nodes; ++i) {
-    placements_.push_back({sw_ids_[s], static_cast<std::uint8_t>(i)});
-    local_index_.push_back(s);
+    place(s, static_cast<std::uint8_t>(i));
   }
 }
 
@@ -118,10 +126,8 @@ void FabricBuilder::build_chain(bool closed) {
               prev_port);
   }
   for (int i = 0; i < cfg_.nodes; ++i) {
-    const auto k = static_cast<std::uint16_t>(i / hosts_per);
-    placements_.push_back(
-        {sw_ids_[k], static_cast<std::uint8_t>(i % hosts_per)});
-    local_index_.push_back(k);
+    place(static_cast<std::uint16_t>(i / hosts_per),
+          static_cast<std::uint8_t>(i % hosts_per));
   }
 }
 
@@ -147,10 +153,8 @@ void FabricBuilder::build_fat_tree() {
     }
   }
   for (int i = 0; i < cfg_.nodes; ++i) {
-    const auto l = static_cast<std::uint16_t>(i / hosts_per_leaf);
-    placements_.push_back(
-        {sw_ids_[l], static_cast<std::uint8_t>(i % hosts_per_leaf)});
-    local_index_.push_back(l);
+    place(static_cast<std::uint16_t>(i / hosts_per_leaf),
+          static_cast<std::uint8_t>(i % hosts_per_leaf));
   }
 }
 
@@ -205,46 +209,38 @@ void FabricBuilder::build_fat_tree3() {
   for (int i = 0; i < cfg_.nodes; ++i) {
     const int p = i / hosts_per_pod;
     const int e = (i % hosts_per_pod) / half;
-    placements_.push_back({sw_ids_[static_cast<std::size_t>(p * 2 * half + e)],
-                           static_cast<std::uint8_t>(i % half)});
-    local_index_.push_back(static_cast<std::uint16_t>(p * 2 * half + e));
+    place(static_cast<std::uint16_t>(p * 2 * half + e),
+          static_cast<std::uint8_t>(i % half));
   }
 }
 
 void FabricBuilder::compute_tiers() {
-  // Route length (bytes) == switches traversed == switch-graph path edges
-  // + 1; tiers_ is the worst case over switches that actually host nodes.
-  int worst = 1;
-  // One BFS per distinct hosting switch, not per node — many nodes share
-  // an edge switch at scale.
+  // Route length (bytes) == switches traversed: the switch-to-switch
+  // route's bytes (one per switch left) plus the destination switch's.
+  // tiers_ is the worst case over switches that actually host nodes; the
+  // trees built here are the ones routes_from() reads later.
+  std::size_t worst = 0;
   std::vector<std::uint16_t> hosting(local_index_);
   std::sort(hosting.begin(), hosting.end());
   hosting.erase(std::unique(hosting.begin(), hosting.end()), hosting.end());
   for (const std::uint16_t src : hosting) {
-    std::vector<int> dist(adj_.size(), -1);
-    std::deque<std::uint16_t> q{src};
-    dist[src] = 0;
-    while (!q.empty()) {
-      const std::uint16_t u = q.front();
-      q.pop_front();
-      for (const Edge& e : adj_[u]) {
-        if (dist[e.to] >= 0) continue;
-        dist[e.to] = dist[u] + 1;
-        q.push_back(e.to);
+    for (const std::uint16_t dst : hosting) {
+      if (const auto len = graph_.route_len(src, dst)) {
+        worst = std::max(worst, *len);
       }
     }
-    for (const std::uint16_t dst : hosting) {
-      if (dist[dst] >= 0) worst = std::max(worst, dist[dst] + 1);
-    }
   }
-  tiers_ = worst;
+  tiers_ = static_cast<int>(worst) + 1;
 }
 
 std::vector<std::vector<bool>> FabricBuilder::port_usage() const {
   std::vector<std::vector<bool>> used(sw_ids_.size());
   for (std::size_t s = 0; s < sw_ids_.size(); ++s) {
     used[s].assign(topo_.get_switch(sw_ids_[s]).num_ports(), false);
-    for (const Edge& e : adj_[s]) used[s][e.out_port] = true;
+    for (const RouteGraph::Edge& e : graph_.neighbours(
+             static_cast<RouteGraph::Vertex>(s))) {
+      if (graph_.emits(e.to)) used[s][e.out_port] = true;  // trunks only
+    }
   }
   // placements_ store topology switch ids; map back to local indices.
   std::vector<std::size_t> local(sw_ids_.size());
@@ -269,10 +265,8 @@ std::optional<Placement> FabricBuilder::reserve_port() {
   for (std::size_t s = 0; s < sw_ids_.size(); ++s) {
     for (std::size_t p = 0; p < used[s].size(); ++p) {
       if (used[s][p]) continue;
-      const Placement at{sw_ids_[s], static_cast<std::uint8_t>(p)};
-      placements_.push_back(at);
-      local_index_.push_back(static_cast<std::uint16_t>(s));
-      return at;
+      return place(static_cast<std::uint16_t>(s),
+                   static_cast<std::uint8_t>(p));
     }
   }
   return std::nullopt;
@@ -292,64 +286,20 @@ std::optional<std::vector<std::uint8_t>> FabricBuilder::route(
   if (a >= placements_.size() || b >= placements_.size()) {
     return std::nullopt;
   }
-  const std::uint16_t src = local_index_[a];
-  const std::uint16_t dst = local_index_[b];
-  struct Hop {
-    std::uint16_t parent;
-    std::uint8_t out_port;  // port taken at the parent
-  };
-  std::vector<std::optional<Hop>> prev(adj_.size());
-  std::deque<std::uint16_t> q{src};
-  prev[src] = Hop{src, 0};
-  while (!q.empty() && !prev[dst].has_value()) {
-    const std::uint16_t u = q.front();
-    q.pop_front();
-    for (const Edge& e : adj_[u]) {
-      if (prev[e.to].has_value()) continue;
-      prev[e.to] = Hop{u, e.out_port};
-      q.push_back(e.to);
-    }
-  }
-  if (!prev[dst].has_value()) return std::nullopt;
-  // Inter-switch bytes reconstructed backwards; the final byte is the
-  // destination's host port at its own switch.
-  std::vector<std::uint8_t> rev{placements_[b].port};
-  for (std::uint16_t cur = dst; cur != src; cur = prev[cur]->parent) {
-    rev.push_back(prev[cur]->out_port);
-  }
-  return std::vector<std::uint8_t>(rev.rbegin(), rev.rend());
+  // Switch bytes from a's switch, ending with b's host port at its own.
+  return graph_.route(local_index_[a], endpoint(b));
 }
 
 std::vector<std::vector<std::uint8_t>> FabricBuilder::routes_from(
     NodeId a) const {
   std::vector<std::vector<std::uint8_t>> out(placements_.size());
   if (a >= placements_.size()) return out;
-  const std::uint16_t src = local_index_[a];
-  struct Hop {
-    std::uint16_t parent;
-    std::uint8_t out_port;  // port taken at the parent
-  };
-  std::vector<std::optional<Hop>> prev(adj_.size());
-  std::deque<std::uint16_t> q{src};
-  prev[src] = Hop{src, 0};
-  while (!q.empty()) {
-    const std::uint16_t u = q.front();
-    q.pop_front();
-    for (const Edge& e : adj_[u]) {
-      if (prev[e.to].has_value()) continue;
-      prev[e.to] = Hop{u, e.out_port};
-      q.push_back(e.to);
-    }
-  }
   for (std::size_t b = 0; b < placements_.size(); ++b) {
     if (b == a) continue;
-    const std::uint16_t dst = local_index_[b];
-    if (!prev[dst].has_value()) continue;
-    std::vector<std::uint8_t> rev{placements_[b].port};
-    for (std::uint16_t cur = dst; cur != src; cur = prev[cur]->parent) {
-      rev.push_back(prev[cur]->out_port);
+    if (auto r = graph_.route(local_index_[a],
+                              endpoint(static_cast<NodeId>(b)))) {
+      out[b] = std::move(*r);
     }
-    out[b].assign(rev.rbegin(), rev.rend());
   }
   return out;
 }

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/route_graph.hpp"
 #include "net/topology.hpp"
 
 namespace myri::net {
@@ -77,12 +78,18 @@ class FabricBuilder {
       NodeId a, NodeId b) const;
 
   /// Pristine shortest routes from `a` to every other endpoint, indexed
-  /// by destination node id (empty vector: self or unreachable). One BFS
-  /// for the whole row — installing full route tables on an n-node
-  /// cluster is O(n · graph) instead of the O(n² · graph) of per-pair
-  /// route() calls, which matters from ~512 endpoints up.
+  /// by destination node id (empty vector: self or unreachable). Rows and
+  /// route() read the cached BFS tree of the source's switch, so full
+  /// tables on an n-node cluster cost one BFS per hosting switch.
   [[nodiscard]] std::vector<std::vector<std::uint8_t>> routes_from(
       NodeId a) const;
+
+  /// The as-built graph: switches are vertices 0..num_switches()-1 (local
+  /// order, trunks in creation order), endpoint i is vertex
+  /// num_switches() + i, a leaf its switch reaches on its host port.
+  [[nodiscard]] const RouteGraph& route_graph() const noexcept {
+    return graph_;
+  }
 
   /// Max endpoints the preset supports (0 = unsatisfiable config).
   [[nodiscard]] static std::size_t capacity(const FabricConfig& cfg);
@@ -106,11 +113,6 @@ class FabricBuilder {
   void release_port(NodeId id);
 
  private:
-  struct Edge {
-    std::uint16_t to;       // local switch index
-    std::uint8_t out_port;  // port taken at the source switch
-  };
-
   std::vector<std::vector<bool>> port_usage() const;
   void build_single_switch();
   void build_chain(bool closed);
@@ -119,6 +121,11 @@ class FabricBuilder {
   std::uint16_t add_switch(std::uint8_t ports, std::string name);
   void add_trunk(std::uint16_t a, std::uint8_t port_a, std::uint16_t b,
                  std::uint8_t port_b);
+  /// Append endpoint placements().size() on local switch `s`, port `port`.
+  Placement place(std::uint16_t s, std::uint8_t port);
+  [[nodiscard]] RouteGraph::Vertex endpoint(NodeId i) const {
+    return static_cast<RouteGraph::Vertex>(sw_ids_.size() + i);
+  }
   void compute_tiers();
 
   Topology& topo_;
@@ -127,7 +134,7 @@ class FabricBuilder {
   std::vector<bool> released_;  // by node id: port given back by a retire
   std::vector<Topology::CableId> trunks_;
   std::vector<std::uint16_t> sw_ids_;       // local index -> topology id
-  std::vector<std::vector<Edge>> adj_;      // by local switch index
+  RouteGraph graph_;                        // switches, then endpoints
   std::vector<std::uint16_t> local_index_;  // by node id: placement switch
   int tiers_ = 1;
 };

@@ -127,6 +127,52 @@ TEST(Fabric, RingRoutesWrapTheShortWay) {
   EXPECT_EQ(wrap->size(), 2u);
 }
 
+// Antipodal ring pairs have two shortest routes; the tie-break is the
+// neighbour order the BFS visits. The builder keeps its insertion order
+// (switch k >= 1 lists its prev trunk, port 3, before its next trunk,
+// port 2; switch 0 lists next before prev), the mapper keeps ascending
+// port order. The two orders agree leaving switch 0 and disagree leaving
+// switch 3, so both directions are pinned for both callers.
+TEST(Fabric, RingAntipodalTieBreakPinnedForBuilderAndMapper) {
+  ClusterConfig cc;
+  cc.nodes = 12;
+  cc.fabric = FabricPreset::kRing;
+  cc.switch_ports = 4;
+  cc.install_routes = false;
+  Cluster cluster(cc);
+  using Bytes = std::vector<std::uint8_t>;
+  EXPECT_EQ(cluster.fabric().route(0, 6), (Bytes{2, 2, 2, 0}));
+  EXPECT_EQ(cluster.fabric().route(6, 0), (Bytes{3, 3, 3, 0}));
+  mapper::Mapper m(cluster.node(0));
+  bool ok = false;
+  m.run([&](bool r) { ok = r; });
+  cluster.run_until_idle();
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(m.route_between(0, 6), (Bytes{2, 2, 2, 0}));
+  EXPECT_EQ(m.route_between(6, 0), (Bytes{2, 2, 2, 0}));
+}
+
+TEST(Fabric, FatTree3CrossPodRoutePinnedForBuilderAndMapper) {
+  // Radix 4: 4 hosts per pod, node 13 in pod 3. Edge, agg and core
+  // neighbour lists are built in port order, so both callers agree.
+  ClusterConfig cc;
+  cc.nodes = 16;
+  cc.fabric = FabricPreset::kFatTree3;
+  cc.switch_ports = 4;
+  cc.install_routes = false;
+  Cluster cluster(cc);
+  using Bytes = std::vector<std::uint8_t>;
+  EXPECT_EQ(cluster.fabric().route(0, 13), (Bytes{2, 2, 3, 0, 1}));
+  EXPECT_EQ(cluster.fabric().route(13, 0), (Bytes{2, 2, 0, 0, 0}));
+  mapper::Mapper m(cluster.node(0));
+  bool ok = false;
+  m.run([&](bool r) { ok = r; });
+  cluster.run_until_idle();
+  ASSERT_TRUE(ok);
+  EXPECT_EQ(m.route_between(0, 13), (Bytes{2, 2, 3, 0, 1}));
+  EXPECT_EQ(m.route_between(13, 0), (Bytes{2, 2, 0, 0, 0}));
+}
+
 TEST(Fabric, LineHasNoWrapAround) {
   sim::EventQueue eq;
   sim::Rng rng(1);
