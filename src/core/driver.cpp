@@ -23,7 +23,7 @@ void Driver::install(mcp::HostIface* host_iface) {
   mcp_.host_register_page_hash();
 }
 
-std::uint32_t Driver::map_route_update(const net::RouteUpdate& update,
+std::uint32_t Driver::map_route_update(const net::RouteUpdateView& update,
                                        net::NodeId from) {
   mapper_node_ = from;
   if (update.epoch < installed_epoch_) {
@@ -37,7 +37,9 @@ std::uint32_t Driver::map_route_update(const net::RouteUpdate& update,
   }
   // Data chunk: mirror the entries (merged view — routes to nodes the
   // latest remap could not see survive, matching what the card holds).
-  for (const auto& e : update.entries) routes_[e.dst] = e.route;
+  update.for_each([this](net::NodeId dst, std::span<const std::uint8_t> r) {
+    routes_[dst].assign(r);
+  });
   if (update.epoch > installed_epoch_) {
     if (chunks_epoch_ != update.epoch) {
       chunks_epoch_ = update.epoch;
@@ -51,7 +53,7 @@ std::uint32_t Driver::map_route_update(const net::RouteUpdate& update,
   return installed_epoch_;
 }
 
-void Driver::install_route(net::NodeId dst, std::vector<std::uint8_t> route) {
+void Driver::install_route(net::NodeId dst, net::Route route) {
   auto& mirror = routes_[dst];
   mirror = std::move(route);
   nic_.set_route(dst, mirror);

@@ -42,17 +42,16 @@ class Driver {
   /// Mapper route push or epoch probe arrived (via the MCP). Mirrors the
   /// entries, tracks per-epoch chunk completeness, and returns the last
   /// epoch held completely — the MAP_ROUTE_ACK content.
-  std::uint32_t map_route_update(const net::RouteUpdate& update,
+  std::uint32_t map_route_update(const net::RouteUpdateView& update,
                                  net::NodeId from);
   /// Install a route on the card and mirror it (tests/benches use this to
   /// configure small fabrics without running the full mapper). Direct
   /// installs live in the pre-mapper world: they never touch the epoch.
-  void install_route(net::NodeId dst, std::vector<std::uint8_t> route);
+  void install_route(net::NodeId dst, net::Route route);
   /// Mapper-host shortcut: the mapper programs its own card directly and
   /// stamps the mirror as complete at `epoch`.
   void record_local_epoch(std::uint32_t epoch);
-  [[nodiscard]] const std::unordered_map<net::NodeId,
-                                         std::vector<std::uint8_t>>&
+  [[nodiscard]] const std::unordered_map<net::NodeId, net::Route>&
   route_mirror() const {
     return routes_;
   }
@@ -116,7 +115,7 @@ class Driver {
   host::TimingConfig timing_;
   mcp::HostIface* host_iface_ = nullptr;
   std::function<void()> wake_ftd_;
-  std::unordered_map<net::NodeId, std::vector<std::uint8_t>> routes_;
+  std::unordered_map<net::NodeId, net::Route> routes_;
   std::unordered_set<net::NodeId> draining_dsts_;
   // Epoch-versioned view of the mapper's table (the single source of
   // truth lives in mapper::Mapper; this is a per-node shadow of it).

@@ -64,7 +64,7 @@ class Node final : public mcp::HostIface {
 
   /// Install a route on the card and in the driver mirror (used by tests
   /// and benches; real deployments learn routes from the mapper).
-  void install_route(net::NodeId dst, std::vector<std::uint8_t> route) {
+  void install_route(net::NodeId dst, net::Route route) {
     driver_.install_route(dst, std::move(route));
   }
 
@@ -97,7 +97,7 @@ class Node final : public mcp::HostIface {
   void post_event(std::uint8_t port, const mcp::EventRecord& ev) override;
   std::optional<host::DmaAddr> translate(std::uint8_t port,
                                          std::uint64_t vaddr) override;
-  std::uint32_t map_route_update(const net::RouteUpdate& update,
+  std::uint32_t map_route_update(const net::RouteUpdateView& update,
                                  net::NodeId from) override {
     return driver_.map_route_update(update, from);
   }

@@ -24,10 +24,10 @@ void Nic::attach_host(host::HostMemory& hmem, host::PciBus& pci,
 }
 
 void Nic::set_route(net::NodeId dst, std::span<const std::uint8_t> route) {
-  routes_[dst].assign(route.begin(), route.end());
+  routes_[dst].assign(route);
 }
 
-const std::vector<std::uint8_t>* Nic::route(net::NodeId dst) const {
+const net::Route* Nic::route(net::NodeId dst) const {
   auto it = routes_.find(dst);
   return it == routes_.end() ? nullptr : &it->second;
 }

@@ -97,7 +97,7 @@ class Nic final : public MmioDevice, public net::PacketSink {
   /// Install (or overwrite) the route to `dst`; a re-install reuses the
   /// entry's capacity.
   void set_route(net::NodeId dst, std::span<const std::uint8_t> route);
-  [[nodiscard]] const std::vector<std::uint8_t>* route(net::NodeId dst) const;
+  [[nodiscard]] const net::Route* route(net::NodeId dst) const;
   void clear_routes() { routes_.clear(); }
   [[nodiscard]] std::size_t num_routes() const { return routes_.size(); }
 
@@ -182,7 +182,7 @@ class Nic final : public MmioDevice, public net::PacketSink {
   sim::Trace* trace_ = nullptr;
 
   net::NodeId node_id_ = net::kInvalidNode;
-  std::unordered_map<net::NodeId, std::vector<std::uint8_t>> routes_;
+  std::unordered_map<net::NodeId, net::Route> routes_;
 
   std::uint32_t isr_ = 0;
   std::uint32_t imr_ = 0;

@@ -18,6 +18,12 @@ constexpr net::RouteGraph::Vertex kNoVertex = ~net::RouteGraph::Vertex{0};
 /// MAP_ROUTE payloads are bounded by the packet size; chunk the table.
 constexpr std::size_t kChunk = 40;
 
+/// Chunks in a push of a table row; an empty row is still one (empty)
+/// chunk, which the node must ack.
+constexpr std::size_t chunks_for(std::size_t entries) {
+  return entries == 0 ? 1 : (entries + kChunk - 1) / kChunk;
+}
+
 /// Unknown-port census probes per scrub pass (see scrub()): bounds the
 /// sweep's per-pass cost on big fabrics; the rotating cursor covers the
 /// rest on later passes.
@@ -66,8 +72,8 @@ std::optional<net::RouteGraph::Vertex> DeviceGraph::vertex(
   return static_cast<net::RouteGraph::Vertex>(it - keys_.begin());
 }
 
-std::optional<std::vector<std::uint8_t>> DeviceGraph::route(
-    std::uint32_t from, std::uint32_t to) const {
+std::optional<net::Route> DeviceGraph::route(std::uint32_t from,
+                                             std::uint32_t to) const {
   const auto u = vertex(from);
   const auto w = vertex(to);
   if (!u || !w) return std::nullopt;
@@ -105,8 +111,7 @@ void Mapper::run(std::function<void(bool)> done) {
   send_scout({}, std::nullopt, 0);
 }
 
-void Mapper::send_scout(std::vector<std::uint8_t> route,
-                        std::optional<std::uint32_t> parent,
+void Mapper::send_scout(net::Route route, std::optional<std::uint32_t> parent,
                         std::uint8_t out_port, std::uint32_t tries) {
   const std::uint32_t id = next_scout_++;
   pending_[id] = PendingScout{route, parent, out_port, tries};
@@ -184,7 +189,7 @@ void Mapper::on_reply(const net::Packet& pkt) {
       ctx.route.size() < cfg_.max_depth) {
     for (std::uint8_t q = 0; q < info.ports; ++q) {
       if (q == far_port) continue;  // don't probe back the way we came
-      std::vector<std::uint8_t> r = ctx.route;
+      net::Route r = ctx.route;
       r.push_back(q);
       send_scout(std::move(r), vkey, q);
     }
@@ -230,8 +235,8 @@ const DeviceGraph& Mapper::graph() const {
   return graph_;
 }
 
-std::optional<std::vector<std::uint8_t>> Mapper::route_between(
-    net::NodeId a, net::NodeId b) const {
+std::optional<net::Route> Mapper::route_between(net::NodeId a,
+                                                net::NodeId b) const {
   return graph().route(vertex_key(net::DeviceKind::kInterface, a),
                        vertex_key(net::DeviceKind::kInterface, b));
 }
@@ -313,6 +318,7 @@ void Mapper::compute_and_distribute() {
   // declare convergence the moment the home node self-installs.
   for (std::size_t i = 0; i < ifaces.size(); ++i) {
     std::vector<net::RouteEntry> entries;
+    entries.reserve(ifaces.size() - 1);
     for (std::size_t j = 0; j < ifaces.size(); ++j) {
       if (j == i) continue;
       if (auto r = g.graph().route(vx[i], vx[j])) {
@@ -373,21 +379,12 @@ bool Mapper::fold_in(net::NodeId x) {
 
 void Mapper::start_distribution(net::NodeId x) {
   converged_.erase(x);
-  const std::vector<net::RouteEntry>& entries = table_[x];
+  const std::size_t nchunks = chunks_for(table_[x].size());
   Distribution d;
-  for (std::size_t i = 0; i < entries.size(); i += kChunk) {
-    d.chunks.emplace_back(
-        entries.begin() + static_cast<std::ptrdiff_t>(i),
-        entries.begin() +
-            static_cast<std::ptrdiff_t>(std::min(i + kChunk, entries.size())));
-  }
-  if (d.chunks.empty()) d.chunks.emplace_back();  // empty table still acks
-  d.acked.assign(d.chunks.size(), false);
+  d.acked.assign(nchunks, false);
   d.gen = ++dist_gen_;
-  auto [it, ignored] = dist_.insert_or_assign(x, std::move(d));
-  for (std::size_t i = 0; i < it->second.chunks.size(); ++i) {
-    send_chunk(x, it->second, i);
-  }
+  dist_.insert_or_assign(x, std::move(d));
+  for (std::size_t i = 0; i < nchunks; ++i) send_chunk(x, i);
   arm_retry(x);
 }
 
@@ -402,9 +399,11 @@ void Mapper::push_routes(net::NodeId x) {
   start_distribution(x);
 }
 
-void Mapper::send_chunk(net::NodeId x, const Distribution& d, std::size_t i) {
+void Mapper::send_chunk(net::NodeId x, std::size_t i) {
   auto rit = home_route_.find(x);
   if (rit == home_route_.end()) return;
+  const std::span<const net::RouteEntry> row = table_.at(x);
+  const std::size_t first = std::min(i * kChunk, row.size());
   net::Packet pkt;
   pkt.type = net::PacketType::kMapRoute;
   pkt.src = home_.id();
@@ -413,8 +412,8 @@ void Mapper::send_chunk(net::NodeId x, const Distribution& d, std::size_t i) {
   net::RouteUpdate u;
   u.epoch = epoch_;
   u.chunk = static_cast<std::uint16_t>(i);
-  u.nchunks = static_cast<std::uint16_t>(d.chunks.size());
-  u.entries = d.chunks[i];
+  u.nchunks = static_cast<std::uint16_t>(chunks_for(row.size()));
+  u.entries = row.subspan(first, std::min(kChunk, row.size() - first));
   pkt.payload = u.encode();
   pkt.seal();
   ++stats_.route_packets;
@@ -445,10 +444,10 @@ void Mapper::arm_retry(net::NodeId x) {
     }
     ++d.round;
     std::size_t resent = 0;
-    for (std::size_t i = 0; i < d.chunks.size(); ++i) {
+    for (std::size_t i = 0; i < d.acked.size(); ++i) {
       if (d.acked[i]) continue;
       ++stats_.route_retries;
-      send_chunk(x, d, i);
+      send_chunk(x, i);
       ++resent;
     }
     if (tracing()) {
@@ -594,8 +593,7 @@ void Mapper::scrub() {
   // reach its attach point after the fabric was remapped around faults.
   const std::uint32_t home_key =
       vertex_key(net::DeviceKind::kInterface, home_.id());
-  const auto send_probe = [&](net::NodeId dst,
-                              std::vector<std::uint8_t> route) {
+  const auto send_probe = [&](net::NodeId dst, net::Route route) {
     net::Packet pkt;
     pkt.type = net::PacketType::kMapRoute;
     pkt.src = home_.id();
@@ -606,7 +604,7 @@ void Mapper::scrub() {
     home_.mcp().send_raw(std::move(pkt));
   };
   for (const net::NodeId x : missing) {
-    std::vector<std::uint8_t> route;
+    net::Route route;
     const auto ait = last_attach_.find(x);
     if (ait != last_attach_.end() && devices_.count(ait->second.first) != 0) {
       // Current-graph route to the node's last attach switch, plus the
@@ -641,14 +639,14 @@ void Mapper::scrub() {
   // sweep once the map has survived two full scrub passes unchanged.
   std::size_t sweep = 0;
   if (need_sweep && scrubs_since_map_ >= 2) {
-    std::vector<std::vector<std::uint8_t>> candidates;
+    std::vector<net::Route> candidates;
     for (const auto& [key, dev] : devices_) {
       if (dev.ref.kind != net::DeviceKind::kSwitch) continue;
       const auto to_switch = graph().route(home_key, key);
       if (!to_switch) continue;
       for (std::uint8_t p = 0; p < dev.ports; ++p) {
         if (dev.neighbours.count(p) != 0) continue;
-        std::vector<std::uint8_t> route = *to_switch;
+        net::Route route = *to_switch;
         route.push_back(p);
         candidates.push_back(std::move(route));
       }
@@ -657,8 +655,7 @@ void Mapper::scrub() {
       const std::size_t cap =
           std::min<std::size_t>(candidates.size(), kCensusSweepMax);
       for (std::size_t i = 0; i < cap; ++i) {
-        std::vector<std::uint8_t> route =
-            candidates[(sweep_cursor_ + i) % candidates.size()];
+        net::Route route = candidates[(sweep_cursor_ + i) % candidates.size()];
         ++stats_.census_probes;
         ++stats_.census_sweep_probes;
         ++sweep;

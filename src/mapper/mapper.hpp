@@ -52,7 +52,7 @@ struct DeviceRef {
 struct DeviceInfo {
   DeviceRef ref;
   std::uint8_t ports = 1;
-  std::vector<std::uint8_t> scout_route;  // shortest probe route found
+  net::Route scout_route;  // shortest probe route found
   /// port -> (neighbour, neighbour's port)
   std::map<std::uint8_t, std::pair<std::uint32_t, std::uint8_t>> neighbours;
 };
@@ -69,8 +69,8 @@ class DeviceGraph {
       std::uint32_t key) const;
   /// Source route between two keys; nullopt when either is absent, they
   /// are equal, or `to` is unreachable.
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> route(
-      std::uint32_t from, std::uint32_t to) const;
+  [[nodiscard]] std::optional<net::Route> route(std::uint32_t from,
+                                                std::uint32_t to) const;
   [[nodiscard]] const net::RouteGraph& graph() const noexcept {
     return graph_;
   }
@@ -113,7 +113,7 @@ class Mapper {
     /// the burst on the home link and can outlive scout_timeout, so a
     /// single silent try must not erase a live node from the map.
     std::uint32_t scout_tries = 3;
-    std::size_t max_depth = 16;  // probe route length bound
+    std::size_t max_depth = net::kMaxProbeDepth;  // probe route length bound
     /// Initial MAP_ROUTE_ACK wait; doubles per retry round (capped).
     sim::Time ack_timeout = sim::usec(400);
     /// Retry rounds before a node is left to scrub/announce repair.
@@ -135,8 +135,8 @@ class Mapper {
   [[nodiscard]] std::vector<net::NodeId> interfaces() const;
   [[nodiscard]] std::size_t num_switches() const;
   /// Source route from interface `a` to interface `b` (after run()).
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> route_between(
-      net::NodeId a, net::NodeId b) const;
+  [[nodiscard]] std::optional<net::Route> route_between(net::NodeId a,
+                                                       net::NodeId b) const;
   /// Ordered pairs of mapped interfaces by route length: counts[n] pairs
   /// have an n-byte route. Read from the BFS trees; no bytes are built.
   [[nodiscard]] std::vector<std::uint64_t> route_length_counts() const;
@@ -245,23 +245,23 @@ class Mapper {
 
  private:
   struct PendingScout {
-    std::vector<std::uint8_t> route;
+    net::Route route;
     std::optional<std::uint32_t> parent;  // vertex key the route extends
     std::uint8_t out_port = 0;            // port used at the parent
     std::uint32_t tries = 0;              // probes already sent, this route
   };
 
-  /// ACK-tracked chunk push to one node (current epoch).
+  /// ACK-tracked chunk push to one node (current epoch). Chunk i is
+  /// entries [i * kChunk, (i + 1) * kChunk) of the node's table_ row,
+  /// which stays put until the next epoch clears every push.
   struct Distribution {
-    std::vector<std::vector<net::RouteEntry>> chunks;
-    std::vector<bool> acked;
+    std::vector<bool> acked;  // one per chunk
     std::uint32_t round = 0;  // retry rounds used
     std::uint64_t gen = 0;    // invalidates retry timers of older pushes
   };
 
-  void send_scout(std::vector<std::uint8_t> route,
-                  std::optional<std::uint32_t> parent, std::uint8_t out_port,
-                  std::uint32_t tries = 0);
+  void send_scout(net::Route route, std::optional<std::uint32_t> parent,
+                  std::uint8_t out_port, std::uint32_t tries = 0);
   void on_reply(const net::Packet& pkt);
   void finish_discovery();
   void compute_and_distribute();
@@ -274,7 +274,7 @@ class Mapper {
   [[nodiscard]] const DeviceGraph& graph() const;
 
   void start_distribution(net::NodeId x);
-  void send_chunk(net::NodeId x, const Distribution& d, std::size_t i);
+  void send_chunk(net::NodeId x, std::size_t i);
   void arm_retry(net::NodeId x);
   void on_route_ack(const net::Packet& pkt);
   void mark_converged(net::NodeId x);
@@ -301,12 +301,12 @@ class Mapper {
   std::map<net::NodeId, std::vector<net::RouteEntry>> table_;
   /// Home's source route to each node of the current epoch (chunk/probe
   /// transport; pushes must not depend on the stale installed table).
-  std::map<net::NodeId, std::vector<std::uint8_t>> home_route_;
+  std::map<net::NodeId, net::Route> home_route_;
   /// Last route ever known to each node, across epochs (entries are
   /// overwritten, never erased): the census probe's transport of last
   /// resort when the node's old attach switch has left the map too. Best
   /// effort — the fabric may have changed under it.
-  std::map<net::NodeId, std::vector<std::uint8_t>> last_route_;
+  std::map<net::NodeId, net::Route> last_route_;
   /// Where each node was last attached: (switch vertex key, switch port),
   /// across epochs. Census probes are re-derived from the *current*
   /// switch graph to this attach point, so they survive route churn that

@@ -29,6 +29,13 @@ constexpr bool precedes(sim::Time at, sim::Time as_of, sim::Time b_at,
   return at < b_at || (at == b_at && as_of < b_as_of);
 }
 
+/// Every card runs the same routine, so it is assembled once per process.
+/// Nothing writes the image: SEU injection flips the SRAM copy.
+const SendChunkImage& send_chunk_image() {
+  static const SendChunkImage image = assemble_send_chunk();
+  return image;
+}
+
 std::uint32_t fragments_of(std::uint32_t len) {
   if (len == 0) return 1;
   return (len + net::kMaxPacketPayload - 1) / net::kMaxPacketPayload;
@@ -38,7 +45,7 @@ std::uint32_t fragments_of(std::uint32_t len) {
 Mcp::Mcp(lanai::Nic& nic, host::PciBus& pci, host::HostMemory& hmem,
          Config cfg)
     : nic_(nic), pci_(pci), hmem_(hmem), cfg_(cfg),
-      image_(assemble_send_chunk()) {}
+      image_(send_chunk_image()) {}
 
 // --------------------------------------------------------------------------
 // Lifecycle
@@ -1345,7 +1352,7 @@ void Mcp::handle_map_packet(net::Packet pkt) {
         --drop_map_routes_;  // injected control-plane loss (test hook)
         break;
       }
-      const net::RouteUpdate u = net::RouteUpdate::decode(pkt.payload);
+      const net::RouteUpdateView u(pkt.payload);
       // The mapper heard us (or was about to push anyway): any MAP_ROUTE
       // at the announced epoch or newer retires the announce retry timer.
       if (announce_left_ > 0 && u.epoch >= announce_epoch_) {
@@ -1354,9 +1361,9 @@ void Mcp::handle_map_packet(net::Packet pkt) {
       // Install unless the chunk is from an epoch older than what this
       // card already holds (a late retransmit racing a newer remap).
       if (u.epoch >= route_epoch_) {
-        for (const auto& e : u.entries) {
-          nic_.set_route(e.dst, e.route);
-        }
+        u.for_each([this](net::NodeId dst, std::span<const std::uint8_t> r) {
+          nic_.set_route(dst, r);
+        });
         if (u.nchunks > 0) route_epoch_ = std::max(route_epoch_, u.epoch);
       }
       // The driver versions its mirror and reports the last epoch it holds

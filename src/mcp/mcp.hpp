@@ -326,7 +326,7 @@ class Mcp {
   bool page_hash_registered_ = false;
   HostIface* host_ = nullptr;
   sim::Trace* trace_ = nullptr;
-  SendChunkImage image_;
+  const SendChunkImage& image_;  // shared by every card in the process
 
   bool loaded_ = false;
   bool hung_ = false;

@@ -118,7 +118,7 @@ class HostIface {
   /// `update.nchunks == 0`) to this card. The driver versions its mirror
   /// with it and returns the last epoch it holds *completely*; the MCP
   /// echoes that in the MAP_ROUTE_ACK so the mapper can re-push laggards.
-  virtual std::uint32_t map_route_update(const net::RouteUpdate& update,
+  virtual std::uint32_t map_route_update(const net::RouteUpdateView& update,
                                          net::NodeId /*from*/) {
     return update.epoch;
   }

@@ -28,8 +28,10 @@ std::optional<FabricPreset> parse_fabric_preset(std::string_view s) {
 
 namespace {
 // Chains reserve the two highest ports for trunks; fat-trees split the
-// radix evenly between hosts (low ports) and uplinks (high ports).
-constexpr std::size_t kMaxSwitches = 4096;
+// radix evenly between hosts (low ports) and uplinks (high ports). A
+// line's end-to-end route crosses every switch, one byte each, so a chain
+// is as long as the longest route (Route::kMaxHops).
+constexpr std::size_t kMaxSwitches = Route::kMaxHops;
 }  // namespace
 
 std::size_t FabricBuilder::capacity(const FabricConfig& cfg) {
@@ -280,8 +282,7 @@ std::size_t FabricBuilder::free_ports() const {
   return n;
 }
 
-std::optional<std::vector<std::uint8_t>> FabricBuilder::route(
-    NodeId a, NodeId b) const {
+std::optional<Route> FabricBuilder::route(NodeId a, NodeId b) const {
   if (a == b) return std::nullopt;
   if (a >= placements_.size() || b >= placements_.size()) {
     return std::nullopt;
@@ -290,9 +291,8 @@ std::optional<std::vector<std::uint8_t>> FabricBuilder::route(
   return graph_.route(local_index_[a], endpoint(b));
 }
 
-std::vector<std::vector<std::uint8_t>> FabricBuilder::routes_from(
-    NodeId a) const {
-  std::vector<std::vector<std::uint8_t>> out(placements_.size());
+std::vector<Route> FabricBuilder::routes_from(NodeId a) const {
+  std::vector<Route> out(placements_.size());
   if (a >= placements_.size()) return out;
   for (std::size_t b = 0; b < placements_.size(); ++b) {
     if (b == a) continue;

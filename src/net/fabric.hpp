@@ -74,15 +74,13 @@ class FabricBuilder {
   /// Pristine shortest source route a -> b over the as-built graph (one
   /// output-port byte per traversed switch). nullopt when a == b or out
   /// of range. Ignores cable state: use the mapper on a degraded fabric.
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> route(
-      NodeId a, NodeId b) const;
+  [[nodiscard]] std::optional<Route> route(NodeId a, NodeId b) const;
 
   /// Pristine shortest routes from `a` to every other endpoint, indexed
-  /// by destination node id (empty vector: self or unreachable). Rows and
+  /// by destination node id (empty route: self or unreachable). Rows and
   /// route() read the cached BFS tree of the source's switch, so full
   /// tables on an n-node cluster cost one BFS per hosting switch.
-  [[nodiscard]] std::vector<std::vector<std::uint8_t>> routes_from(
-      NodeId a) const;
+  [[nodiscard]] std::vector<Route> routes_from(NodeId a) const;
 
   /// The as-built graph: switches are vertices 0..num_switches()-1 (local
   /// order, trunks in creation order), endpoint i is vertex

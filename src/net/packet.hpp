@@ -11,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "net/route.hpp"
+
 namespace myri::net {
 
 /// Cluster-wide interface (node) identifier, assigned by the mapper.
@@ -37,8 +39,8 @@ const char* to_string(PacketType t);
 
 struct Packet {
   // --- routing ---
-  std::vector<std::uint8_t> route;  // remaining hops: output port per switch
-  std::vector<std::uint8_t> walked; // input ports recorded per hop (scouts)
+  Route route;   // remaining hops: output port per switch
+  Route walked;  // input ports recorded per hop (scouts, route pushes)
 
   // --- protocol header ---
   PacketType type = PacketType::kData;

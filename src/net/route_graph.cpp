@@ -52,14 +52,14 @@ const std::vector<RouteGraph::Hop>& RouteGraph::tree(Vertex root) const {
   return t;
 }
 
-std::optional<std::vector<std::uint8_t>> RouteGraph::route(Vertex src,
-                                                           Vertex dst) const {
+std::optional<Route> RouteGraph::route(Vertex src, Vertex dst) const {
   if (src == dst || src >= size_ || dst >= size_) return std::nullopt;
   const Vertex root = tree_root(src);
   const std::vector<Hop>& t = tree(root);
   if (t[dst].parent == kUnreached) return std::nullopt;
   // Filled back to front: the tree already knows the length.
-  std::vector<std::uint8_t> bytes(t[dst].len);
+  Route bytes;
+  bytes.resize(t[dst].len);
   std::size_t i = bytes.size();
   for (Vertex v = dst; v != root; v = t[v].parent) {
     if (emits_[t[v].parent] != 0) bytes[--i] = t[v].out_port;

@@ -21,6 +21,8 @@
 #include <span>
 #include <vector>
 
+#include "net/route.hpp"
+
 namespace myri::net {
 
 class RouteGraph {
@@ -49,8 +51,7 @@ class RouteGraph {
   /// Source route src -> dst: one byte per emitting vertex left on the
   /// way. nullopt when src == dst, either is out of range, or dst is
   /// unreachable.
-  [[nodiscard]] std::optional<std::vector<std::uint8_t>> route(
-      Vertex src, Vertex dst) const;
+  [[nodiscard]] std::optional<Route> route(Vertex src, Vertex dst) const;
   /// Byte count of route(src, dst), read from the tree without building
   /// the bytes.
   [[nodiscard]] std::optional<std::size_t> route_len(Vertex src,

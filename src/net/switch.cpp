@@ -102,7 +102,7 @@ void Switch::answer_scout(const Packet& scout, std::uint8_t in_port) {
   // reverse of it routes the reply back to the prober. Our own entry is the
   // first reverse hop, consumed by us... except we *are* the sender, so we
   // drop it and transmit on that port directly.
-  std::vector<std::uint8_t> rev = reverse_route(scout.walked);
+  Route rev = reverse_route(scout.walked);
   rev.erase(rev.begin());
   reply.route = std::move(rev);
   reply.payload =

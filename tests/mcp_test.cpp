@@ -430,6 +430,29 @@ TEST(SendChunk, AssemblesWithBothEntryPoints) {
             mcp::SramLayout::kCodeLimit);
 }
 
+TEST(SendChunk, EveryCardLoadsTheSameAssembledImage) {
+  // Cards share one image assembled per process; what each loads into its
+  // SRAM code segment is exactly what a fresh assembly produces.
+  Cluster cluster(base_config());
+  const auto img = mcp::assemble_send_chunk();
+  for (int n = 0; n < 2; ++n) {
+    const mcp::Mcp& m = cluster.node(n).mcp();
+    ASSERT_EQ(m.code_size(), img.program.size_bytes());
+    const lanai::Sram& sram = cluster.node(n).nic().sram();
+    for (std::size_t i = 0; i < img.program.words.size(); ++i) {
+      const auto addr = m.code_base() + static_cast<std::uint32_t>(i * 4);
+      ASSERT_EQ(sram.read32(addr), img.program.words[i]) << "word " << i;
+    }
+  }
+  // A bit flip lands in one card's SRAM copy; a reload restores it from
+  // the shared image, which the flip never touched.
+  lanai::Sram& sram0 = cluster.node(0).nic().sram();
+  const std::uint32_t base = cluster.node(0).mcp().code_base();
+  sram0.write32(base, sram0.read32(base) ^ 1u);
+  cluster.node(0).driver().reload_mcp();
+  EXPECT_EQ(sram0.read32(base), img.program.words[0]);
+}
+
 TEST(SendChunk, InterpreterRunsItPerFragment) {
   auto r = run_stream(base_config(), 10, 9000, sim::msec(10));
   EXPECT_TRUE(r.wl->complete());

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "net/link.hpp"
@@ -478,36 +479,46 @@ TEST(Topology, SetAllFaultsAppliesToEveryLink) {
   EXPECT_TRUE(b.packets.empty());
 }
 
+std::vector<RouteEntry> entries_of(const RouteUpdateView& u) {
+  std::vector<RouteEntry> out;
+  u.for_each([&](NodeId dst, std::span<const std::uint8_t> r) {
+    out.push_back({dst, Route(r)});
+  });
+  return out;
+}
+
 TEST(RouteCodec, RoundTrip) {
-  RouteUpdate in{7, 2, 5, {{3, {1, 2, 3}}, {9, {}}, {300, {7}}}};
-  const auto out = RouteUpdate::decode(in.encode());
+  const std::vector<RouteEntry> entries{{3, {1, 2, 3}}, {9, {}}, {300, {7}}};
+  const auto bytes = RouteUpdate{7, 2, 5, entries}.encode();
+  const RouteUpdateView out(bytes);
   EXPECT_EQ(out.epoch, 7u);
   EXPECT_EQ(out.chunk, 2u);
   EXPECT_EQ(out.nchunks, 5u);
-  ASSERT_EQ(out.entries.size(), 3u);
-  EXPECT_EQ(out.entries[0].dst, 3u);
-  EXPECT_EQ(out.entries[0].route, (std::vector<std::uint8_t>{1, 2, 3}));
-  EXPECT_TRUE(out.entries[1].route.empty());
-  EXPECT_EQ(out.entries[2].dst, 300u);
+  const auto got = entries_of(out);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(got[0].dst, 3u);
+  EXPECT_EQ(got[0].route, (std::vector<std::uint8_t>{1, 2, 3}));
+  EXPECT_TRUE(got[1].route.empty());
+  EXPECT_EQ(got[2].dst, 300u);
 }
 
 TEST(RouteCodec, TruncatedInputStopsCleanly) {
-  RouteUpdate in{1, 0, 1, {{3, {1, 2, 3}}}};
-  auto bytes = in.encode();
+  const std::vector<RouteEntry> entries{{3, {1, 2, 3}}};
+  auto bytes = RouteUpdate{1, 0, 1, entries}.encode();
   bytes.pop_back();  // cut the route short
-  EXPECT_TRUE(RouteUpdate::decode(bytes).entries.empty());
+  EXPECT_TRUE(entries_of(RouteUpdateView(bytes)).empty());
   bytes.resize(4);  // not even a full header
-  const auto out = RouteUpdate::decode(bytes);
+  const RouteUpdateView out(bytes);
   EXPECT_EQ(out.epoch, 0u);
-  EXPECT_TRUE(out.entries.empty());
+  EXPECT_TRUE(entries_of(out).empty());
 }
 
 TEST(RouteCodec, ProbeHasNoEntries) {
-  RouteUpdate probe{42, 0, 0, {}};
-  const auto out = RouteUpdate::decode(probe.encode());
+  const auto bytes = RouteUpdate{42, 0, 0, {}}.encode();
+  const RouteUpdateView out(bytes);
   EXPECT_EQ(out.epoch, 42u);
   EXPECT_EQ(out.nchunks, 0u);
-  EXPECT_TRUE(out.entries.empty());
+  EXPECT_TRUE(entries_of(out).empty());
 }
 
 TEST(RouteCodec, AckRoundTrip) {

@@ -360,8 +360,9 @@ TEST(RouteEpoch, RecoveredCardAnnouncesEvenAtEpochZero) {
   // installed epoch is still 0. This used to mean "nothing to announce".
   auto to_mapper = cluster.fabric().route(3, 0);
   ASSERT_TRUE(to_mapper.has_value());
-  net::RouteUpdate partial{1, 0, 2, {{0, *to_mapper}}};
-  cluster.node(3).driver().map_route_update(partial, 0);
+  const std::vector<net::RouteEntry> partial{{0, *to_mapper}};
+  const auto bytes = net::RouteUpdate{1, 0, 2, partial}.encode();
+  cluster.node(3).driver().map_route_update(net::RouteUpdateView(bytes), 0);
   ASSERT_EQ(cluster.node(3).route_epoch(), 0u);
 
   // Recovery restores the card at epoch 0. The announce must go out
@@ -396,18 +397,19 @@ TEST(RouteEpoch, StaleEpochGatesSendsWithRecovering) {
 
   // An epoch-2 probe tells node 1's driver a newer table exists that it
   // does not hold: the port must gate new work until the push lands.
-  net::RouteUpdate probe{2, 0, 0, {}};
-  n1.driver().map_route_update(probe, 0);
+  const auto probe = net::RouteUpdate{2, 0, 0, {}}.encode();
+  n1.driver().map_route_update(net::RouteUpdateView(probe), 0);
   EXPECT_TRUE(n1.routes_stale());
   EXPECT_EQ(port.post(b, 64, {.dst = 2, .dst_port = 3}).code(),
             gm::Status::kRecovering);
 
   // The full epoch-2 table arrives (one chunk): the gate lifts.
-  net::RouteUpdate u{2, 0, 1, {}};
+  std::vector<net::RouteEntry> table;
   for (const auto& [dst, route] : n1.driver().route_mirror()) {
-    u.entries.push_back({dst, route});
+    table.push_back({dst, route});
   }
-  n1.driver().map_route_update(u, 0);
+  const auto push = net::RouteUpdate{2, 0, 1, table}.encode();
+  n1.driver().map_route_update(net::RouteUpdateView(push), 0);
   EXPECT_FALSE(n1.routes_stale());
   EXPECT_EQ(n1.route_epoch(), 2u);
   EXPECT_TRUE(port.post(b, 64, {.dst = 2, .dst_port = 3}).ok());
@@ -423,8 +425,9 @@ TEST(RouteEpoch, StaleChunksFromAnOlderEpochAreIgnored) {
   ASSERT_EQ(n1.route_epoch(), 1u);
   // A delayed epoch-0-style replay (epoch below installed) must neither
   // regress the epoch nor mark the node stale.
-  net::RouteUpdate old{0, 0, 1, {{9, {1, 2}}}};
-  n1.driver().map_route_update(old, 0);
+  const std::vector<net::RouteEntry> old{{9, {1, 2}}};
+  const auto replay = net::RouteUpdate{0, 0, 1, old}.encode();
+  n1.driver().map_route_update(net::RouteUpdateView(replay), 0);
   EXPECT_EQ(n1.route_epoch(), 1u);
   EXPECT_FALSE(n1.routes_stale());
   EXPECT_EQ(n1.driver().route_mirror().count(9), 0u);

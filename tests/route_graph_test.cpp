@@ -338,7 +338,7 @@ void expect_fabric_rows_match(const net::FabricBuilder& fb,
       EXPECT_EQ(row[b], ref[b]) << what << ": " << a << " -> " << b;
       const auto single = fb.route(static_cast<net::NodeId>(a),
                                    static_cast<net::NodeId>(b));
-      EXPECT_EQ(single.value_or(Bytes{}), ref[b])
+      EXPECT_EQ(single.value_or(net::Route{}), ref[b])
           << what << ": " << a << " -> " << b;
     }
   }
