@@ -9,10 +9,16 @@
 //               [--seed S] [--horizon-ms MS] [--trace]
 //               [--soak VIRT_SECONDS] [--soak-retain-caches]
 //
-// Runs a verified all-pairs-neighbour workload under the given fault
-// scenario and prints a full report: delivery/exactly-once status, MCP and
-// NIC counters, recovery statistics. The Swiss-army knife for exploring
-// the system without writing code.
+// Translates the flags into an fi::Scenario (event times are µs after the
+// workload starts, i.e. Scenario::kWarmup + USEC) and runs it through
+// fi::ScenarioRunner: the verified neighbour-ring workload under the
+// continuous invariant oracle. Prints a full report — per-stream
+// delivery/exactly-once status, MCP and NIC counters, recovery and
+// membership statistics, the oracle's verdict and the run digest (equal
+// to scenario_replay's for the same Scenario). Exit 0 only when every
+// stream completed and no invariant was violated; 1 otherwise; 2 on bad
+// input. The Swiss-army knife for exploring the system without writing
+// code.
 //
 // Node count is bounded only by the fabric preset's capacity: a 64-node
 // run wants --fabric fat-tree (16 leaves + 4 spines at the default radix).
@@ -32,10 +38,8 @@
 // drift probes checked each 500 ms window. On failure the schedule is
 // shrunk (window-granular ddmin) and written as repro_soak_<seed>.json
 // for bit-identical replay through scenario_replay.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -52,13 +56,7 @@ using namespace myri;
 namespace {
 
 struct Options {
-  int nodes = 2;
-  net::FabricPreset fabric = net::FabricPreset::kSingleSwitch;
-  int radix = 8;
-  mcp::McpMode mode = mcp::McpMode::kFtgm;
-  int msgs = 50;
-  std::uint32_t len = 2048;
-  double drop = 0, corrupt = 0;
+  fi::Scenario sc;  // topology, workload, rates, seed, horizon
   std::vector<double> hang_at_us;
   int victim = 0;
   double kill_cable_at_us = -1;  // <0 = no cable kill
@@ -68,8 +66,6 @@ struct Options {
   int drain_node = 1;
   double replace_at_us = -1;     // <0 = no spare swap
   int replace_node = 1;
-  std::uint64_t seed = 42;
-  double horizon_ms = 0;  // 0 = auto
   bool trace = false;
   double soak_s = 0;      // >0 = soak mode, virtual seconds
   bool soak_retain_caches = false;
@@ -78,32 +74,41 @@ struct Options {
   bool nodes_set = false, fabric_set = false, radix_set = false;
 };
 
+[[noreturn]] void usage_error(const std::string& msg) {
+  std::fprintf(stderr, "%s\n", msg.c_str());
+  std::exit(2);
+}
+
 Options parse(int argc, char** argv) {
   Options o;
+  o.sc.seed = 42;
+  o.sc.msgs = 50;
+  o.sc.msg_len = 2048;
   auto next = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
-      std::fprintf(stderr, "missing value for %s\n", argv[i]);
-      std::exit(2);
+      usage_error(std::string("missing value for ") + argv[i]);
     }
     return argv[++i];
   };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
-    if (a == "--nodes") { o.nodes = std::atoi(next(i)); o.nodes_set = true; }
+    if (a == "--nodes") { o.sc.nodes = std::atoi(next(i)); o.nodes_set = true; }
     else if (a == "--soak") o.soak_s = std::atof(next(i));
     else if (a == "--soak-retain-caches") o.soak_retain_caches = true;
     else if (a == "--fabric") {
-      const char* v = next(i);
+      const std::string v = next(i);
       const auto p = net::parse_fabric_preset(v);
       if (!p) {
-        std::fprintf(stderr,
-                     "--fabric must be single|line|ring|fat-tree, got %s\n",
-                     v);
-        std::exit(2);
+        usage_error("--fabric must be single|line|ring|fat-tree, got " + v);
       }
-      o.fabric = *p;
+      o.sc.fabric = *p;
       o.fabric_set = true;
-    } else if (a == "--radix") { o.radix = std::atoi(next(i)); o.radix_set = true; }
+    } else if (a == "--radix") {
+      const int r = std::atoi(next(i));
+      if (r < 2 || r > 255) usage_error("--radix must be 2..255");
+      o.sc.radix = static_cast<std::uint8_t>(r);
+      o.radix_set = true;
+    }
     else if (a == "--kill-cable-at") o.kill_cable_at_us = std::atof(next(i));
     else if (a == "--cable") o.cable = std::atoi(next(i));
     else if (a == "--join-at") o.join_at_us = std::atof(next(i));
@@ -112,15 +117,22 @@ Options parse(int argc, char** argv) {
     else if (a == "--replace-at") o.replace_at_us = std::atof(next(i));
     else if (a == "--replace-node") o.replace_node = std::atoi(next(i));
     else if (a == "--mode") {
-      o.mode = std::strcmp(next(i), "gm") == 0 ? mcp::McpMode::kGm
-                                               : mcp::McpMode::kFtgm;
-    } else if (a == "--msgs") o.msgs = std::atoi(next(i));
-    else if (a == "--len") o.len = static_cast<std::uint32_t>(std::atoi(next(i)));
-    else if (a == "--drop") o.drop = std::atof(next(i));
-    else if (a == "--corrupt") o.corrupt = std::atof(next(i));
+      const std::string v = next(i);
+      if (v != "gm" && v != "ftgm") {
+        usage_error("--mode must be gm|ftgm, got " + v);
+      }
+      o.sc.mode = v == "gm" ? mcp::McpMode::kGm : mcp::McpMode::kFtgm;
+    } else if (a == "--msgs") o.sc.msgs = std::atoi(next(i));
+    else if (a == "--len") {
+      o.sc.msg_len = static_cast<std::uint32_t>(std::atoi(next(i)));
+    }
+    else if (a == "--drop") o.sc.drop = std::atof(next(i));
+    else if (a == "--corrupt") o.sc.corrupt = std::atof(next(i));
     else if (a == "--victim") o.victim = std::atoi(next(i));
-    else if (a == "--seed") o.seed = std::strtoull(next(i), nullptr, 0);
-    else if (a == "--horizon-ms") o.horizon_ms = std::atof(next(i));
+    else if (a == "--seed") o.sc.seed = std::strtoull(next(i), nullptr, 0);
+    else if (a == "--horizon-ms") {
+      o.sc.horizon = sim::usecf(std::atof(next(i)) * 1000.0);  // 0 = auto
+    }
     else if (a == "--trace") o.trace = true;
     else if (a == "--hang-at") {
       std::string v = next(i);
@@ -131,42 +143,43 @@ Options parse(int argc, char** argv) {
         p = comma + 1;
       }
     } else {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      std::exit(2);
+      usage_error("unknown option " + a);
     }
   }
-  net::FabricConfig fc;
-  fc.preset = o.fabric;
-  fc.nodes = o.nodes;
-  fc.radix = static_cast<std::uint8_t>(o.radix);
-  const std::size_t cap = net::FabricBuilder::capacity(fc);
-  if (o.nodes < 2 || static_cast<std::size_t>(o.nodes) > cap) {
-    std::fprintf(stderr, "--nodes must be 2..%zu for --fabric %s --radix %d\n",
-                 cap, net::to_string(o.fabric), o.radix);
-    std::exit(2);
+
+  // The fault schedule. Same-time events fire in vector order: cable
+  // kill, hangs, join, drain, replace.
+  using K = fi::ScenarioEvent::Kind;
+  auto add = [&o](double at_us, K kind, int node = 0) -> fi::ScenarioEvent& {
+    fi::ScenarioEvent& ev = o.sc.events.emplace_back();
+    ev.at = fi::Scenario::kWarmup + sim::usecf(at_us);
+    ev.kind = kind;
+    ev.node = node;
+    return ev;
+  };
+  if (o.kill_cable_at_us >= 0) {
+    add(o.kill_cable_at_us, K::kCableDown).cable = o.cable;
   }
-  if (o.drain_at_us >= 0 && (o.drain_node < 1 || o.drain_node >= o.nodes)) {
-    std::fprintf(stderr, "--drain-node must be 1..%d\n", o.nodes - 1);
-    std::exit(2);
-  }
-  if (o.replace_at_us >= 0 &&
-      (o.replace_node < 1 || o.replace_node >= o.nodes)) {
-    std::fprintf(stderr, "--replace-node must be 1..%d\n", o.nodes - 1);
-    std::exit(2);
+  for (const double at : o.hang_at_us) add(at, K::kNicHang, o.victim);
+  if (o.join_at_us >= 0) add(o.join_at_us, K::kNodeJoin);
+  if (o.drain_at_us >= 0) add(o.drain_at_us, K::kNodeDrain, o.drain_node);
+  if (o.replace_at_us >= 0) {
+    add(o.replace_at_us, K::kNodeReplace, o.replace_node);
   }
   return o;
 }
 
-}  // namespace
-
-namespace {
+void validate_or_exit(const fi::Scenario& sc) {
+  const std::string bad = sc.validate();
+  if (!bad.empty()) usage_error("invalid scenario: " + bad);
+}
 
 int run_soak(const Options& o) {
   fi::SoakProfile sp;
-  sp.seed = o.seed;
-  if (o.nodes_set) sp.nodes = o.nodes;
-  if (o.fabric_set) sp.fabric = o.fabric;
-  if (o.radix_set) sp.radix = static_cast<std::uint8_t>(o.radix);
+  sp.seed = o.sc.seed;
+  if (o.nodes_set) sp.nodes = o.sc.nodes;
+  if (o.fabric_set) sp.fabric = o.sc.fabric;
+  if (o.radix_set) sp.radix = o.sc.radix;
   sp.duration = sim::usecf(o.soak_s * 1e6);
   sp.retain_caches = o.soak_retain_caches;
   if (sp.duration < sim::sec(300)) {
@@ -181,6 +194,7 @@ int run_soak(const Options& o) {
     sp.replace_every = sim::sec(30);
   }
   const fi::Scenario sc = fi::make_soak_scenario(sp);
+  validate_or_exit(sc);
   std::printf("soak: %d nodes on %s fabric (radix %d), %.0f virtual s, "
               "%zu scheduled faults, %d msgs/stream every %.0f ms, "
               "check window %.0f ms, seed %llu%s\n",
@@ -214,7 +228,7 @@ int run_soak(const Options& o) {
   scfg.max_attempts = 60;
   const fi::ShrinkResult sr = fi::Shrinker::shrink(sc, rep, scfg);
   const std::string path =
-      "repro_soak_" + std::to_string(o.seed) + ".json";
+      "repro_soak_" + std::to_string(o.sc.seed) + ".json";
   if (fi::write_repro(path, sr.minimal, sr.report)) {
     std::printf("shrunk to %zu event(s) / %.1f virtual s in %d attempts; "
                 "repro written to %s\n",
@@ -227,173 +241,31 @@ int run_soak(const Options& o) {
   return 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Options o = parse(argc, argv);
-  if (o.soak_s > 0) return run_soak(o);
-
-  gm::ClusterConfig cc;
-  cc.nodes = o.nodes;
-  cc.fabric = o.fabric;
-  cc.switch_ports = static_cast<std::uint8_t>(o.radix);
-  cc.mode = o.mode;
-  cc.seed = o.seed;
-  cc.faults = {o.drop, o.corrupt, 0.0};
-  gm::Cluster cluster(cc);
-
-  const bool membership = o.join_at_us >= 0 || o.drain_at_us >= 0 ||
-                          o.replace_at_us >= 0;
-
-  // Cable-kill scenario: the FailoverManager watches the topology and
-  // re-runs the mapper when the trunk goes down. Membership events also
-  // get a live mapper when the fabric has one to give (so a join folds in
-  // at the next epoch instead of only riding the pristine routes).
-  std::unique_ptr<mapper::FailoverManager> fm;
-  if (o.kill_cable_at_us >= 0) {
-    const auto& trunks = cluster.fabric().trunk_cables();
-    if (trunks.empty()) {
-      std::fprintf(stderr, "--kill-cable-at needs a multi-switch --fabric\n");
-      return 2;
-    }
-    if (o.cable < 0 || static_cast<std::size_t>(o.cable) >= trunks.size()) {
-      std::fprintf(stderr, "--cable must be 0..%zu\n", trunks.size() - 1);
-      return 2;
-    }
-    fm = std::make_unique<mapper::FailoverManager>(cluster);
-    cluster.eq().schedule_after(sim::usecf(o.kill_cable_at_us),
-                                [&cluster, &o] {
-                                  cluster.topo().set_cable_down(
-                                      cluster.fabric().trunk_cables()[o.cable],
-                                      true);
-                                });
-  }
-  if (!fm && membership && !cluster.fabric().trunk_cables().empty()) {
-    fm = std::make_unique<mapper::FailoverManager>(cluster);
-  }
-
-  sim::Trace trace;
-  if (o.trace) {
-    trace.enable(sim::TraceCat::kFt, &std::cout);
-    trace.enable(sim::TraceCat::kMcp, &std::cout);
-    cluster.set_trace(&trace);
-  }
-
-  // Neighbour-ring workload: node i -> node (i+1) % n, verified.
-  std::vector<gm::Port*> ports;
-  for (int i = 0; i < o.nodes; ++i) {
-    ports.push_back(&cluster.node(i).open_port(2, {24, 24}));
-  }
-  fi::StreamWorkload::Config wc;
-  wc.total_msgs = o.msgs;
-  wc.msg_len = o.len;
-  std::vector<std::unique_ptr<fi::StreamWorkload>> wls;
-  cluster.run_for(sim::usec(900));
-  for (int i = 0; i < o.nodes; ++i) {
-    wls.push_back(std::make_unique<fi::StreamWorkload>(
-        *ports[i], *ports[(i + 1) % o.nodes], wc));
-    wls.back()->start();
-  }
-
-  for (const double at_us : o.hang_at_us) {
-    cluster.eq().schedule_after(sim::usecf(at_us), [&cluster, &o] {
-      cluster.node(o.victim).mcp().inject_hang("--hang-at");
-      if (cluster.node(o.victim).has_ftd()) {
-        cluster.node(o.victim).ftd().mark_fault_injected();
-      }
-    });
-  }
-
-  // Membership events. Joins and replaces get an 8-message verification
-  // stream from node 0 into the new card (receive port 3), started once
-  // the fresh ports have had their open handshake on the wire.
-  int verif_streams = 0;
-  auto start_verification = [&](net::NodeId dst) {
-    gm::Port& tx = cluster.node(0).open_port(
-        static_cast<std::uint8_t>(4 + verif_streams), {24, 24});
-    gm::Port& rx = cluster.node(dst).open_port(3, {24, 24});
-    ++verif_streams;
-    fi::StreamWorkload::Config vwc;
-    vwc.total_msgs = 8;
-    vwc.msg_len = o.len;
-    wls.push_back(std::make_unique<fi::StreamWorkload>(tx, rx, vwc));
-    fi::StreamWorkload* wl = wls.back().get();
-    cluster.eq().schedule_after(sim::msec(2), [wl] { wl->start(); });
-  };
-  if (o.join_at_us >= 0) {
-    cluster.eq().schedule_after(sim::usecf(o.join_at_us), [&] {
-      const net::NodeId id = cluster.add_node();
-      cluster.eq().schedule_after(sim::msec(5),
-                                  [&, id] { start_verification(id); });
-    });
-  }
-  if (o.drain_at_us >= 0) {
-    cluster.eq().schedule_after(sim::usecf(o.drain_at_us), [&] {
-      cluster.drain_node(static_cast<net::NodeId>(o.drain_node));
-    });
-  }
-  if (o.replace_at_us >= 0) {
-    cluster.eq().schedule_after(sim::usecf(o.replace_at_us), [&] {
-      const auto x = static_cast<net::NodeId>(o.replace_node);
-      // The outgoing card takes its two ring streams with it.
-      wls[static_cast<std::size_t>(o.replace_node)]->abandon();
-      wls[static_cast<std::size_t>((o.replace_node - 1 + o.nodes) %
-                                   o.nodes)]
-          ->abandon();
-      cluster.replace_node(x);
-      cluster.eq().schedule_after(sim::msec(5),
-                                  [&, x] { start_verification(x); });
-    });
-  }
-
-  const double auto_ms =
-      10.0 + o.msgs * o.nodes * 0.1 +
-      (o.hang_at_us.empty() ? 0.0 : 4000.0 * o.hang_at_us.size()) +
-      (o.kill_cable_at_us >= 0 ? 1000.0 : 0.0) +
-      (membership ? 1000.0 : 0.0);
-  const sim::Time horizon =
-      sim::usecf((o.horizon_ms > 0 ? o.horizon_ms : auto_ms) * 1000.0);
-  // Don't declare victory before the schedule has fired: a join at 20 ms
-  // must not be skipped because the ring drained at 10 ms (its
-  // verification stream only enters wls ~7 ms after the event).
-  double last_sched_us = 0;
-  for (const double at : o.hang_at_us) last_sched_us = std::max(last_sched_us, at);
-  last_sched_us = std::max({last_sched_us, o.kill_cable_at_us, o.join_at_us,
-                            o.drain_at_us, o.replace_at_us});
-  // A drain additionally needs its quiet window (default 25 ms) of
-  // quiescence before it retires — hold the run open long enough to show
-  // the retirement in the report.
-  const sim::Time settle = sim::usecf(last_sched_us) + sim::msec(10) +
-                           (o.drain_at_us >= 0 ? sim::msec(50) : 0);
-  while (cluster.eq().now() < horizon) {
-    cluster.run_for(sim::msec(20));
-    if (cluster.eq().now() < settle) continue;
-    bool all = true;
-    for (auto& w : wls) all = all && (w->complete() || w->abandoned());
-    if (all) break;
-  }
-
+void print_report(const Options& o, fi::ScenarioRunner& runner,
+                  const fi::RunReport& rep) {
+  const fi::Scenario& sc = o.sc;
+  gm::Cluster& cluster = runner.cluster();
   std::printf("scenario: %d nodes on %s fabric (%zu switches, %zu trunks), "
               "%s, %d x %u B per stream, drop=%.2f corrupt=%.2f, %zu "
               "hang(s) on node %d\n",
-              o.nodes, net::to_string(o.fabric),
+              sc.nodes, net::to_string(sc.fabric),
               cluster.fabric().num_switches(),
               cluster.fabric().trunk_cables().size(),
-              o.mode == mcp::McpMode::kGm ? "GM" : "FTGM", o.msgs, o.len,
-              o.drop, o.corrupt, o.hang_at_us.size(), o.victim);
-  std::printf("virtual time: %.3f s\n\n", sim::to_sec(cluster.eq().now()));
-  if (fm && o.kill_cable_at_us >= 0) {
+              sc.mode == mcp::McpMode::kGm ? "GM" : "FTGM", sc.msgs,
+              sc.msg_len, sc.drop, sc.corrupt, o.hang_at_us.size(), o.victim);
+  std::printf("virtual time: %.3f s\n\n", sim::to_sec(rep.end_time));
+  if (o.kill_cable_at_us >= 0) {
+    const mapper::FailoverManager& fm = *runner.failover();
     const auto& remap_ns =
         cluster.metrics().histogram("fabric.failover.remap_ns");
     std::printf("failover: cable %d down at %.0f us -> %llu remap(s), "
                 "%llu failed, remap latency max %.3f ms\n\n",
                 o.cable, o.kill_cable_at_us,
-                static_cast<unsigned long long>(fm->remaps()),
-                static_cast<unsigned long long>(fm->failed_remaps()),
+                static_cast<unsigned long long>(fm.remaps()),
+                static_cast<unsigned long long>(fm.failed_remaps()),
                 static_cast<double>(remap_ns.max()) / 1e6);
   }
-
-  if (membership) {
+  if (o.join_at_us >= 0 || o.drain_at_us >= 0 || o.replace_at_us >= 0) {
     const auto cval = [&](const char* name) -> unsigned long long {
       const auto* c = cluster.metrics().find_counter(name);
       return c ? static_cast<unsigned long long>(c->value()) : 0;
@@ -405,19 +277,17 @@ int main(int argc, char** argv) {
                 cval("mapper.replaces"));
   }
 
-  bool all_ok = true;
-  for (std::size_t i = 0; i < wls.size(); ++i) {
-    auto& w = *wls[i];
-    all_ok = all_ok && (w.complete() || w.abandoned());
-    const int total = i < static_cast<std::size_t>(o.nodes) ? o.msgs : 8;
-    std::string label =
-        i < static_cast<std::size_t>(o.nodes)
-            ? ("stream " + std::to_string(i) + "->" +
-               std::to_string((i + 1) % static_cast<std::size_t>(o.nodes)))
-            : ("verify 0->" + w.receiver().node().name());
+  const auto& streams = runner.streams();
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    fi::StreamWorkload& w = *streams[i];
+    const auto n = static_cast<std::size_t>(sc.nodes);
+    const std::string label =
+        i < n ? "stream " + std::to_string(i) + "->" +
+                    std::to_string((i + 1) % n)
+              : "verify 0->" + w.receiver().node().name();
     std::printf("%s: %3d/%3d delivered, %d dup, %d corrupt, %d missing %s\n",
-                label.c_str(), w.received(), total, w.duplicates(),
-                w.corrupted(), w.missing(),
+                label.c_str(), w.received(), w.config().total_msgs,
+                w.duplicates(), w.corrupted(), w.missing(),
                 w.complete()    ? ""
                 : w.abandoned() ? "  [abandoned to replace]"
                                 : "  <-- BAD");
@@ -448,7 +318,45 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::printf("\nresult: %s\n", all_ok ? "exactly-once delivery everywhere"
-                                       : "DELIVERY INCOMPLETE");
-  return all_ok ? 0 : 1;
+  if (rep.oracle_ok) {
+    std::printf("\noracle: ok (%llu invariant sweeps)\n",
+                static_cast<unsigned long long>(rep.oracle_checks));
+  } else {
+    std::printf("\noracle: VIOLATION '%s' at %.3f us: %s\n",
+                rep.violation.c_str(), sim::to_usec(rep.violation_at),
+                rep.violation_detail.c_str());
+  }
+  std::printf("digest: 0x%016llx\n",
+              static_cast<unsigned long long>(rep.digest));
+  std::printf("result: %s\n", !rep.failed() ? "exactly-once delivery everywhere"
+                              : rep.delivered ? "INVARIANT VIOLATED"
+                                              : "DELIVERY INCOMPLETE");
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const Options o = parse(argc, argv);
+  if (o.soak_s > 0) return run_soak(o);
+  validate_or_exit(o.sc);
+
+  sim::Trace trace;  // outlives the runner's cluster, which points at it
+  fi::ScenarioRunner runner(o.sc, {});
+  if (o.kill_cable_at_us >= 0) {
+    const std::size_t trunks = runner.cluster().fabric().trunk_cables().size();
+    if (trunks == 0) {
+      usage_error("--kill-cable-at needs a multi-switch --fabric");
+    }
+    if (o.cable < 0 || static_cast<std::size_t>(o.cable) >= trunks) {
+      usage_error("--cable must be 0.." + std::to_string(trunks - 1));
+    }
+  }
+  if (o.trace) {
+    trace.enable(sim::TraceCat::kFt, &std::cout);
+    trace.enable(sim::TraceCat::kMcp, &std::cout);
+    runner.cluster().set_trace(&trace);
+  }
+  const fi::RunReport rep = runner.run();
+  print_report(o, runner, rep);
+  return rep.failed() ? 1 : 0;
 }

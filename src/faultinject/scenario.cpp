@@ -1,12 +1,10 @@
 #include "faultinject/scenario.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <stdexcept>
 #include <utility>
 
@@ -385,313 +383,316 @@ std::vector<net::NodeId> Scenario::expected_up_at_horizon() const {
 
 // ---- runner ----
 
-RunReport ScenarioRunner::run(const Scenario& s, const Options& opt) {
-  const std::string bad = s.validate();
+namespace {
+// Token allotment of every port the runner opens (ring and membership).
+constexpr std::uint32_t kTokens = 24;
+}  // namespace
+
+ScenarioRunner::ScenarioRunner(const Scenario& s, const Options& opt)
+    : s_(s), digest_(kFnvOffset) {
+  const std::string bad = s_.validate();
   if (!bad.empty()) {
     throw std::invalid_argument("invalid scenario: " + bad);
   }
+  horizon_ = s_.effective_horizon();
 
   gm::ClusterConfig cc;
-  cc.nodes = s.nodes;
-  cc.fabric = s.fabric;
-  cc.switch_ports = s.radix;
-  cc.mode = s.mode;
-  cc.seed = s.seed;
-  cc.faults = {s.drop, s.corrupt, s.misroute};
-  gm::Cluster cluster(cc);
+  cc.nodes = s_.nodes;
+  cc.fabric = s_.fabric;
+  cc.switch_ports = s_.radix;
+  cc.mode = s_.mode;
+  cc.seed = s_.seed;
+  cc.faults = {s_.drop, s_.corrupt, s_.misroute};
+  cluster_ = std::make_unique<gm::Cluster>(cc);
 
   // Cable events are mapper territory: the FailoverManager watches the
   // topology and reroutes around dead trunks (and back, on restore).
-  std::unique_ptr<mapper::FailoverManager> fm;
-  if (!cluster.fabric().trunk_cables().empty()) {
-    fm = std::make_unique<mapper::FailoverManager>(cluster);
+  if (!cluster_->fabric().trunk_cables().empty()) {
+    fm_ = std::make_unique<mapper::FailoverManager>(*cluster_);
     // Test-only leak plant: keep retired nodes' mapper caches so the
     // drift oracle has a real unbounded growth to catch.
-    if (s.retain_caches) fm->test_retain_retired_caches(true);
+    if (s_.retain_caches) fm_->test_retain_retired_caches(true);
   }
 
-  constexpr std::uint32_t kTokens = 24;
   std::vector<gm::Port*> ports;
-  for (int i = 0; i < s.nodes; ++i) {
-    ports.push_back(&cluster.node(i).open_port(2, {kTokens, kTokens}));
+  for (int i = 0; i < s_.nodes; ++i) {
+    ports.push_back(&cluster_->node(i).open_port(2, {kTokens, kTokens}));
   }
   StreamWorkload::Config wc;
-  wc.total_msgs = s.msgs;
-  wc.msg_len = s.msg_len;
-  wc.send_gap = s.send_gap;
-
-  std::vector<std::unique_ptr<StreamWorkload>> wls;
-  for (int i = 0; i < s.nodes; ++i) {
-    wls.push_back(std::make_unique<StreamWorkload>(
-        *ports[i], *ports[(i + 1) % s.nodes], wc));
+  wc.total_msgs = s_.msgs;
+  wc.msg_len = s_.msg_len;
+  wc.send_gap = s_.send_gap;
+  for (int i = 0; i < s_.nodes; ++i) {
+    wls_.push_back(std::make_unique<StreamWorkload>(
+        *ports[i], *ports[(i + 1) % s_.nodes], wc));
   }
 
-  Oracle oracle(cluster, Oracle::Config{opt.check_gap});
-  oracle.set_route_authority(fm.get());
-  oracle.set_expected_roster(s.expected_up_at_horizon());
-  std::uint64_t digest = kFnvOffset;
-  std::uint64_t deliveries = 0;
-  std::vector<bool> dup_next(wls.size(), false);
-  // Delivery log entry: (stream, msg, time). A run that delivers the
-  // same messages at different times or in a different order gets a
-  // different digest — that is the seed-stability guarantee.
-  auto on_delivery = [&](std::size_t i, int msg) {
-    mix(digest, i);
-    mix(digest, static_cast<std::uint64_t>(static_cast<std::int64_t>(msg)));
-    mix(digest, cluster.eq().now());
-    ++deliveries;
-    oracle.on_delivery(i, msg);
-    if (dup_next[i]) {
-      dup_next[i] = false;
-      mix(digest, i);
-      mix(digest, static_cast<std::uint64_t>(static_cast<std::int64_t>(msg)));
-      mix(digest, cluster.eq().now());
-      ++deliveries;
-      oracle.on_delivery(i, msg);
-    }
-  };
-  for (std::size_t i = 0; i < wls.size(); ++i) {
-    oracle.watch(*wls[i], kTokens, kTokens);
-    wls[i]->set_on_delivery([&, i](int msg) { on_delivery(i, msg); });
+  oracle_ = std::make_unique<Oracle>(*cluster_, Oracle::Config{opt.check_gap});
+  oracle_->set_route_authority(fm_.get());
+  oracle_->set_expected_roster(s_.expected_up_at_horizon());
+  for (std::size_t i = 0; i < wls_.size(); ++i) watch(i);
+
+  for (const ScenarioEvent& ev : s_.events) schedule(ev);
+  if (s_.check_window > 0) add_drift_probes();
+}
+
+ScenarioRunner::~ScenarioRunner() = default;
+
+void ScenarioRunner::watch(std::size_t stream) {
+  dup_next_.push_back(false);
+  oracle_->watch(*wls_[stream], kTokens, kTokens);
+  wls_[stream]->set_on_delivery(
+      [this, stream](int msg) { on_delivery(stream, msg); });
+}
+
+// Delivery log entry: (stream, msg, time). A run that delivers the same
+// messages at different times or in a different order gets a different
+// digest — that is the seed-stability guarantee. An armed kDoubleDeliver
+// logs (and reports) the delivery twice.
+void ScenarioRunner::on_delivery(std::size_t stream, int msg) {
+  const int times = dup_next_[stream] ? 2 : 1;
+  dup_next_[stream] = false;
+  for (int k = 0; k < times; ++k) {
+    mix(digest_, stream);
+    mix(digest_, static_cast<std::uint64_t>(static_cast<std::int64_t>(msg)));
+    mix(digest_, cluster_->eq().now());
+    ++deliveries_;
+    oracle_->on_delivery(stream, msg);
   }
+}
 
-  // Membership verification streams: after a join or replace, a short
-  // stream from node 0 into the new card (receive port 3, a sender port
-  // of its own per stream) proves it serves traffic. Started ~5 ms after
-  // the roster event so port-open control traffic has landed; watched by
-  // the oracle and mixed into the digest like the ring streams.
-  int membership_streams = 0;
-  // Sender ports 4..7 on node 0, round-robin: a long soak sees dozens of
-  // roster events, far more than the card has ports, and reopening a port
-  // id would destroy a Port that earlier (finished) workloads still
-  // reference. Streams are short (8 msgs) and arrivals are many seconds
-  // apart, so a recycled port is always idle by the time it is reused.
-  std::array<gm::Port*, 4> membership_tx{};
-  auto start_membership_stream = [&](net::NodeId dst) {
-    const std::size_t idx = wls.size();
-    const int slot = membership_streams % 4;
-    if (membership_tx[slot] == nullptr) {
-      membership_tx[slot] = &cluster.node(0).open_port(
-          static_cast<std::uint8_t>(4 + slot), {kTokens, kTokens});
-    }
-    gm::Port& tx = *membership_tx[slot];
-    gm::Port& rx = cluster.node(dst).open_port(3, {kTokens, kTokens});
-    ++membership_streams;
-    StreamWorkload::Config mwc;
-    mwc.total_msgs = 8;
-    mwc.msg_len = s.msg_len;
-    wls.push_back(std::make_unique<StreamWorkload>(tx, rx, mwc));
-    dup_next.push_back(false);
-    oracle.watch(*wls[idx], kTokens, kTokens);
-    wls[idx]->set_on_delivery([&, idx](int msg) { on_delivery(idx, msg); });
-    // Fresh ports need their L_timer open handshake on the wire before
-    // peers accept traffic (same reason the ring workload waits out
-    // kWarmup): starting immediately would lose the first sends.
-    cluster.eq().schedule_after(sim::msec(2),
-                                [&wls, idx] { wls[idx]->start(); });
-  };
+// Membership verification streams: after a join or replace, a short
+// stream from node 0 into the new card (receive port 3, a sender port of
+// its own per stream) proves it serves traffic. Started ~5 ms after the
+// roster event so port-open control traffic has landed; watched by the
+// oracle and mixed into the digest like the ring streams.
+//
+// Sender ports 4..7 on node 0, round-robin: a long soak sees dozens of
+// roster events, far more than the card has ports, and reopening a port
+// id would destroy a Port that earlier (finished) workloads still
+// reference. Streams are short (8 msgs) and arrivals are many seconds
+// apart, so a recycled port is always idle by the time it is reused.
+void ScenarioRunner::start_membership_stream(gm::Node& card) {
+  // A card swapped out before its stream started gets none: the replace
+  // that swapped it starts one into the spare, and a second stream would
+  // reopen the spare's receive port 3 under the first.
+  if (&cluster_->node(card.id()) != &card) return;
+  const std::size_t idx = wls_.size();
+  const int slot = membership_streams_ % 4;
+  if (membership_tx_[slot] == nullptr) {
+    membership_tx_[slot] = &cluster_->node(0).open_port(
+        static_cast<std::uint8_t>(4 + slot), {kTokens, kTokens});
+  }
+  gm::Port& tx = *membership_tx_[slot];
+  gm::Port& rx = card.open_port(3, {kTokens, kTokens});
+  ++membership_streams_;
+  StreamWorkload::Config mwc;
+  mwc.total_msgs = 8;
+  mwc.msg_len = s_.msg_len;
+  wls_.push_back(std::make_unique<StreamWorkload>(tx, rx, mwc));
+  watch(idx);
+  // Fresh ports need their L_timer open handshake on the wire before
+  // peers accept traffic (same reason the ring workload waits out
+  // kWarmup): starting immediately would lose the first sends.
+  cluster_->eq().schedule_after(sim::msec(2),
+                                [this, idx] { wls_[idx]->start(); });
+}
 
-  // ---- schedule the fault events ----
-  const net::LinkFaults baseline{s.drop, s.corrupt, s.misroute};
-  for (const ScenarioEvent& ev : s.events) {
-    switch (ev.kind) {
-      case ScenarioEvent::Kind::kNicHang:
-        cluster.eq().schedule_at(ev.at, [&cluster, ev] {
-          gm::Node& victim = cluster.node(ev.node);
-          victim.mcp().inject_hang("scenario");
-          if (victim.has_ftd()) victim.ftd().mark_fault_injected();
+void ScenarioRunner::schedule(const ScenarioEvent& ev) {
+  sim::EventQueue& eq = cluster_->eq();
+  switch (ev.kind) {
+    case ScenarioEvent::Kind::kNicHang:
+      eq.schedule_at(ev.at, [this, ev] {
+        gm::Node& victim = cluster_->node(ev.node);
+        victim.mcp().inject_hang("scenario");
+        if (victim.has_ftd()) victim.ftd().mark_fault_injected();
+      });
+      break;
+    case ScenarioEvent::Kind::kCableDown:
+    case ScenarioEvent::Kind::kCableUp:
+      eq.schedule_at(ev.at, [this, ev] {
+        const auto& trunks = cluster_->fabric().trunk_cables();
+        // Out-of-range indices no-op (a shrunk topology may have fewer
+        // trunks than the original schedule referenced).
+        if (static_cast<std::size_t>(ev.cable) >= trunks.size()) return;
+        cluster_->topo().set_cable_down(
+            trunks[static_cast<std::size_t>(ev.cable)],
+            ev.kind == ScenarioEvent::Kind::kCableDown);
+      });
+      break;
+    case ScenarioEvent::Kind::kFaultWindow:
+      eq.schedule_at(ev.at, [this, ev] {
+        cluster_->topo().set_all_faults({ev.drop, ev.corrupt, s_.misroute});
+        cluster_->eq().schedule_after(ev.duration, [this] {
+          cluster_->topo().set_all_faults({s_.drop, s_.corrupt, s_.misroute});
         });
-        break;
-      case ScenarioEvent::Kind::kCableDown:
-      case ScenarioEvent::Kind::kCableUp:
-        cluster.eq().schedule_at(ev.at, [&cluster, ev] {
-          const auto& trunks = cluster.fabric().trunk_cables();
-          // Out-of-range indices no-op (a shrunk topology may have fewer
-          // trunks than the original schedule referenced).
-          if (static_cast<std::size_t>(ev.cable) >= trunks.size()) return;
-          cluster.topo().set_cable_down(
-              trunks[static_cast<std::size_t>(ev.cable)],
-              ev.kind == ScenarioEvent::Kind::kCableDown);
-        });
-        break;
-      case ScenarioEvent::Kind::kFaultWindow:
-        cluster.eq().schedule_at(ev.at, [&cluster, ev, baseline, &s] {
-          cluster.topo().set_all_faults({ev.drop, ev.corrupt, s.misroute});
-          cluster.eq().schedule_after(ev.duration, [&cluster, baseline] {
-            cluster.topo().set_all_faults(baseline);
-          });
-        });
-        break;
-      case ScenarioEvent::Kind::kSramFlip:
-        cluster.eq().schedule_at(ev.at, [&cluster, ev] {
-          gm::Node& victim = cluster.node(ev.node);
-          const std::uint32_t addr = mcp::SramLayout::kSendDescAddr +
-                                     ev.offset % data_segment_size();
-          victim.mcp().catch_up();  // ticks before the flip see old SRAM
-          victim.nic().sram().flip_bit(addr, ev.bit & 7u);
-          if (victim.has_ftd()) victim.ftd().mark_fault_injected();
-        });
-        break;
-      case ScenarioEvent::Kind::kDoubleDeliver:
-        cluster.eq().schedule_at(ev.at, [&dup_next, ev] {
-          if (static_cast<std::size_t>(ev.node) < dup_next.size()) {
-            dup_next[static_cast<std::size_t>(ev.node)] = true;
+      });
+      break;
+    case ScenarioEvent::Kind::kSramFlip:
+      eq.schedule_at(ev.at, [this, ev] {
+        gm::Node& victim = cluster_->node(ev.node);
+        const std::uint32_t addr = mcp::SramLayout::kSendDescAddr +
+                                   ev.offset % data_segment_size();
+        victim.mcp().catch_up();  // ticks before the flip see old SRAM
+        victim.nic().sram().flip_bit(addr, ev.bit & 7u);
+        if (victim.has_ftd()) victim.ftd().mark_fault_injected();
+      });
+      break;
+    case ScenarioEvent::Kind::kDoubleDeliver:
+      eq.schedule_at(ev.at, [this, ev] {
+        if (static_cast<std::size_t>(ev.node) < dup_next_.size()) {
+          dup_next_[static_cast<std::size_t>(ev.node)] = true;
+        }
+      });
+      break;
+    case ScenarioEvent::Kind::kTokenLeak:
+      eq.schedule_at(ev.at, [this, ev] {
+        if (static_cast<std::size_t>(ev.node) >= wls_.size()) return;
+        gm::Port& tx = wls_[static_cast<std::size_t>(ev.node)]->sender();
+        // Push free tokens past the allotment (kTokens) so the next
+        // token-conservation sweep trips no matter how many sends are in
+        // flight right now.
+        while (tx.send_tokens_free() <= kTokens) tx.test_inject_send_token();
+      });
+      break;
+    case ScenarioEvent::Kind::kNodeJoin:
+      eq.schedule_at(ev.at, [this] {
+        gm::Node* card = &cluster_->node(cluster_->add_node());
+        cluster_->eq().schedule_after(
+            sim::msec(5), [this, card] { start_membership_stream(*card); });
+      });
+      break;
+    case ScenarioEvent::Kind::kNodeDrain:
+      eq.schedule_at(ev.at, [this, ev] {
+        cluster_->drain_node(static_cast<net::NodeId>(ev.node));
+      });
+      break;
+    case ScenarioEvent::Kind::kNodeReplace:
+      eq.schedule_at(ev.at, [this, ev] {
+        const auto x = static_cast<net::NodeId>(ev.node);
+        // The dead card takes its streams with it; their in-flight tails
+        // can never complete — that loss is the point of needing a spare.
+        if (ev.node < s_.nodes) {
+          // A ring member: the stream it sends (index x) and the one
+          // feeding it (x-1).
+          wls_[x]->abandon();
+          wls_[static_cast<std::size_t>((ev.node - 1 + s_.nodes) % s_.nodes)]
+              ->abandon();
+        } else {
+          // A joined card carries only the membership streams into it.
+          for (std::size_t i = static_cast<std::size_t>(s_.nodes);
+               i < wls_.size(); ++i) {
+            if (wls_[i]->receiver().node().id() == x) wls_[i]->abandon();
           }
-        });
-        break;
-      case ScenarioEvent::Kind::kTokenLeak:
-        cluster.eq().schedule_at(ev.at, [&wls, ev] {
-          if (static_cast<std::size_t>(ev.node) >= wls.size()) return;
-          gm::Port& tx = wls[static_cast<std::size_t>(ev.node)]->sender();
-          // Push free tokens past the allotment (kTokens) so the next
-          // token-conservation sweep trips no matter how many sends are
-          // in flight right now.
-          while (tx.send_tokens_free() <= kTokens) tx.test_inject_send_token();
-        });
-        break;
-      case ScenarioEvent::Kind::kNodeJoin:
-        cluster.eq().schedule_at(
-            ev.at, [&cluster, &start_membership_stream] {
-              const net::NodeId id = cluster.add_node();
-              cluster.eq().schedule_after(
-                  sim::msec(5),
-                  [&start_membership_stream, id] {
-                    start_membership_stream(id);
-                  });
-            });
-        break;
-      case ScenarioEvent::Kind::kNodeDrain:
-        cluster.eq().schedule_at(ev.at, [&cluster, ev] {
-          cluster.drain_node(static_cast<net::NodeId>(ev.node));
-        });
-        break;
-      case ScenarioEvent::Kind::kNodeReplace:
-        cluster.eq().schedule_at(
-            ev.at, [&cluster, &wls, &s, &start_membership_stream, ev] {
-              const auto x = static_cast<net::NodeId>(ev.node);
-              // The dead card takes its ring streams with it: the stream
-              // it sends (index x) and the one feeding it (x-1). Their
-              // in-flight tails can never complete — that loss is the
-              // point of needing a spare.
-              wls[x]->abandon();
-              wls[static_cast<std::size_t>((ev.node - 1 + s.nodes) %
-                                           s.nodes)]
-                  ->abandon();
-              cluster.replace_node(x);
-              cluster.eq().schedule_after(
-                  sim::msec(5),
-                  [&start_membership_stream, x] {
-                    start_membership_stream(x);
-                  });
-            });
-        break;
-    }
+        }
+        gm::Node* spare = &cluster_->replace_node(x);
+        cluster_->eq().schedule_after(
+            sim::msec(5), [this, spare] { start_membership_stream(*spare); });
+      });
+      break;
   }
+}
 
-  // ---- windowed invariant checking (soak mode) ----
-  // Every check_window of virtual time past kWarmup: a full invariant
-  // sweep, the drift probes, a digest snapshot (localizes divergence to a
-  // window), and a roll of the windowed histograms. None of it mutates
-  // sim state, so the digest formula is byte-identical to legacy runs.
-  const sim::Time horizon = s.effective_horizon();
-  std::uint64_t windows_checked = 0;
-  std::vector<std::uint64_t> window_digests;
-  std::function<void()> window_tick;
-  if (s.check_window > 0) {
-    sim::EventQueue& eq = cluster.eq();
-    // Drift probes: state that must stay epoch-bounded no matter how long
-    // the run. Bounds are callables because the legitimate ceiling moves
-    // with cluster size and roster churn.
-    oracle.add_drift_probe(
-        "eq-cancelled-pending",
-        [&eq] { return static_cast<std::uint64_t>(eq.cancelled_pending()); },
-        [&eq] {
-          // Compaction triggers at cancelled >= 1024 && cancelled >= live;
-          // anything far past both is a stale-entry leak.
-          return std::max<std::uint64_t>(8192, 2 * eq.pending_events() + 1024);
-        });
-    oracle.add_drift_probe(
-        "eq-pending-events",
-        [&eq] { return static_cast<std::uint64_t>(eq.pending_events()); },
-        [&cluster] {
-          // Each node, live or retired-but-simulated, owns a bounded set
-          // of timer/link events.
-          return 4096 + 1024 * static_cast<std::uint64_t>(cluster.size());
-        });
-    oracle.add_drift_probe(
-        "windowed-histograms",
-        [&cluster] {
-          std::uint64_t worst = 0;
-          for (const auto& [name, h] : cluster.metrics().histograms()) {
-            (void)name;
-            if (h.windowed()) worst = std::max(worst, h.count());
-          }
-          return worst;
-        },
-        [&cluster] {
-          // Rolled every window; even a remap storm samples ~n^2 route
-          // lengths per remap, so sustained growth past this is a roll
-          // that stopped happening.
-          const auto n = static_cast<std::uint64_t>(cluster.size());
-          return 16 * n * n + 65536;
-        });
-    if (fm != nullptr) {
-      mapper::FailoverManager* f = fm.get();
-      oracle.add_drift_probe(
-          "mapper-attach-cache",
-          [f] {
-            return static_cast<std::uint64_t>(
-                f->mapper().tracked_attach_points());
-          },
-          [&cluster] {
-            return cluster.roster().members().size() + 8;
-          });
-      oracle.add_drift_probe(
-          "mapper-route-cache",
-          [f] {
-            return static_cast<std::uint64_t>(f->mapper().tracked_routes());
-          },
-          [&cluster] {
-            return cluster.roster().members().size() + 8;
-          });
-      oracle.add_drift_probe(
-          "fm-remap-retries",
-          [f] { return static_cast<std::uint64_t>(f->remap_retries()); },
-          [f] {
-            // Progress resets the budget; a counter past it means the
-            // give-up gate stopped working.
-            return static_cast<std::uint64_t>(
-                f->config().max_remap_retries + 1);
-          });
-      oracle.add_drift_probe(
-          "fm-scrub-strikes",
-          [f] { return static_cast<std::uint64_t>(f->scrub_strikes()); },
-          [f] {
-            return static_cast<std::uint64_t>(
-                f->config().max_scrub_strikes + 1);
-          });
-    }
-    window_tick = [&]() {
-      if (!oracle.ok()) return;  // first violation recorded; stop sweeping
-      oracle.check_now();
-      oracle.check_drift();
-      ++windows_checked;
-      window_digests.push_back(digest);
-      cluster.metrics().roll_windowed();
-      if (cluster.eq().now() < horizon) {
-        cluster.eq().schedule_after(s.check_window,
-                                    [&window_tick] { window_tick(); });
-      }
-    };
+// ---- windowed invariant checking (soak mode) ----
+// Every check_window of virtual time past kWarmup: a full invariant sweep,
+// the drift probes, a digest snapshot (localizes divergence to a window),
+// and a roll of the windowed histograms. None of it mutates sim state, so
+// the digest formula is byte-identical to legacy runs.
+
+void ScenarioRunner::add_drift_probes() {
+  // Drift probes: state that must stay epoch-bounded no matter how long
+  // the run. Bounds are callables because the legitimate ceiling moves
+  // with cluster size and roster churn.
+  gm::Cluster* cluster = cluster_.get();
+  sim::EventQueue* eq = &cluster->eq();
+  oracle_->add_drift_probe(
+      "eq-cancelled-pending",
+      [eq] { return static_cast<std::uint64_t>(eq->cancelled_pending()); },
+      [eq] {
+        // Compaction triggers at cancelled >= 1024 && cancelled >= live;
+        // anything far past both is a stale-entry leak.
+        return std::max<std::uint64_t>(8192, 2 * eq->pending_events() + 1024);
+      });
+  oracle_->add_drift_probe(
+      "eq-pending-events",
+      [eq] { return static_cast<std::uint64_t>(eq->pending_events()); },
+      [cluster] {
+        // Each node, live or retired-but-simulated, owns a bounded set of
+        // timer/link events.
+        return 4096 + 1024 * static_cast<std::uint64_t>(cluster->size());
+      });
+  oracle_->add_drift_probe(
+      "windowed-histograms",
+      [cluster] {
+        std::uint64_t worst = 0;
+        for (const auto& [name, h] : cluster->metrics().histograms()) {
+          (void)name;
+          if (h.windowed()) worst = std::max(worst, h.count());
+        }
+        return worst;
+      },
+      [cluster] {
+        // Rolled every window; even a remap storm samples ~n^2 route
+        // lengths per remap, so sustained growth past this is a roll that
+        // stopped happening.
+        const auto n = static_cast<std::uint64_t>(cluster->size());
+        return 16 * n * n + 65536;
+      });
+  if (fm_ == nullptr) return;
+  mapper::FailoverManager* f = fm_.get();
+  oracle_->add_drift_probe(
+      "mapper-attach-cache",
+      [f] {
+        return static_cast<std::uint64_t>(f->mapper().tracked_attach_points());
+      },
+      [cluster] { return cluster->roster().members().size() + 8; });
+  oracle_->add_drift_probe(
+      "mapper-route-cache",
+      [f] { return static_cast<std::uint64_t>(f->mapper().tracked_routes()); },
+      [cluster] { return cluster->roster().members().size() + 8; });
+  oracle_->add_drift_probe(
+      "fm-remap-retries",
+      [f] { return static_cast<std::uint64_t>(f->remap_retries()); },
+      [f] {
+        // Progress resets the budget; a counter past it means the give-up
+        // gate stopped working.
+        return static_cast<std::uint64_t>(f->config().max_remap_retries + 1);
+      });
+  oracle_->add_drift_probe(
+      "fm-scrub-strikes",
+      [f] { return static_cast<std::uint64_t>(f->scrub_strikes()); },
+      [f] {
+        return static_cast<std::uint64_t>(f->config().max_scrub_strikes + 1);
+      });
+}
+
+void ScenarioRunner::window_tick() {
+  if (!oracle_->ok()) return;  // first violation recorded; stop sweeping
+  oracle_->check_now();
+  oracle_->check_drift();
+  ++windows_checked_;
+  window_digests_.push_back(digest_);
+  cluster_->metrics().roll_windowed();
+  if (cluster_->eq().now() < horizon_) {
+    cluster_->eq().schedule_after(s_.check_window, [this] { window_tick(); });
   }
+}
 
-  // ---- run ----
+bool ScenarioRunner::nics_quiet() {
+  for (int i = 0; i < cluster_->size(); ++i) {
+    gm::Node& n = cluster_->node(i);
+    if (n.mcp().hung() || (n.has_ftd() && n.ftd().busy())) return false;
+  }
+  return true;
+}
+
+RunReport ScenarioRunner::run() {
+  gm::Cluster& cluster = *cluster_;
   cluster.run_for(Scenario::kWarmup);
-  for (auto& wl : wls) wl->start();
-  oracle.attach();
-  if (s.check_window > 0) {
-    cluster.eq().schedule_after(s.check_window,
-                                [&window_tick] { window_tick(); });
+  for (auto& wl : wls_) wl->start();
+  oracle_->attach();
+  if (s_.check_window > 0) {
+    cluster.eq().schedule_after(s_.check_window, [this] { window_tick(); });
   }
 
   // The experiment is over when every stream is complete, every scheduled
@@ -699,55 +700,49 @@ RunReport ScenarioRunner::run(const Scenario& s, const Options& opt) {
   // first completion would silently skip trailing schedule entries (e.g. a
   // soak's hang train) — the schedule is part of the experiment.
   sim::Time last_event = 0;
-  for (const ScenarioEvent& ev : s.events) {
+  for (const ScenarioEvent& ev : s_.events) {
     last_event = std::max(last_event, ev.at + ev.duration);
   }
-  while (cluster.eq().now() < horizon) {
+  while (cluster.eq().now() < horizon_) {
     cluster.run_for(sim::msec(10));
-    if (!oracle.ok()) break;
+    if (!oracle_->ok()) break;
     if (cluster.eq().now() < last_event) continue;
     bool all = true;
-    for (auto& wl : wls) all = all && (wl->complete() || wl->abandoned());
-    for (int i = 0; all && i < cluster.size(); ++i) {
-      gm::Node& n = cluster.node(i);
-      all = !n.mcp().hung() && !(n.has_ftd() && n.ftd().busy());
-    }
-    if (all) break;
+    for (auto& wl : wls_) all = all && (wl->complete() || wl->abandoned());
+    if (all && nics_quiet()) break;
   }
   // Drain ACK tails so tokens come home. A lost terminal ACK is only
   // repaired by the sender's retransmission cycle, so poll for true
   // quiescence (bounded) instead of assuming one RTT is enough.
   for (int i = 0; i < 200; ++i) {
     cluster.run_for(sim::msec(10));
-    if (!oracle.ok()) break;
+    if (!oracle_->ok()) break;
     bool quiet = true;
-    for (auto& wl : wls) {
+    for (auto& wl : wls_) {
       // Abandoned streams never quiesce: their outstanding GBN frames
       // retransmit into the quarantined card's cut cable forever.
       if (wl->abandoned()) continue;
       quiet = quiet && wl->complete() &&
               wl->sender().send_tokens_free() == kTokens;
-      if (quiet && s.mode == mcp::McpMode::kFtgm) {
+      if (quiet && s_.mode == mcp::McpMode::kFtgm) {
         quiet = wl->sender().backup().send_count() == 0;
       }
     }
-    for (int j = 0; quiet && j < cluster.size(); ++j) {
-      gm::Node& n = cluster.node(j);
-      quiet = !n.mcp().hung() && !(n.has_ftd() && n.ftd().busy());
-    }
     // Route control plane must settle too: the convergence invariant is
     // only fair to check once retries/scrub had their chance to land.
-    quiet = quiet && (fm == nullptr || fm->settled());
-    if (quiet) break;
+    if (quiet && nics_quiet() && (fm_ == nullptr || fm_->settled())) break;
   }
-  oracle.final_check();
-  if (s.check_window > 0) oracle.check_drift();
-  oracle.detach();
+  oracle_->final_check();
+  if (s_.check_window > 0) oracle_->check_drift();
+  oracle_->detach();
+  return report();
+}
 
-  // ---- report ----
+RunReport ScenarioRunner::report() {
+  const Oracle& oracle = *oracle_;
   RunReport rep;
   rep.delivered = true;
-  for (auto& wl : wls) {
+  for (auto& wl : wls_) {
     StreamOutcome so;
     so.received = wl->received();
     so.duplicates = wl->duplicates();
@@ -765,26 +760,27 @@ RunReport ScenarioRunner::run(const Scenario& s, const Options& opt) {
     rep.violation_at = oracle.violations().front().at;
   }
   rep.oracle_checks = oracle.checks_run();
-  rep.deliveries = deliveries;
-  rep.windows_checked = windows_checked;
+  rep.deliveries = deliveries_;
+  rep.windows_checked = windows_checked_;
   rep.drift_checks = oracle.drift_checks_run();
-  rep.window_digests = std::move(window_digests);
-  if (!rep.oracle_ok && s.check_window > 0) {
+  rep.window_digests = std::move(window_digests_);
+  if (!rep.oracle_ok && s_.check_window > 0) {
     rep.violation_window =
         rep.violation_at > Scenario::kWarmup
             ? static_cast<std::int64_t>((rep.violation_at - Scenario::kWarmup) /
-                                        s.check_window)
+                                        s_.check_window)
             : 0;
   }
-  for (int i = 0; i < cluster.size(); ++i) {
-    if (cluster.node(i).has_ftd()) {
-      rep.recoveries += cluster.node(i).ftd().stats().recoveries;
+  for (int i = 0; i < cluster_->size(); ++i) {
+    if (cluster_->node(i).has_ftd()) {
+      rep.recoveries += cluster_->node(i).ftd().stats().recoveries;
     }
   }
-  rep.remaps = fm ? fm->remaps() : 0;
-  rep.end_time = cluster.eq().now();
-  rep.events_executed = cluster.eq().executed();
+  rep.remaps = fm_ ? fm_->remaps() : 0;
+  rep.end_time = cluster_->eq().now();
+  rep.events_executed = cluster_->eq().executed();
 
+  std::uint64_t digest = digest_;
   for (const StreamOutcome& so : rep.streams) {
     mix(digest, static_cast<std::uint64_t>(so.received));
     mix(digest, static_cast<std::uint64_t>(so.duplicates));

@@ -15,7 +15,9 @@
 // schedules explore the shapes nobody wrote by hand.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -24,7 +26,19 @@
 #include "net/fabric.hpp"
 #include "sim/time.hpp"
 
+namespace myri::gm {
+class Cluster;
+class Node;
+class Port;
+}  // namespace myri::gm
+namespace myri::mapper {
+class FailoverManager;
+}  // namespace myri::mapper
+
 namespace myri::fi {
+
+class Oracle;
+class StreamWorkload;
 
 /// One timed fault in a schedule. Which fields matter depends on `kind`;
 /// unused fields stay at their defaults (and serialize/compare as such).
@@ -216,6 +230,16 @@ struct RunReport {
   }
 };
 
+/// One scenario run as an object: construct, inspect, run.
+///
+/// The constructor does all the set-up and advances no virtual time. It
+/// validates the scenario (std::invalid_argument when validate() objects),
+/// builds the cluster (plus a FailoverManager on fabrics with trunk
+/// cables), opens the ring ports and streams, wires the oracle to them and
+/// schedules the fault events, drift probes and window ticks. A front end
+/// may then decorate the run through the accessors (set a trace on
+/// cluster()) before run() executes it; the accessors stay valid after
+/// run(), so the front end can print the cluster's counters as well.
 class ScenarioRunner {
  public:
   struct Options {
@@ -225,12 +249,62 @@ class ScenarioRunner {
     sim::Time check_gap = sim::usec(200);
   };
 
+  ScenarioRunner(const Scenario& s, const Options& opt);
+  ~ScenarioRunner();
+  ScenarioRunner(const ScenarioRunner&) = delete;
+  ScenarioRunner& operator=(const ScenarioRunner&) = delete;
+
+  /// Warm up, start the ring, run until every stream is done and every
+  /// scheduled event has fired (or the horizon), drain, and report.
+  /// Call once.
+  [[nodiscard]] RunReport run();
+
+  [[nodiscard]] gm::Cluster& cluster() noexcept { return *cluster_; }
+  /// Null on single-switch fabrics (no trunk cable to route around).
+  [[nodiscard]] mapper::FailoverManager* failover() noexcept {
+    return fm_.get();
+  }
+  /// Ring streams (stream i = node i -> node (i+1) % nodes), then the
+  /// membership verification streams in the order they started.
+  [[nodiscard]] const std::vector<std::unique_ptr<StreamWorkload>>& streams()
+      const noexcept {
+    return wls_;
+  }
+
   /// Build the cluster, apply the schedule, run to completion or horizon,
   /// and report. Deterministic for equal (scenario, opt).
-  [[nodiscard]] static RunReport run(const Scenario& s, const Options& opt);
+  [[nodiscard]] static RunReport run(const Scenario& s, const Options& opt) {
+    return ScenarioRunner(s, opt).run();
+  }
   [[nodiscard]] static RunReport run(const Scenario& s) {
     return run(s, Options{});
   }
+
+ private:
+  void schedule(const ScenarioEvent& ev);
+  void add_drift_probes();
+  void window_tick();
+  void watch(std::size_t stream);
+  void on_delivery(std::size_t stream, int msg);
+  void start_membership_stream(gm::Node& card);
+  /// No NIC is wedged and no FTD is mid-recovery.
+  [[nodiscard]] bool nics_quiet();
+  [[nodiscard]] RunReport report();
+
+  Scenario s_;
+  sim::Time horizon_ = 0;
+  std::unique_ptr<gm::Cluster> cluster_;
+  std::unique_ptr<mapper::FailoverManager> fm_;
+  std::vector<std::unique_ptr<StreamWorkload>> wls_;
+  std::unique_ptr<Oracle> oracle_;
+  std::vector<bool> dup_next_;  // kDoubleDeliver armed, by stream
+  // Sender ports 4..7 on node 0, used round-robin by membership streams.
+  std::array<gm::Port*, 4> membership_tx_{};
+  int membership_streams_ = 0;
+  std::uint64_t digest_ = 0;
+  std::uint64_t deliveries_ = 0;
+  std::uint64_t windows_checked_ = 0;
+  std::vector<std::uint64_t> window_digests_;
 };
 
 /// Repro artifact: scenario plus the failure it reproduces, as JSON.

@@ -10,6 +10,8 @@
 
 #include "faultinject/scenario.hpp"
 #include "faultinject/shrinker.hpp"
+#include "faultinject/workload.hpp"
+#include "gm/cluster.hpp"
 
 namespace myri {
 namespace {
@@ -104,6 +106,106 @@ TEST(Scenario, RejectsInvalidScenario) {
   fi::Scenario s;
   s.nodes = 1;  // a ring workload needs at least 2
   EXPECT_THROW((void)fi::ScenarioRunner::run(s), std::invalid_argument);
+}
+
+// ---- the runner object: construct, inspect, run --------------------------
+
+TEST(ScenarioRunner, ConstructionBuildsTheRunWithoutAdvancingTime) {
+  fi::Scenario s;
+  s.seed = 9;
+  s.nodes = 8;
+  s.fabric = net::FabricPreset::kFatTree;
+  s.msgs = 20;
+  fi::ScenarioRunner runner(s, {});
+  EXPECT_EQ(runner.cluster().eq().now(), 0u);
+  EXPECT_EQ(runner.cluster().size(), 8);
+  EXPECT_NE(runner.failover(), nullptr);  // trunks to route around
+  ASSERT_EQ(runner.streams().size(), 8u);
+  EXPECT_EQ(runner.streams()[7]->receiver().node().id(), 0u);  // 7 -> 0
+
+  const fi::RunReport r = runner.run();
+  EXPECT_FALSE(r.failed()) << r.violation << ": " << r.violation_detail;
+  EXPECT_EQ(r.end_time, runner.cluster().eq().now());
+  EXPECT_EQ(runner.streams()[3]->received(), 20);
+  // The one-call entry point is the same run.
+  EXPECT_EQ(fi::ScenarioRunner::run(s).digest, r.digest);
+}
+
+TEST(ScenarioRunner, SingleSwitchRunHasNoFailoverManager) {
+  fi::ScenarioRunner runner(two_node_clean(), {});
+  EXPECT_EQ(runner.failover(), nullptr);
+}
+
+fi::Scenario join_then_replace_joiner(sim::Time replace_at) {
+  using K = fi::ScenarioEvent::Kind;
+  fi::Scenario s;
+  s.nodes = 4;
+  s.msgs = 50;
+  s.msg_len = 2048;
+  fi::ScenarioEvent join;
+  join.kind = K::kNodeJoin;
+  join.at = sim::msec(1);
+  fi::ScenarioEvent repl;
+  repl.kind = K::kNodeReplace;
+  repl.node = 4;  // the joiner
+  repl.at = replace_at;
+  s.events = {join, repl};
+  return s;
+}
+
+TEST(ScenarioRunner, ReplacingAJoinerBeforeItsStreamStartsIsClean) {
+  // The replace lands before the join's verification stream exists: no
+  // ring stream may be indexed by the joined id (out of bounds), and the
+  // spare gets one stream, not the join's plus the replace's on one
+  // receive port.
+  const fi::Scenario s = join_then_replace_joiner(sim::msec(2));
+  ASSERT_EQ(s.validate(), "");
+  fi::ScenarioRunner runner(s, {});
+  const fi::RunReport r = runner.run();
+  EXPECT_FALSE(r.failed()) << r.violation << ": " << r.violation_detail;
+  // The four ring streams plus one verification stream into the spare.
+  ASSERT_EQ(runner.streams().size(), 5u);
+  EXPECT_EQ(&runner.streams()[4]->receiver().node(), &runner.cluster().node(4));
+  EXPECT_EQ(r.deliveries, 4u * 50u + 8u);
+  for (const auto& wl : runner.streams()) EXPECT_FALSE(wl->abandoned());
+}
+
+TEST(ScenarioRunner, ReplacingAJoinerAbandonsOnlyItsOwnStreams) {
+  // After the join's stream started, a replace of the joiner abandons
+  // that stream and no ring stream (the ring never touches node 4).
+  fi::ScenarioRunner runner(join_then_replace_joiner(sim::msec(20)), {});
+  const fi::RunReport r = runner.run();
+  EXPECT_FALSE(r.failed()) << r.violation << ": " << r.violation_detail;
+  ASSERT_EQ(runner.streams().size(), 6u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_FALSE(runner.streams()[i]->abandoned()) << "ring stream " << i;
+  }
+  EXPECT_TRUE(runner.streams()[4]->abandoned());  // into the old card
+  EXPECT_FALSE(runner.streams()[5]->abandoned());  // into the spare
+  EXPECT_TRUE(runner.streams()[5]->complete());
+}
+
+TEST(ScenarioRunner, BackToBackReplacesOfOneNodeGiveOneStreamToTheLastSpare) {
+  // The second swap lands before the first spare's verification stream
+  // starts; only the last spare gets one.
+  using K = fi::ScenarioEvent::Kind;
+  fi::Scenario s;
+  s.nodes = 4;
+  s.msgs = 50;
+  s.msg_len = 2048;
+  fi::ScenarioEvent a;
+  a.kind = K::kNodeReplace;
+  a.node = 2;
+  a.at = sim::msec(2);
+  fi::ScenarioEvent b = a;
+  b.at = sim::msec(4);
+  s.events = {a, b};
+  fi::ScenarioRunner runner(s, {});
+  const fi::RunReport r = runner.run();
+  EXPECT_FALSE(r.failed()) << r.violation << ": " << r.violation_detail;
+  ASSERT_EQ(runner.streams().size(), 5u);
+  EXPECT_EQ(&runner.streams()[4]->receiver().node(), &runner.cluster().node(2));
+  EXPECT_TRUE(runner.streams()[4]->complete());
 }
 
 // ---- seed determinism ---------------------------------------------------
