@@ -39,7 +39,16 @@ Scenario make_soak_scenario(const SoakProfile& p) {
     const std::uint64_t m = (p.duration - margin) / p.send_gap;
     s.msgs = static_cast<int>(std::clamp<std::uint64_t>(m, 1, 100'000));
   } else {
+    // Too short for the margin: 25 messages, which complete in the
+    // runner's 2 s drain past the horizon for any soak of 5 s or more.
+    // A shorter soak sends one message per send_gap of its duration, so
+    // the last send leaves before the horizon.
     s.msgs = 25;
+    if (p.send_gap > 0 &&
+        (s.msgs - 1) * p.send_gap >= p.duration + sim::sec(2)) {
+      s.msgs = static_cast<int>(
+          std::max<std::uint64_t>(p.duration / p.send_gap, 1));
+    }
   }
 
   // The generator's RNG stream is distinct from the cluster's (which is

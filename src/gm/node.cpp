@@ -1,5 +1,7 @@
 #include "gm/node.hpp"
 
+#include <stdexcept>
+
 namespace myri::gm {
 
 namespace {
@@ -79,7 +81,12 @@ void Node::boot() {
 }
 
 Port& Node::open_port(std::uint8_t id, Port::Config cfg) {
-  ports_.at(id) = std::make_unique<Port>(*this, id, cfg);
+  // Reopening would destroy a Port that callers still hold references to.
+  if (ports_.at(id)) {
+    throw std::logic_error(name_ + ": port " + std::to_string(id) +
+                           " is already open");
+  }
+  ports_[id] = std::make_unique<Port>(*this, id, cfg);
   if (metrics_ != nullptr) {
     ports_[id]->bind_metrics(*metrics_,
                              name_ + ".port" + std::to_string(id));

@@ -56,7 +56,8 @@ class Node final : public mcp::HostIface {
   /// Load the driver + MCP; in FTGM mode also start the FTD.
   void boot();
 
-  /// gm_open: open a GM port (0..7).
+  /// gm_open: open a GM port (0..7). Throws std::logic_error if the port
+  /// is already open; the open Port is left as it was.
   Port& open_port(std::uint8_t id, Port::Config cfg = {});
   void close_port(std::uint8_t id);
   [[nodiscard]] Port* port(std::uint8_t id);

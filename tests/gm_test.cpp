@@ -1,6 +1,8 @@
 // GM user-library tests: token discipline, callbacks, buffers, event pump.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "gm/cluster.hpp"
 
 namespace myri::gm {
@@ -65,6 +67,23 @@ TEST(GmPort, RecvTokenReturnsOnReceive) {
   (void)tx.post(sb, 64, {.dst = 1, .dst_port = 3});
   cluster.run_for(sim::msec(2));
   EXPECT_EQ(rx.recv_tokens_free(), 2u);
+}
+
+TEST(GmPort, ReopeningAnOpenPortThrowsAndKeepsThePort) {
+  Cluster cluster(two_nodes());
+  auto& tx = cluster.node(0).open_port(2);
+  auto& rx = cluster.node(1).open_port(3, {16, 2});
+  EXPECT_THROW(cluster.node(1).open_port(3), std::logic_error);
+  EXPECT_EQ(cluster.node(1).port(3), &rx);
+  // The first Port& still receives.
+  cluster.run_for(sim::usec(900));
+  Buffer rb = rx.alloc_dma_buffer(128);
+  rx.provide_receive_buffer(rb);
+  Buffer sb = tx.alloc_dma_buffer(64);
+  EXPECT_TRUE(tx.post(sb, 64, {.dst = 1, .dst_port = 3}).ok());
+  cluster.run_for(sim::msec(2));
+  EXPECT_EQ(rx.recv_tokens_free(), 2u);
+  EXPECT_EQ(rx.stats().msgs_received, 1u);
 }
 
 TEST(GmPort, InvalidBufferRejected) {
