@@ -17,7 +17,7 @@ void Ftd::bind_metrics(metrics::Registry& reg, const std::string& prefix) {
 }
 
 void Ftd::step(sim::Time cost, std::function<void()> fn) {
-  eq_.schedule_after(cost, std::move(fn));
+  eq_.post_after(cost, std::move(fn));
 }
 
 void Ftd::on_fatal() {

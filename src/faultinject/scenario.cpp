@@ -494,15 +494,15 @@ void ScenarioRunner::start_membership_stream(gm::Node& card) {
   // Fresh ports need their L_timer open handshake on the wire before
   // peers accept traffic (same reason the ring workload waits out
   // kWarmup): starting immediately would lose the first sends.
-  cluster_->eq().schedule_after(sim::msec(2),
-                                [this, idx] { wls_[idx]->start(); });
+  cluster_->eq().post_after(sim::msec(2),
+                            [this, idx] { wls_[idx]->start(); });
 }
 
 void ScenarioRunner::schedule(const ScenarioEvent& ev) {
   sim::EventQueue& eq = cluster_->eq();
   switch (ev.kind) {
     case ScenarioEvent::Kind::kNicHang:
-      eq.schedule_at(ev.at, [this, ev] {
+      eq.post_at(ev.at, [this, ev] {
         gm::Node& victim = cluster_->node(ev.node);
         victim.mcp().inject_hang("scenario");
         if (victim.has_ftd()) victim.ftd().mark_fault_injected();
@@ -510,7 +510,7 @@ void ScenarioRunner::schedule(const ScenarioEvent& ev) {
       break;
     case ScenarioEvent::Kind::kCableDown:
     case ScenarioEvent::Kind::kCableUp:
-      eq.schedule_at(ev.at, [this, ev] {
+      eq.post_at(ev.at, [this, ev] {
         const auto& trunks = cluster_->fabric().trunk_cables();
         // Out-of-range indices no-op (a shrunk topology may have fewer
         // trunks than the original schedule referenced).
@@ -521,15 +521,15 @@ void ScenarioRunner::schedule(const ScenarioEvent& ev) {
       });
       break;
     case ScenarioEvent::Kind::kFaultWindow:
-      eq.schedule_at(ev.at, [this, ev] {
+      eq.post_at(ev.at, [this, ev] {
         cluster_->topo().set_all_faults({ev.drop, ev.corrupt, s_.misroute});
-        cluster_->eq().schedule_after(ev.duration, [this] {
+        cluster_->eq().post_after(ev.duration, [this] {
           cluster_->topo().set_all_faults({s_.drop, s_.corrupt, s_.misroute});
         });
       });
       break;
     case ScenarioEvent::Kind::kSramFlip:
-      eq.schedule_at(ev.at, [this, ev] {
+      eq.post_at(ev.at, [this, ev] {
         gm::Node& victim = cluster_->node(ev.node);
         const std::uint32_t addr = mcp::SramLayout::kSendDescAddr +
                                    ev.offset % data_segment_size();
@@ -539,14 +539,14 @@ void ScenarioRunner::schedule(const ScenarioEvent& ev) {
       });
       break;
     case ScenarioEvent::Kind::kDoubleDeliver:
-      eq.schedule_at(ev.at, [this, ev] {
+      eq.post_at(ev.at, [this, ev] {
         if (static_cast<std::size_t>(ev.node) < dup_next_.size()) {
           dup_next_[static_cast<std::size_t>(ev.node)] = true;
         }
       });
       break;
     case ScenarioEvent::Kind::kTokenLeak:
-      eq.schedule_at(ev.at, [this, ev] {
+      eq.post_at(ev.at, [this, ev] {
         if (static_cast<std::size_t>(ev.node) >= wls_.size()) return;
         gm::Port& tx = wls_[static_cast<std::size_t>(ev.node)]->sender();
         // Push free tokens past the allotment (kTokens) so the next
@@ -556,19 +556,19 @@ void ScenarioRunner::schedule(const ScenarioEvent& ev) {
       });
       break;
     case ScenarioEvent::Kind::kNodeJoin:
-      eq.schedule_at(ev.at, [this] {
+      eq.post_at(ev.at, [this] {
         gm::Node* card = &cluster_->node(cluster_->add_node());
-        cluster_->eq().schedule_after(
+        cluster_->eq().post_after(
             sim::msec(5), [this, card] { start_membership_stream(*card); });
       });
       break;
     case ScenarioEvent::Kind::kNodeDrain:
-      eq.schedule_at(ev.at, [this, ev] {
+      eq.post_at(ev.at, [this, ev] {
         cluster_->drain_node(static_cast<net::NodeId>(ev.node));
       });
       break;
     case ScenarioEvent::Kind::kNodeReplace:
-      eq.schedule_at(ev.at, [this, ev] {
+      eq.post_at(ev.at, [this, ev] {
         const auto x = static_cast<net::NodeId>(ev.node);
         // The dead card takes its streams with it; their in-flight tails
         // can never complete — that loss is the point of needing a spare.
@@ -586,7 +586,7 @@ void ScenarioRunner::schedule(const ScenarioEvent& ev) {
           }
         }
         gm::Node* spare = &cluster_->replace_node(x);
-        cluster_->eq().schedule_after(
+        cluster_->eq().post_after(
             sim::msec(5), [this, spare] { start_membership_stream(*spare); });
       });
       break;
@@ -674,7 +674,7 @@ void ScenarioRunner::window_tick() {
   window_digests_.push_back(digest_);
   cluster_->metrics().roll_windowed();
   if (cluster_->eq().now() < horizon_) {
-    cluster_->eq().schedule_after(s_.check_window, [this] { window_tick(); });
+    cluster_->eq().post_after(s_.check_window, [this] { window_tick(); });
   }
 }
 
@@ -692,7 +692,7 @@ RunReport ScenarioRunner::run() {
   for (auto& wl : wls_) wl->start();
   oracle_->attach();
   if (s_.check_window > 0) {
-    cluster.eq().schedule_after(s_.check_window, [this] { window_tick(); });
+    cluster.eq().post_after(s_.check_window, [this] { window_tick(); });
   }
 
   // The experiment is over when every stream is complete, every scheduled

@@ -106,7 +106,7 @@ void StreamWorkload::pump_sends() {
 void StreamWorkload::arm_pace(sim::Time delay) {
   if (pace_armed_) return;
   pace_armed_ = true;
-  sender_.node().event_queue().schedule_after(delay, [this] {
+  sender_.node().event_queue().post_after(delay, [this] {
     pace_armed_ = false;
     pump_sends();
   });
@@ -124,7 +124,7 @@ void StreamWorkload::provide_recv(const gm::Buffer& buf) {
 void StreamWorkload::arm_retry() {
   if (retry_armed_) return;
   retry_armed_ = true;
-  sender_.node().event_queue().schedule_after(sim::msec(1), [this] {
+  sender_.node().event_queue().post_after(sim::msec(1), [this] {
     retry_armed_ = false;
     std::vector<gm::Buffer> parked;
     parked.swap(recv_retry_);

@@ -151,7 +151,7 @@ void Endpoint::return_credits(net::NodeId to, int n) {
     // No staging slot free for the credit message right now. Credit
     // messages must never consume send credits (that would deadlock the
     // flow control), so retry shortly instead of queueing behind data.
-    node_.event_queue().schedule_after(sim::usec(5), [this, to, n] {
+    node_.event_queue().post_after(sim::usec(5), [this, to, n] {
       return_credits(to, n);
     });
     return;
@@ -175,7 +175,7 @@ void Endpoint::return_credits(net::NodeId to, int n) {
     // the slot back and retry on the same no-slot backoff path.
     --stats_.credit_returns;
     staging_.push_back(slot);
-    node_.event_queue().schedule_after(sim::usec(5), [this, to, n] {
+    node_.event_queue().post_after(sim::usec(5), [this, to, n] {
       return_credits(to, n);
     });
   }

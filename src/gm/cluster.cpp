@@ -153,8 +153,8 @@ void Cluster::poll_drain(net::NodeId x, sim::Time quiet_window,
     retire_now(x, std::move(on_retired));
     return;
   }
-  eq_.schedule_after(sim::msec(1), [this, x, quiet_window, quiet_since,
-                                    on_retired = std::move(on_retired)]() mutable {
+  eq_.post_after(sim::msec(1), [this, x, quiet_window, quiet_since,
+                                on_retired = std::move(on_retired)]() mutable {
     poll_drain(x, quiet_window, std::move(quiet_since),
                std::move(on_retired));
   });

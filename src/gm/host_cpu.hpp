@@ -7,8 +7,8 @@
 // benches their numerator.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -19,12 +19,14 @@ class HostCpu {
  public:
   explicit HostCpu(sim::EventQueue& eq) : eq_(eq) {}
 
-  /// Occupy the CPU for `cost`, then run `then`.
-  void run(sim::Time cost, std::function<void()> then) {
+  /// Occupy the CPU for `cost`, then run `then`. `then` is the event
+  /// queue's callback type, so it moves into its event without a second
+  /// type erasure.
+  void run(sim::Time cost, sim::EventQueue::Callback then) {
     const sim::Time start = std::max(eq_.now(), busy_until_);
     busy_until_ = start + cost;
     busy_ns_ += cost;
-    eq_.schedule_at(busy_until_, std::move(then));
+    eq_.post_at(busy_until_, std::move(then));
   }
 
   [[nodiscard]] sim::Time busy_ns() const noexcept { return busy_ns_; }

@@ -9,7 +9,10 @@ Port::Port(Node& node, std::uint8_t id, Config cfg)
       id_(id),
       cfg_(cfg),
       send_tokens_free_(cfg.send_tokens),
-      recv_tokens_free_(cfg.recv_tokens) {}
+      recv_tokens_free_(cfg.recv_tokens) {
+  send_callbacks_.reserve(cfg.send_tokens);
+  recv_buffers_.reserve(cfg.recv_tokens);
+}
 
 bool Port::ftgm() const {
   return node_.config().mode == mcp::McpMode::kFtgm;
@@ -120,7 +123,7 @@ Status Port::submit_send(const Buffer& buf, std::uint32_t len,
     cost += t.hostt.ftgm_send_backup;
     cost += t.hostt.ftgm_seq_sync;  // 0 in the chosen per-port design
   }
-  if (cb) send_callbacks_[req.token_id] = std::move(cb);
+  if (cb) send_callbacks_.put(req.token_id, std::move(cb));
   stats_.send_cpu_ns += cost;
 
   // The Node outlives every Port; capture it rather than `this` so a
@@ -156,23 +159,21 @@ Status Port::get_with_callback(const Buffer& local, std::uint32_t len,
   g.local_vaddr = static_cast<std::uint32_t>(local.addr);
   g.len = len;
   g.correlation = next_token_id_++;
-  pending_gets_[g.correlation] = PendingGet{g, std::move(cb), 0};
+  pending_gets_.put(g.correlation, PendingGet{g, std::move(cb), 0});
   issue_get(g.correlation);
   return Status::kOk;
 }
 
 void Port::issue_get(std::uint32_t correlation) {
-  auto it = pending_gets_.find(correlation);
-  if (it == pending_gets_.end()) return;
-  PendingGet& pg = it->second;
-  if (pg.attempts >= 12) {
-    auto cb = std::move(pg.cb);
-    pending_gets_.erase(it);
-    if (cb) cb(false);
+  auto pg = pending_gets_.take(correlation);
+  if (!pg) return;
+  if (pg->attempts >= 12) {
+    if (pg->cb) pg->cb(false);
     return;
   }
-  ++pg.attempts;
-  const mcp::GetRequest req = pg.req;
+  const int attempts = ++pg->attempts;
+  const mcp::GetRequest req = pg->req;
+  pending_gets_.put(correlation, std::move(*pg));
   Node* n = &node_;
   node_.cpu().run(node_.config().timing.hostt.send_api_overhead, [n, req] {
     n->pci().pio([n, req] {
@@ -184,8 +185,8 @@ void Port::issue_get(std::uint32_t correlation) {
   // are reissued, and the total budget (~2.5 s) outlasts a full FTGM NIC
   // recovery on either end of the path.
   const sim::Time delay =
-      std::min<sim::Time>(sim::msec(2) << (pg.attempts - 1), sim::msec(800));
-  node_.event_queue().schedule_after(
+      std::min<sim::Time>(sim::msec(2) << (attempts - 1), sim::msec(800));
+  node_.event_queue().post_after(
       delay, guarded([this, correlation] { issue_get(correlation); }));
 }
 
@@ -206,8 +207,7 @@ Status Port::provide_receive_buffer(const Buffer& buf,
   tok.size = buf.size;
   tok.priority = priority;
   tok.token_id = next_token_id_++;
-  recv_buffers_[tok.token_id] = buf;
-  recv_priorities_[tok.token_id] = priority;
+  recv_buffers_.put(tok.token_id, PostedBuffer{buf, priority});
   if (ftgm()) backup_.add_recv(tok);
 
   Node* n = &node_;
@@ -222,7 +222,7 @@ Status Port::provide_receive_buffer(const Buffer& buf,
 
 void Port::set_alarm(sim::Time delay, std::function<void()> handler) {
   const std::uint32_t aid = next_alarm_id_++;
-  alarms_[aid] = std::move(handler);
+  alarms_.put(aid, std::move(handler));
   node_.mcp().host_set_alarm(id_, delay, aid);
 }
 
@@ -232,7 +232,7 @@ void Port::push_event(const mcp::EventRecord& ev) {
                  static_cast<std::int64_t>(queue_.size()));
   if (!pump_armed_) {
     pump_armed_ = true;
-    node_.event_queue().schedule_after(
+    node_.event_queue().post_after(
         node_.config().timing.hostt.poll_interval,
         guarded([this] { pump(); }));
   }
@@ -284,15 +284,9 @@ void Port::dispatch(const mcp::EventRecord& ev) {
       stats_.bytes_received += ev.len;
       sync_token_gauges();
       RecvInfo info;
-      auto it = recv_buffers_.find(ev.token_id);
-      if (it != recv_buffers_.end()) {
-        info.buffer = it->second;
-        recv_buffers_.erase(it);
-      }
-      auto pit = recv_priorities_.find(ev.token_id);
-      if (pit != recv_priorities_.end()) {
-        info.priority = pit->second;
-        recv_priorities_.erase(pit);
+      if (const auto posted = recv_buffers_.take(ev.token_id)) {
+        info.buffer = posted->buffer;
+        info.priority = posted->priority;
       }
       info.len = ev.len;
       info.src = ev.peer;
@@ -307,31 +301,20 @@ void Port::dispatch(const mcp::EventRecord& ev) {
       ++send_tokens_free_;
       ++stats_.sends_completed;
       sync_token_gauges();
-      auto it = send_callbacks_.find(ev.token_id);
-      if (it != send_callbacks_.end()) {
-        auto cb = std::move(it->second);
-        send_callbacks_.erase(it);
-        cb(true);
-      }
+      if (auto cb = send_callbacks_.take(ev.token_id)) (*cb)(true);
       break;
     }
     case mcp::EventType::kGot: {
       if (ftgm()) backup_.note_recv_seq(ev.peer, ev.stream, ev.seq);
-      auto it = pending_gets_.find(ev.msg_id);
-      if (it != pending_gets_.end()) {
-        auto cb = std::move(it->second.cb);
-        pending_gets_.erase(it);
-        if (cb) cb(true);
+      if (auto got = pending_gets_.take(ev.msg_id)) {
+        if (got->cb) got->cb(true);
       }
       break;
     }
     case mcp::EventType::kAlarm: {
       ++stats_.alarms;
-      auto it = alarms_.find(ev.token_id);
-      if (it != alarms_.end()) {
-        auto h = std::move(it->second);
-        alarms_.erase(it);
-        if (h) h();
+      if (auto h = alarms_.take(ev.token_id)) {
+        if (*h) (*h)();
       }
       break;
     }
@@ -353,12 +336,7 @@ void Port::unknown(const mcp::EventRecord& ev) {
       if (ftgm()) backup_.remove_send(ev.token_id);
       ++send_tokens_free_;
       sync_token_gauges();
-      auto it = send_callbacks_.find(ev.token_id);
-      if (it != send_callbacks_.end()) {
-        auto cb = std::move(it->second);
-        send_callbacks_.erase(it);
-        cb(false);
-      }
+      if (auto cb = send_callbacks_.take(ev.token_id)) (*cb)(false);
       break;
     }
     default:

@@ -16,7 +16,7 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "core/backup_store.hpp"
 #include "gm/status.hpp"
@@ -211,6 +211,36 @@ class Port {
     };
   }
 
+  /// Flat table keyed by a token id (or a get's correlation, an alarm's
+  /// id). It holds one entry per token in flight, so it stays as small as
+  /// the port's token count and a linear scan beats hashing; nothing
+  /// iterates it, so lookup order cannot leak into behaviour. Ids are
+  /// never reused, so put() never meets a duplicate.
+  template <typename V>
+  class TokenTable {
+   public:
+    void reserve(std::size_t n) { slots_.reserve(n); }
+    void put(std::uint32_t id, V v) { slots_.push_back({id, std::move(v)}); }
+    /// Remove and return the entry for `id`, if there is one.
+    std::optional<V> take(std::uint32_t id) {
+      for (std::size_t i = 0; i < slots_.size(); ++i) {
+        if (slots_[i].id != id) continue;
+        std::optional<V> out(std::move(slots_[i].value));
+        if (i + 1 != slots_.size()) slots_[i] = std::move(slots_.back());
+        slots_.pop_back();
+        return out;
+      }
+      return std::nullopt;
+    }
+
+   private:
+    struct Slot {
+      std::uint32_t id;
+      V value;
+    };
+    std::vector<Slot> slots_;
+  };
+
   struct BoundMetrics {
     metrics::Gauge* send_tokens_in_flight = nullptr;
     metrics::Gauge* recv_tokens_posted = nullptr;
@@ -246,11 +276,16 @@ class Port {
   };
   void issue_get(std::uint32_t correlation);
 
-  std::unordered_map<std::uint32_t, SendCallback> send_callbacks_;
-  std::unordered_map<std::uint32_t, PendingGet> pending_gets_;
-  std::unordered_map<std::uint32_t, Buffer> recv_buffers_;  // token -> buf
-  std::unordered_map<std::uint32_t, std::uint8_t> recv_priorities_;
-  std::unordered_map<std::uint32_t, std::function<void()>> alarms_;
+  // A posted receive buffer and the priority it was posted at.
+  struct PostedBuffer {
+    Buffer buffer;
+    std::uint8_t priority = 0;
+  };
+
+  TokenTable<SendCallback> send_callbacks_;   // send token -> completion
+  TokenTable<PendingGet> pending_gets_;       // correlation -> get
+  TokenTable<PostedBuffer> recv_buffers_;     // recv token -> buffer
+  TokenTable<std::function<void()>> alarms_;  // alarm id -> handler
   std::uint32_t next_alarm_id_ = 1;
 
   // Destinations this port has posted to: streams already established

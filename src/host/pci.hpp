@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "host/timing.hpp"
 #include "sim/event_queue.hpp"
@@ -20,10 +19,12 @@ class PciBus {
   PciBus(sim::EventQueue& eq, PciTiming cfg) : eq_(eq), cfg_(cfg) {}
 
   /// Queue a DMA transaction of `bytes`; `done` fires when it completes.
-  void dma(std::size_t bytes, std::function<void()> done);
+  /// `done` is the event queue's callback type: a step's closure is
+  /// type-erased once and moves into its event in one piece.
+  void dma(std::size_t bytes, sim::EventQueue::Callback done);
 
   /// Queue a programmed-I/O access (doorbell/register); `done` on completion.
-  void pio(std::function<void()> done);
+  void pio(sim::EventQueue::Callback done);
 
   /// Cost of one PIO access (for synchronous accounting paths).
   [[nodiscard]] sim::Time pio_cost() const noexcept { return cfg_.pio; }
@@ -35,7 +36,7 @@ class PciBus {
   [[nodiscard]] std::uint64_t transactions() const noexcept { return txns_; }
 
  private:
-  void occupy(sim::Time dur, std::function<void()> done);
+  void occupy(sim::Time dur, sim::EventQueue::Callback done);
 
   sim::EventQueue& eq_;
   PciTiming cfg_;

@@ -86,7 +86,7 @@ void Nic::schedule_timer_wake(int idx) {
   auto& wake = wake_at_[static_cast<std::size_t>(idx)];
   if (wake <= t.deadline()) return;
   wake = t.deadline();
-  eq_.schedule_at(t.deadline(), [this, idx] {
+  eq_.post_at(t.deadline(), [this, idx] {
     auto& w = wake_at_[static_cast<std::size_t>(idx)];
     if (w != eq_.now()) return;  // superseded by an earlier wake-up
     w = kNoWake;

@@ -137,7 +137,7 @@ void FailoverManager::request_remap() {
   if (!pending_) {
     pending_ = true;
     trigger_time_ = cluster_.eq().now();
-    cluster_.eq().schedule_after(cfg_.debounce, [this] {
+    cluster_.eq().post_after(cfg_.debounce, [this] {
       pending_ = false;
       start_remap();
     });
@@ -206,7 +206,7 @@ void FailoverManager::schedule_remap_retry() {
   const sim::Time wait = cfg_.remap_retry_backoff
                          << std::min<std::uint32_t>(remap_retries_, 3);
   ++remap_retries_;
-  cluster_.eq().schedule_after(wait, [this] {
+  cluster_.eq().post_after(wait, [this] {
     retry_pending_ = false;
     if (running_ || pending_) return;  // something else already remapping
     trigger_time_ = cluster_.eq().now();
@@ -217,7 +217,7 @@ void FailoverManager::schedule_remap_retry() {
 void FailoverManager::arm_scrub() {
   if (scrub_armed_) return;
   scrub_armed_ = true;
-  cluster_.eq().schedule_after(cfg_.scrub_interval, [this] {
+  cluster_.eq().post_after(cfg_.scrub_interval, [this] {
     scrub_armed_ = false;
     if (mapper_.epoch() == 0) return;
     if (running_ || pending_) {

@@ -125,7 +125,7 @@ void Mapper::send_scout(net::Route route, std::optional<std::uint32_t> parent,
   pkt.seal();
   home_.mcp().send_raw(std::move(pkt));
 
-  home_.event_queue().schedule_after(cfg_.scout_timeout, [this, id] {
+  home_.event_queue().post_after(cfg_.scout_timeout, [this, id] {
     auto it = pending_.find(id);
     if (it == pending_.end()) return;
     PendingScout ctx = std::move(it->second);
@@ -427,7 +427,7 @@ void Mapper::arm_retry(net::NodeId x) {
   // Bounded exponential backoff: 1x, 2x, 4x ... 32x the base timeout.
   const sim::Time wait =
       cfg_.ack_timeout << std::min<std::uint32_t>(it->second.round, 5);
-  home_.event_queue().schedule_after(wait, [this, x, gen] {
+  home_.event_queue().post_after(wait, [this, x, gen] {
     auto dit = dist_.find(x);
     if (dit == dist_.end() || dit->second.gen != gen) return;  // superseded
     Distribution& d = dit->second;
@@ -533,7 +533,7 @@ void Mapper::check_distribution_done() {
   distributing_ = false;
   // Fire asynchronously: run()'s contract is that done() never re-enters
   // the caller's stack (the old settle timer behaved the same way).
-  home_.event_queue().schedule_after(0, [this] {
+  home_.event_queue().post_after(0, [this] {
     if (done_) {
       auto cb = std::move(done_);
       done_ = nullptr;

@@ -42,6 +42,41 @@ std::uint32_t fragments_of(std::uint32_t len) {
 }
 }  // namespace
 
+template <typename F>
+void Mcp::exec(sim::Time cost, F fn) {
+  catch_up();
+  auto& eq = nic_.event_queue();
+  const sim::Time start = std::max(eq.now(), busy_until_);
+  busy_until_ = start + cost;
+  stats_.busy_ns += cost;
+  if (busy_until_ > busy_limit_) replan();
+  auto step = [this, g = gen_, fn = std::move(fn)]() mutable {
+    catch_up();
+    if (hung_ || !loaded_ || g != gen_) return;
+    fn();
+  };
+  static_assert(sim::EventQueue::Callback::fits_inline<decltype(step)>(),
+                "an exec step must fit the event slab's inline buffer");
+  eq.post_at(busy_until_, std::move(step));
+}
+
+template <typename After>
+void Mcp::post_event(std::uint8_t port, EventRecord ev, After after) {
+  auto landed = [this, g = gen_, port, ev, after = std::move(after)]() mutable {
+    if (!loaded_ || g != gen_) return;
+    ++stats_.events_posted;
+    if (host_) host_->post_event(port, ev);
+    if (!hung_) after();
+  };
+  static_assert(sim::EventQueue::Callback::fits_inline<decltype(landed)>(),
+                "a post_event step must fit the event slab's inline buffer");
+  pci_.dma(kEventRecordWireBytes, std::move(landed));
+}
+
+void Mcp::post_event(std::uint8_t port, EventRecord ev) {
+  post_event(port, ev, [] {});
+}
+
 Mcp::Mcp(lanai::Nic& nic, host::PciBus& pci, host::HostMemory& hmem,
          Config cfg)
     : nic_(nic), pci_(pci), hmem_(hmem), cfg_(cfg),
@@ -110,21 +145,6 @@ void Mcp::load() {
     rx_handler_pending_ = true;
     exec(cfg_.timing.lanai.dispatch_overhead, [this] { on_packet(); });
   }
-}
-
-void Mcp::exec(sim::Time cost, std::function<void()> fn) {
-  catch_up();
-  auto& eq = nic_.event_queue();
-  const sim::Time start = std::max(eq.now(), busy_until_);
-  busy_until_ = start + cost;
-  stats_.busy_ns += cost;
-  if (busy_until_ > busy_limit_) replan();
-  const std::uint64_t g = gen_;
-  eq.schedule_at(busy_until_, [this, g, fn = std::move(fn)] {
-    catch_up();
-    if (hung_ || !loaded_ || g != gen_) return;
-    fn();
-  });
 }
 
 bool Mcp::run_interpreted(std::uint32_t entry) {
@@ -340,8 +360,8 @@ void Mcp::run_l_timer(sim::Time at) {
         const std::uint64_t g = gen_;
         const std::uint8_t port = cmd.port;
         const std::uint32_t aid = cmd.alarm_id;
-        nic_.event_queue().schedule_after(cmd.alarm_delay,
-                                          [this, g, port, aid] {
+        nic_.event_queue().post_after(cmd.alarm_delay,
+                                      [this, g, port, aid] {
           if (hung_ || !loaded_ || g != gen_) return;
           ++stats_.alarms_fired;
           EventRecord ev;
@@ -701,7 +721,7 @@ void Mcp::start_fragment(SendStream& s) {
       ++stats_.send_chunk_bailouts;
       dma_active_ = false;
       const std::uint64_t g = gen_;
-      nic_.event_queue().schedule_after(sim::usec(200), [this, g] {
+      nic_.event_queue().post_after(sim::usec(200), [this, g] {
         if (hung_ || !loaded_ || g != gen_) return;
         exec(cfg_.timing.lanai.dispatch_overhead, [this] { kick_sender(); });
       });
@@ -828,7 +848,7 @@ void Mcp::schedule_rto_scan() {
   if (rto_scan_armed_ || hung_ || !loaded_) return;
   rto_scan_armed_ = true;
   const std::uint64_t g = gen_;
-  nic_.event_queue().schedule_after(cfg_.rto / 2, [this, g] {
+  nic_.event_queue().post_after(cfg_.rto / 2, [this, g] {
     if (hung_ || !loaded_ || g != gen_) return;
     rto_scan_armed_ = false;
     bool any = false;
@@ -1168,17 +1188,6 @@ void Mcp::fragment_dma_done(std::uint64_t /*key*/, std::uint32_t seq,
   }
 }
 
-void Mcp::post_event(std::uint8_t port, EventRecord ev,
-                     std::function<void()> after) {
-  pci_.dma(kEventRecordWireBytes,
-           [this, g = gen_, port, ev, after = std::move(after)] {
-             if (!loaded_ || g != gen_) return;
-             ++stats_.events_posted;
-             if (host_) host_->post_event(port, ev);
-             if (after && !hung_) after();
-           });
-}
-
 // --------------------------------------------------------------------------
 // gm_get (RDMA read)
 // --------------------------------------------------------------------------
@@ -1307,7 +1316,7 @@ void Mcp::arm_announce_retry() {
   if (announce_left_ == 0) return;
   --announce_left_;
   const std::uint64_t g = announce_gen_;
-  nic_.event_queue().schedule_after(announce_wait_, [this, g] {
+  nic_.event_queue().post_after(announce_wait_, [this, g] {
     if (g != announce_gen_) return;  // cancelled or superseded
     if (hung_ || !loaded_) return;
     send_announce(/*retry=*/true);

@@ -254,7 +254,11 @@ class Mcp {
   };
 
   // Serialize a routine on the LANai processor and account occupancy.
-  void exec(sim::Time cost, std::function<void()> fn);
+  // exec and post_event wrap their guard around the caller's step by
+  // value, so step and guard are one closure, type-erased once in its
+  // event. Defined in mcp.cpp, their only user.
+  template <typename F>
+  void exec(sim::Time cost, F fn);
   // Run interpreted code; on abnormal return, transition to hung/restart.
   bool run_interpreted(std::uint32_t entry);
   void handle_cpu_failure(const lanai::RunResult& r);
@@ -307,8 +311,11 @@ class Mcp {
                          RecvToken token, std::uint32_t msg_len,
                          std::uint32_t msg_id, net::NodeId src,
                          std::uint8_t src_port, std::uint32_t sid);
-  void post_event(std::uint8_t port, EventRecord ev,
-                  std::function<void()> after = nullptr);
+  // DMA an event record to the host; `after` runs once it has landed,
+  // unless the MCP hung meanwhile.
+  template <typename After>
+  void post_event(std::uint8_t port, EventRecord ev, After after);
+  void post_event(std::uint8_t port, EventRecord ev);
 
   // Mapper packets.
   void handle_map_packet(net::Packet pkt);

@@ -86,7 +86,7 @@ void Link::send(Packet pkt) {
     trace_->log(sim::TraceCat::kNet, eq_.now(), name_,
                 "TX " + pkt.describe());
   }
-  eq_.schedule_at(arrive, [this, wire, p = std::move(pkt)]() mutable {
+  eq_.post_at(arrive, [this, wire, p = std::move(pkt)]() mutable {
     --queued_;
     ++stats_.delivered;
     stats_.delivered_bytes += wire;

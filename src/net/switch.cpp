@@ -60,10 +60,10 @@ void Switch::deliver(Packet pkt, std::uint8_t in_port) {
     }
     return;
   }
-  eq_.schedule_after(cfg_.routing_latency,
-                     [this, p = std::move(pkt), out_port]() mutable {
-                       forward(std::move(p), out_port, 0);
-                     });
+  eq_.post_after(cfg_.routing_latency,
+                 [this, p = std::move(pkt), out_port]() mutable {
+                   forward(std::move(p), out_port, 0);
+                 });
 }
 
 void Switch::forward(Packet pkt, std::uint8_t out_port, unsigned attempts) {
@@ -78,10 +78,10 @@ void Switch::forward(Packet pkt, std::uint8_t out_port, unsigned attempts) {
       return;
     }
     ++stats_.stalled;
-    eq_.schedule_after(cfg_.stall_retry,
-                       [this, p = std::move(pkt), out_port, attempts]() mutable {
-                         forward(std::move(p), out_port, attempts + 1);
-                       });
+    eq_.post_after(cfg_.stall_retry,
+                   [this, p = std::move(pkt), out_port, attempts]() mutable {
+                     forward(std::move(p), out_port, attempts + 1);
+                   });
     return;
   }
   ++stats_.forwarded;

@@ -1,11 +1,17 @@
-// Move-only callable wrapper with inline storage.
+// Move-only callable wrapper with inline storage: the one callback type
+// on the simulator's hot paths.
 //
-// The event queue stores one callback per scheduled event. With
-// std::function every Link/Switch hop heap-allocates its closure (a
-// captured Packet alone is 128 bytes, past any SBO), which at 512-node
-// scale dominates the simulator's profile. InlineCallback keeps closures
-// up to `Capacity` bytes inside the pooled event slab entry itself; only
-// oversized or throwing-move callables fall back to the heap.
+// Every scheduled event owns one callback, and so does every step on the
+// message path (EventQueue::Callback, InlineCallback<152>): the host CPU
+// and PCI models take it, and the MCP's exec/post_event wrap their guard
+// around the caller's step and hand the whole closure over in one piece. A
+// closure is type-erased exactly once, and the event queue builds it in
+// its slab entry (emplace) and runs it there, so the steady-state message
+// path does no heap allocation per step. A std::function per step would
+// allocate for every closure past its 16-byte buffer; a captured Packet
+// alone is 128 bytes. Only oversized or throwing-move callables fall back
+// to the heap; hot-path wrappers static_assert fits_inline<> so a closure
+// that outgrows the buffer is a compile error, not a silent allocation.
 #pragma once
 
 #include <cstddef>
@@ -28,14 +34,7 @@ class InlineCallback {
                 !std::is_same_v<std::decay_t<F>, InlineCallback> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   InlineCallback(F&& f) {  // NOLINT(runtime/explicit)
-    using Fn = std::decay_t<F>;
-    if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      vt_ = &kInlineVt<Fn>;
-    } else {
-      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
-      vt_ = &kHeapVt<Fn>;
-    }
+    construct(std::forward<F>(f));
   }
 
   InlineCallback(InlineCallback&& o) noexcept { steal(o); }
@@ -53,6 +52,21 @@ class InlineCallback {
   InlineCallback(const InlineCallback&) = delete;
   InlineCallback& operator=(const InlineCallback&) = delete;
   ~InlineCallback() { reset(); }
+
+  /// Replace the held callable: build `f` in this object's own buffer
+  /// (or take over another InlineCallback's), with no temporary in
+  /// between. This is how the event queue builds a closure in its slab
+  /// entry.
+  template <typename F>
+  void emplace(F&& f) {
+    reset();
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineCallback>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "move the callback in");
+      steal(f);
+    } else {
+      construct(std::forward<F>(f));
+    }
+  }
 
   void operator()() { vt_->invoke(buf_); }
   explicit operator bool() const noexcept { return vt_ != nullptr; }
@@ -96,6 +110,18 @@ class InlineCallback {
       [](void* dst, void* src) { ::new (dst) Fn*(*as<Fn*>(src)); },
       [](void* p) { delete *as<Fn*>(p); },
   };
+
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (fits_inline<Fn>()) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      vt_ = &kInlineVt<Fn>;
+    } else {
+      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
+      vt_ = &kHeapVt<Fn>;
+    }
+  }
 
   void steal(InlineCallback& o) noexcept {
     if (o.vt_ != nullptr) {

@@ -2,21 +2,28 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 
 namespace myri::sim {
 
 // ---- event slab ----------------------------------------------------------
 //
-// Every scheduled event occupies one pooled Entry; the closure is stored
-// inline (InlineCallback), so the steady-state hot path does zero heap
-// allocation. Slots are recycled through a free list; each reuse bumps the
-// slot's generation so outstanding Handles (and any queue item referencing
-// the old incarnation) go inert instead of touching the new occupant. The
-// slab is shared_ptr-owned by the queue and weak_ptr-referenced by Handles,
-// which makes a Handle outliving its queue a safe no-op.
+// Every scheduled event occupies one pooled Entry. Its closure is built in
+// the entry (InlineCallback::emplace) and runs there, so the steady-state
+// hot path neither allocates nor copies a closure. The pool grows in fixed
+// chunks and never moves an entry, which is what lets a callback run in
+// place while it schedules enough events to grow the pool. Slots are
+// recycled through a free list; each reuse bumps the slot's generation so
+// outstanding Handles (and any queue item referencing the old incarnation)
+// go inert instead of touching the new occupant. The slab is
+// shared_ptr-owned by the queue and weak_ptr-referenced by Handles, which
+// makes a Handle outliving its queue a safe no-op.
 
 struct EventQueue::Slab {
   static constexpr std::uint32_t kNone = 0xffffffffu;
+  static constexpr std::uint32_t kChunkShift = 5;  // 32 entries, 6 KiB
+  static constexpr std::uint32_t kChunk = 1u << kChunkShift;
+  static constexpr std::uint32_t kChunkMask = kChunk - 1;
 
   enum class State : std::uint8_t { kFree, kPending, kCancelled };
 
@@ -25,14 +32,18 @@ struct EventQueue::Slab {
   // cache lines.
   struct Entry {
     Time scheduled_at = 0;
-    std::uint64_t seq = 0;
     Callback cb;
     std::uint32_t gen = 0;
     std::uint32_t next_free = kNone;
     State state = State::kFree;
   };
 
-  std::vector<Entry> pool;
+  Entry& at(std::uint32_t slot) {
+    return chunks[slot >> kChunkShift][slot & kChunkMask];
+  }
+
+  std::vector<std::unique_ptr<Entry[]>> chunks;
+  std::uint32_t size = 0;  // slots handed out so far
   std::uint32_t free_head = kNone;
   std::size_t live = 0;       // pending (non-cancelled) events
   std::size_t cancelled = 0;  // cancelled entries not yet reclaimed
@@ -40,8 +51,8 @@ struct EventQueue::Slab {
 
 void EventQueue::Handle::cancel() {
   auto s = slab_.lock();
-  if (!s || slot_ >= s->pool.size()) return;
-  Slab::Entry& e = s->pool[slot_];
+  if (!s || slot_ >= s->size) return;
+  Slab::Entry& e = s->at(slot_);
   if (e.gen != gen_ || e.state != Slab::State::kPending) return;
   e.state = Slab::State::kCancelled;
   e.cb = nullptr;  // release captured resources eagerly
@@ -51,8 +62,8 @@ void EventQueue::Handle::cancel() {
 
 bool EventQueue::Handle::pending() const {
   auto s = slab_.lock();
-  if (!s || slot_ >= s->pool.size()) return false;
-  const Slab::Entry& e = s->pool[slot_];
+  if (!s || slot_ >= s->size) return false;
+  const Slab::Entry& e = s->at(slot_);
   return e.gen == gen_ && e.state == Slab::State::kPending;
 }
 
@@ -74,9 +85,7 @@ constexpr std::size_t kCompactMin = 1024;
 }  // namespace
 
 EventQueue::EventQueue()
-    : slab_(std::make_shared<Slab>()), buckets_(kBucketCount) {
-  slab_->pool.reserve(1024);
-}
+    : slab_(std::make_shared<Slab>()), buckets_(kBucketCount) {}
 
 EventQueue::~EventQueue() = default;
 
@@ -94,36 +103,44 @@ std::uint32_t EventQueue::alloc_slot() {
   Slab& s = *slab_;
   if (s.free_head != Slab::kNone) {
     const std::uint32_t slot = s.free_head;
-    s.free_head = s.pool[slot].next_free;
+    s.free_head = s.at(slot).next_free;
     return slot;
   }
-  s.pool.emplace_back();
-  return static_cast<std::uint32_t>(s.pool.size() - 1);
+  if ((s.size & Slab::kChunkMask) == 0) {
+    s.chunks.push_back(std::make_unique<Slab::Entry[]>(Slab::kChunk));
+  }
+  return s.size++;
 }
 
-void EventQueue::free_slot(std::uint32_t slot) {
-  Slab& s = *slab_;
-  Slab::Entry& e = s.pool[slot];
+void EventQueue::retire_slot(std::uint32_t slot) {
+  Slab::Entry& e = slab_->at(slot);
   ++e.gen;  // outstanding handles and queue items go stale
   e.state = Slab::State::kFree;
+}
+
+void EventQueue::recycle_slot(std::uint32_t slot) {
+  Slab& s = *slab_;
+  Slab::Entry& e = s.at(slot);
   e.cb = nullptr;
   e.next_free = s.free_head;
   s.free_head = slot;
 }
 
-EventQueue::Handle EventQueue::schedule_at(Time at, Callback cb) {
+void EventQueue::free_slot(std::uint32_t slot) {
+  retire_slot(slot);
+  recycle_slot(slot);
+}
+
+EventQueue::Claim EventQueue::claim(Time at) {
   at = std::max(at, now_);
   const std::uint32_t slot = alloc_slot();
-  Slab::Entry& e = slab_->pool[slot];
+  Slab::Entry& e = slab_->at(slot);
   e.scheduled_at = now_;
-  e.seq = next_seq_++;
-  e.cb = std::move(cb);
   e.state = Slab::State::kPending;
   ++slab_->live;
-  const Handle h(slab_, slot, e.gen);
-  place_item(Item{at, e.seq, slot, e.gen});
+  place_item(Item{at, next_seq_++, slot, e.gen});
   maybe_compact();
-  return h;
+  return Claim{e.cb, slot, e.gen};
 }
 
 // ---- occupancy bitmap ----------------------------------------------------
@@ -243,7 +260,7 @@ bool EventQueue::advance_to_next(bool bounded, Time limit) {
   }
   if (!cur_sorted_) {
     auto& b = buckets_[cur_bn_ & kBucketMask];
-    std::sort(b.begin(), b.end(), kLater);
+    if (b.size() > 1) std::sort(b.begin(), b.end(), kLater);
     cur_sorted_ = true;
   }
   return true;
@@ -256,13 +273,13 @@ bool EventQueue::pop_and_run(bool bounded, Time limit) {
     const std::uint64_t idx = cur_bn_ & kBucketMask;
     auto& b = buckets_[idx];
     const Item it = b.back();
-    Slab::Entry* e = &s.pool[it.slot];
-    if (e->gen != it.gen) {  // slot recycled since: stale item
+    Slab::Entry& e = s.at(it.slot);
+    if (e.gen != it.gen) {  // slot recycled since: stale item
       b.pop_back();
       if (b.empty()) mark_empty(idx);
       continue;
     }
-    if (e->state == Slab::State::kCancelled) {
+    if (e.state == Slab::State::kCancelled) {
       b.pop_back();
       if (b.empty()) mark_empty(idx);
       --s.cancelled;
@@ -273,18 +290,19 @@ bool EventQueue::pop_and_run(bool bounded, Time limit) {
     b.pop_back();
     if (b.empty()) mark_empty(idx);
     now_ = it.at;
-    const Time scheduled_at = e->scheduled_at;
-    Callback cb = std::move(e->cb);
     --s.live;
     ++executed_;
-    free_slot(it.slot);
-    e = nullptr;  // pool may reallocate once user code runs
-    // Run after the entry leaves the queue so the callback may schedule
-    // or cancel freely, including rescheduling itself.
-    cur_scheduled_at_ = scheduled_at;
-    cb();
+    // Retire the event before it runs: its own Handle is inert from here
+    // on, so the callback may schedule or cancel freely, including
+    // rescheduling itself. The slot rejoins the free list only after the
+    // callback returns, so nothing the callback schedules can land in it;
+    // the closure runs in place at a stable address.
+    retire_slot(it.slot);
+    cur_scheduled_at_ = e.scheduled_at;
+    e.cb();
     if (after_event_) after_event_(now_);
     cur_scheduled_at_ = kNotExecuting;
+    recycle_slot(it.slot);
     return true;
   }
   reclaim_all();
@@ -317,7 +335,7 @@ void EventQueue::reclaim_all() {
   // cancelled. Drop them all and rewind the cursor to the clock.
   Slab& s = *slab_;
   const auto drop = [&](const Item& it) {
-    const Slab::Entry& e = s.pool[it.slot];
+    const Slab::Entry& e = s.at(it.slot);
     if (e.gen == it.gen && e.state == Slab::State::kCancelled) {
       --s.cancelled;
       free_slot(it.slot);
@@ -341,7 +359,7 @@ void EventQueue::maybe_compact() {
   // live population instead of the cancellation history.
   ++compactions_;
   const auto dead = [&](const Item& it) {
-    Slab::Entry& e = s.pool[it.slot];
+    Slab::Entry& e = s.at(it.slot);
     if (e.gen != it.gen) return true;
     if (e.state == Slab::State::kCancelled) {
       --s.cancelled;

@@ -15,15 +15,16 @@
 //
 // Internally the queue is a calendar queue: a ring of fixed-width time
 // buckets plus a min-heap overflow for events beyond the ring's horizon,
-// with all event entries pooled in a slab allocator (closures live inline
-// in the slab via InlineCallback — no per-event heap allocation on the hot
-// path). An occupancy bitmap over the ring (one bit per bucket plus a
-// summary word) lets the cursor jump straight to the next non-empty bucket
-// with two count-trailing-zeros steps, so a sparse timeline costs nothing
-// per empty bucket. The execution order is defined purely by the
-// (timestamp, sequence) pair, identical to the classic binary-heap
-// implementation this replaced, so golden traces and chaos digests are
-// bit-stable across the designs.
+// with all event entries pooled in a slab allocator. Each closure is built
+// directly in its slab entry (InlineCallback) and runs there: entries have
+// stable addresses, so the hot path neither allocates nor copies a closure
+// per event (DESIGN.md §12). An occupancy bitmap over the ring (one bit
+// per bucket plus a summary word) lets the cursor jump straight to the
+// next non-empty bucket with two count-trailing-zeros steps, so a sparse
+// timeline costs nothing per empty bucket. The execution order is defined
+// purely by the (timestamp, sequence) pair, identical to the classic
+// binary-heap implementation this replaced, so golden traces and chaos
+// digests are bit-stable across the designs.
 #pragma once
 
 #include <array>
@@ -78,11 +79,28 @@ class EventQueue {
   [[nodiscard]] Time now() const noexcept { return now_; }
 
   /// Schedule `cb` at absolute time `at` (clamped to now if in the past).
-  Handle schedule_at(Time at, Callback cb);
+  Handle schedule_at(Time at, Callback cb) {
+    const Claim c = claim(at);
+    c.cb.emplace(std::move(cb));
+    return Handle(slab_, c.slot, c.gen);
+  }
 
   /// Schedule `cb` after `delay` nanoseconds of virtual time.
   Handle schedule_after(Time delay, Callback cb) {
     return schedule_at(now_ + delay, std::move(cb));
+  }
+
+  /// schedule_at for an event nobody will cancel: `f` is built directly
+  /// in its slab entry and no Handle is made. The hot paths use this.
+  template <typename F>
+  void post_at(Time at, F&& f) {
+    claim(at).cb.emplace(std::forward<F>(f));
+  }
+
+  /// post_at after `delay` nanoseconds of virtual time.
+  template <typename F>
+  void post_after(Time delay, F&& f) {
+    post_at(now_ + delay, std::forward<F>(f));
   }
 
   /// Virtual time at which the event now executing was scheduled. Outside
@@ -169,11 +187,22 @@ class EventQueue {
   template <typename F>
   void for_each_occupied(F&& f);
 
+  // A freshly queued slab entry whose callback the caller builds in place.
+  // The one commit routine behind schedule_at and post_at.
+  struct Claim {
+    Callback& cb;
+    std::uint32_t slot;
+    std::uint32_t gen;
+  };
+  Claim claim(Time at);
+
   void place_item(const Item& it);
   void migrate_overflow();
   bool advance_to_next(bool bounded, Time limit);
   bool pop_and_run(bool bounded, Time limit);
   std::uint32_t alloc_slot();
+  void retire_slot(std::uint32_t slot);
+  void recycle_slot(std::uint32_t slot);
   void free_slot(std::uint32_t slot);
   void reclaim_all();
   void maybe_compact();

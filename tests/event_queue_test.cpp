@@ -11,8 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <functional>
 #include <iterator>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -148,6 +151,140 @@ TEST(EventQueueCalendar, StaleHandleCannotCancelARecycledSlot) {
   EXPECT_TRUE(h2.pending());
   eq.run();
   EXPECT_TRUE(second_ran);
+}
+
+// ---- closures run in place -------------------------------------------------
+//
+// A closure is built in its slab entry and runs there; the slot rejoins
+// the free list only after the callback returns. These pin what that
+// must not change: the closure's storage stays put while the callback
+// grows the pool, the running event's own Handle is inert, nothing the
+// callback schedules reuses its slot, and equal-timestamp order.
+
+TEST(EventQueueInPlace, CallbackGrowsTheSlabThenReadsItsCaptures) {
+  struct Ctx {
+    EventQueue eq;
+    std::array<std::uint64_t, 16> want{};
+    int children = 0;
+    bool checked = false;
+  } ctx;
+  std::array<std::uint64_t, 16> pattern{};  // 128 bytes: a Packet's size
+  for (std::size_t i = 0; i < pattern.size(); ++i) {
+    pattern[i] = 0x9e3779b97f4a7c15ULL * (i + 1);
+  }
+  ctx.want = pattern;
+  auto shared = std::make_shared<std::vector<int>>(64, 7);
+  auto body = [c = &ctx, pattern, shared] {
+    // Thousands of live events: the pool grows by many chunks while this
+    // closure is still running from its own entry.
+    for (int i = 0; i < 5000; ++i) {
+      c->eq.post_after(1 + static_cast<Time>(i), [c] { ++c->children; });
+    }
+    EXPECT_EQ(pattern, c->want);
+    ASSERT_EQ(shared->size(), 64u);
+    EXPECT_EQ(shared->front() + shared->back(), 14);
+    c->checked = true;
+  };
+  // 152 bytes: the closure itself lives in the slab entry, not behind a
+  // heap pointer, so only stable entries keep its captures in place.
+  static_assert(EventQueue::Callback::fits_inline<decltype(body)>());
+  ctx.eq.schedule_at(10, std::move(body));
+  ctx.eq.run();
+  EXPECT_TRUE(ctx.checked);
+  EXPECT_EQ(ctx.children, 5000);
+  EXPECT_TRUE(ctx.eq.empty());
+}
+
+TEST(EventQueueInPlace, RunningEventsOwnHandleIsInert) {
+  EventQueue eq;
+  EventQueue::Handle self;
+  int others = 0;
+  bool ran = false;
+  self = eq.schedule_at(100, [&] {
+    EXPECT_FALSE(self.pending());
+    const std::size_t before = eq.pending_events();
+    self.cancel();  // a no-op: must not touch the queue's counts
+    EXPECT_EQ(eq.pending_events(), before);
+    EXPECT_EQ(eq.cancelled_pending(), 0u);
+    eq.post_after(0, [&others] { ++others; });
+    EXPECT_EQ(eq.pending_events(), before + 1);
+    ran = true;
+  });
+  eq.schedule_at(100, [&others] { ++others; });
+  EXPECT_TRUE(self.pending());
+  eq.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(others, 2);
+  EXPECT_FALSE(self.pending());
+  EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueueInPlace, SelfReschedulingNeverReusesItsRunningSlot) {
+  // Each generation schedules its successor, then reads its own captures.
+  // Were the successor built in the running slot, it would overwrite this
+  // closure's tag and free its vector (ASan reports the use after free).
+  EventQueue eq;
+  std::vector<std::uint64_t> seen;
+  struct Step {
+    EventQueue* eq;
+    std::vector<std::uint64_t>* seen;
+    std::uint64_t tag;
+    std::vector<std::uint64_t> history;
+    void operator()() {
+      if (tag < 40) {
+        Step next{eq, seen, tag + 1, history};
+        next.history.push_back(tag);
+        eq->post_after(tag % 3, std::move(next));
+      }
+      EXPECT_EQ(history.size(), tag);
+      for (std::size_t i = 0; i < history.size(); ++i) {
+        EXPECT_EQ(history[i], i);
+      }
+      seen->push_back(tag);
+    }
+  };
+  eq.post_at(5, Step{&eq, &seen, 0, {}});
+  eq.run();
+  ASSERT_EQ(seen.size(), 41u);
+  for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
+}
+
+TEST(EventQueueInPlace, EqualTimestampOrderMatchesTheCopyingQueue) {
+  // Equal-timestamp waves on both sides of a bucket edge whose events
+  // schedule children at now and one bucket later, and cancel a
+  // neighbour. The order was recorded
+  // on the queue that moved each closure out of its slot before running
+  // it; running in place and recycling the slot afterwards must not move
+  // a single event.
+  EventQueue eq;
+  std::vector<int> order;
+  std::vector<EventQueue::Handle> handles;
+  int next_id = 0;
+  std::function<void(Time)> spawn;
+  spawn = [&](Time at) {
+    const int id = next_id++;
+    handles.push_back(eq.schedule_at(at, [&, id] {
+      order.push_back(id);
+      if (next_id < 120) {
+        if (id % 3 == 0) spawn(eq.now());
+        if (id % 2 == 0) spawn(eq.now() + kBucketWidth);
+      }
+      if (id % 7 == 3 && static_cast<std::size_t>(id + 1) < handles.size()) {
+        handles[id + 1].cancel();
+      }
+    }));
+  };
+  for (const Time t : {Time{1000}, Time{1000}, Time{1023}, Time{1024}}) {
+    for (int k = 0; k < 5; ++k) spawn(t);
+  }
+  eq.run();
+  const std::vector<int> want = {
+      0, 1, 2, 3, 5, 6, 7, 8, 9, 20, 23, 24, 27, 29, 31, 10, 12, 13, 14, 33,
+      36, 37, 15, 16, 17, 19, 39, 41, 21, 22, 26, 28, 30, 42, 46, 48, 51, 53,
+      32, 34, 35, 38, 40, 43, 44, 45, 47, 49, 50, 52, 59, 54, 55, 56, 62, 57,
+      66, 58, 61, 63, 64, 65, 70, 68, 69, 74, 71, 72, 76, 73, 75, 79, 77, 78,
+      80, 82, 83};
+  EXPECT_EQ(order, want);
 }
 
 // Naive reference model for the differential tests: every scheduled

@@ -47,12 +47,13 @@ struct GetWorld {
 TEST(GmGet, FetchesRemoteMemory) {
   GetWorld w(mcp::McpMode::kGm);
   bool ok = false, fired = false;
-  w.reader->get_with_callback(
+  const gm::Status st = w.reader->get_with_callback(
       w.local, 512, 1, 3, static_cast<std::uint32_t>(w.exported.addr),
       [&](bool r) {
         ok = r;
         fired = true;
       });
+  ASSERT_EQ(st, gm::Status::kOk);
   w.cluster->run_for(sim::msec(5));
   ASSERT_TRUE(fired);
   EXPECT_TRUE(ok);
@@ -63,10 +64,11 @@ TEST(GmGet, FetchesRemoteMemory) {
 TEST(GmGet, FetchWithOffset) {
   GetWorld w(mcp::McpMode::kFtgm);
   bool ok = false;
-  w.reader->get_with_callback(
+  const gm::Status st = w.reader->get_with_callback(
       w.local, 256, 1, 3,
       static_cast<std::uint32_t>(w.exported.addr + 1000),
       [&](bool r) { ok = r; });
+  ASSERT_EQ(st, gm::Status::kOk);
   w.cluster->run_for(sim::msec(5));
   EXPECT_TRUE(ok);
   EXPECT_TRUE(w.local_matches(256, 1000));
@@ -75,9 +77,10 @@ TEST(GmGet, FetchWithOffset) {
 TEST(GmGet, MultiFragmentFetch) {
   GetWorld w(mcp::McpMode::kFtgm);
   bool ok = false;
-  w.reader->get_with_callback(
+  const gm::Status st = w.reader->get_with_callback(
       w.local, 12 * 1024, 1, 3,
       static_cast<std::uint32_t>(w.exported.addr), [&](bool r) { ok = r; });
+  ASSERT_EQ(st, gm::Status::kOk);
   w.cluster->run_for(sim::msec(10));
   EXPECT_TRUE(ok);
   EXPECT_TRUE(w.local_matches(12 * 1024));
@@ -88,9 +91,10 @@ TEST(GmGet, ConsumesNoTokensOnEitherSide) {
   const auto reader_tokens = w.reader->send_tokens_free();
   const auto target_tokens = w.target->recv_tokens_free();
   bool ok = false;
-  w.reader->get_with_callback(
+  const gm::Status st = w.reader->get_with_callback(
       w.local, 64, 1, 3, static_cast<std::uint32_t>(w.exported.addr),
       [&](bool r) { ok = r; });
+  ASSERT_EQ(st, gm::Status::kOk);
   w.cluster->run_for(sim::msec(5));
   ASSERT_TRUE(ok);
   EXPECT_EQ(w.reader->send_tokens_free(), reader_tokens);
@@ -102,10 +106,13 @@ TEST(GmGet, UnregisteredRemoteMemoryFailsAfterRetries) {
   GetWorld w(mcp::McpMode::kGm);
   bool ok = true, fired = false;
   // 0x2000 is host memory the target never registered for port 3.
-  w.reader->get_with_callback(w.local, 64, 1, 3, 0x2000, [&](bool r) {
-    ok = r;
-    fired = true;
-  });
+  const gm::Status st =
+      w.reader->get_with_callback(w.local, 64, 1, 3, 0x2000, [&](bool r) {
+        ok = r;
+        fired = true;
+      });
+  // The request is accepted here; the target's MCP is what refuses it.
+  ASSERT_EQ(st, gm::Status::kOk);
   w.cluster->run_for(sim::sec(4));  // let the full retry budget exhaust
   EXPECT_TRUE(fired);
   EXPECT_FALSE(ok);
@@ -118,9 +125,10 @@ TEST(GmGet, RetriesMaskLossyLinks) {
   GetWorld w(mcp::McpMode::kFtgm, f);
   int ok = 0;
   for (int i = 0; i < 5; ++i) {
-    w.reader->get_with_callback(
+    const gm::Status st = w.reader->get_with_callback(
         w.local, 2048, 1, 3, static_cast<std::uint32_t>(w.exported.addr),
         [&](bool r) { ok += r; });
+    ASSERT_EQ(st, gm::Status::kOk);
     w.cluster->run_for(sim::msec(40));
   }
   EXPECT_EQ(ok, 5);
@@ -133,12 +141,13 @@ TEST(GmGet, SurvivesTargetNicRecovery) {
   // retry keeps re-requesting until the recovered MCP serves it.
   w.cluster->node(1).mcp().inject_hang("target down");
   bool ok = false, fired = false;
-  w.reader->get_with_callback(
+  const gm::Status st = w.reader->get_with_callback(
       w.local, 1024, 1, 3, static_cast<std::uint32_t>(w.exported.addr),
       [&](bool r) {
         ok = r;
         fired = true;
       });
+  ASSERT_EQ(st, gm::Status::kOk);
   w.cluster->run_for(sim::sec(4));
   ASSERT_TRUE(fired);
   EXPECT_TRUE(ok);
@@ -152,9 +161,10 @@ TEST(GmGet, DuplicateResponsesAreHarmless) {
   GetWorld w(mcp::McpMode::kGm);
   int done = 0;
   for (int i = 0; i < 2; ++i) {
-    w.reader->get_with_callback(
+    const gm::Status st = w.reader->get_with_callback(
         w.local, 128, 1, 3, static_cast<std::uint32_t>(w.exported.addr),
         [&](bool r) { done += r; });
+    ASSERT_EQ(st, gm::Status::kOk);
   }
   w.cluster->run_for(sim::msec(10));
   EXPECT_EQ(done, 2);
@@ -169,12 +179,13 @@ TEST(GmGet, SurvivesRequesterNicRecovery) {
   GetWorld w(mcp::McpMode::kFtgm);
   int done = 0, ok = 0;
   for (int i = 0; i < 3; ++i) {
-    w.reader->get_with_callback(
+    const gm::Status st = w.reader->get_with_callback(
         w.local, 2048, 1, 3, static_cast<std::uint32_t>(w.exported.addr),
         [&](bool r) {
           ++done;
           ok += r;
         });
+    ASSERT_EQ(st, gm::Status::kOk);
   }
   w.cluster->eq().schedule_after(sim::usec(12), [&] {
     w.cluster->node(0).mcp().inject_hang("requester down");
@@ -193,9 +204,10 @@ TEST(GmGet, InterleavesWithRegularTraffic) {
   bool got = false;
   gm::Buffer sbuf = w.reader->alloc_dma_buffer(128);
   (void)w.reader->post(sbuf, 128, {.dst = 1, .dst_port = 3});
-  w.reader->get_with_callback(
+  const gm::Status st = w.reader->get_with_callback(
       w.local, 256, 1, 3, static_cast<std::uint32_t>(w.exported.addr),
       [&](bool r) { got = r; });
+  ASSERT_EQ(st, gm::Status::kOk);
   w.cluster->run_for(sim::msec(10));
   EXPECT_EQ(msgs, 1);
   EXPECT_TRUE(got);

@@ -10,7 +10,7 @@ temporary directory that is removed afterwards. Without --base, REV is
 the merge base with the target branch on a GitHub `pull_request` event
 (GITHUB_BASE_REF) and HEAD^ otherwise.
 
-For soak64 and ring512, each of 10 pairs runs
+For pingpong2, soak64 and ring512, each of 10 pairs runs
 
     python3 perfbench/run.py --workload W --seed 2026 --seconds 2 --trace 0
 
@@ -37,7 +37,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("soak64", "ring512")
+WORKLOADS = ("pingpong2", "soak64", "ring512")
 PAIRS = 10
 SEED = 2026
 SECONDS = 2
