@@ -105,16 +105,19 @@ inline PingPongResult run_ping_pong(mcp::McpMode mode, std::uint32_t len,
     }
   });
 
-  const metrics::Counter& busy0 =
-      cluster.metrics().counter("node0.mcp.busy_ns");
-  const metrics::Counter& busy1 =
-      cluster.metrics().counter("node1.mcp.busy_ns");
-  const std::uint64_t busy_before = busy0.value() + busy1.value();
+  // Read through metrics() each time: it brings the cards' L_timer
+  // accounting up to the read instant.
+  const auto lanai_busy = [&] {
+    metrics::Registry& reg = cluster.metrics();
+    return reg.counter("node0.mcp.busy_ns").value() +
+           reg.counter("node1.mcp.busy_ns").value();
+  };
+  const std::uint64_t busy_before = lanai_busy();
   t0 = cluster.eq().now();
   (void)a.post(abuf, len, {.dst = 1, .dst_port = 2});
   cluster.run_for(sim::msec(10) + sim::Time(iters) * sim::usec(200));
 
-  const std::uint64_t busy_after = busy0.value() + busy1.value();
+  const std::uint64_t busy_after = lanai_busy();
   const std::uint64_t msgs = 2ull * static_cast<std::uint64_t>(
                                  res.half_rtt.count());
   if (msgs > 0) res.lanai_busy_per_msg = (busy_after - busy_before) / msgs;
@@ -173,10 +176,11 @@ inline BandwidthResult run_bandwidth_bidir(mcp::McpMode mode,
 
   const metrics::Counter& rx_bytes =
       cluster.metrics().counter("node1.port2.bytes_received");
-  const metrics::Counter& busy_ns =
-      cluster.metrics().counter("node0.mcp.busy_ns");
+  const auto busy_ns = [&] {
+    return cluster.metrics().counter("node0.mcp.busy_ns").value();
+  };
   const std::uint64_t bytes_before = rx_bytes.value();
-  const std::uint64_t busy0 = busy_ns.value();
+  const std::uint64_t busy0 = busy_ns();
   const sim::Time t_start = cluster.eq().now();
   // Enough time for the slowest size; loop in chunks with early exit.
   for (int i = 0; i < 400; ++i) {
@@ -191,7 +195,7 @@ inline BandwidthResult run_bandwidth_bidir(mcp::McpMode mode,
   }
   const sim::Time elapsed = cluster.eq().now() - t_start;
   if (elapsed > 0) {
-    res.lanai_busy_frac = static_cast<double>(busy_ns.value() - busy0) /
+    res.lanai_busy_frac = static_cast<double>(busy_ns() - busy0) /
                           static_cast<double>(elapsed);
   }
   if (agg != nullptr) agg->merge(cluster.metrics());

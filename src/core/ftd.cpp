@@ -16,6 +16,10 @@ void Ftd::bind_metrics(metrics::Registry& reg, const std::string& prefix) {
   views_.expose(reg, prefix + ".recoveries", stats_.recoveries);
 }
 
+void Ftd::report_counts() const {
+  if (sim::Checks* c = eq_.checks()) c->ftd_counted(*this);
+}
+
 void Ftd::step(sim::Time cost, std::function<void()> fn) {
   eq_.post_after(cost, std::move(fn));
 }
@@ -26,6 +30,7 @@ void Ftd::on_fatal() {
   phases_.interrupt_raised = eq_.now();
   step(cfg_.wake_latency, [this] {
     ++stats_.wakeups;
+    report_counts();
     phases_.woken = eq_.now();
     // Detection runs from the injection stamp when an experiment set one
     // (the Table 3 definition); otherwise from the FATAL interrupt.
@@ -44,6 +49,7 @@ void Ftd::on_fatal() {
       if (driver_.read_magic() != cfg_.magic) {
         // The MCP cleared it: interface alive after all.
         ++stats_.false_alarms;
+        report_counts();
         busy_ = false;
         if (trace_ && trace_->on(sim::TraceCat::kFt)) {
           trace_->log(sim::TraceCat::kFt, eq_.now(), "ftd",
@@ -98,6 +104,7 @@ void Ftd::run_recovery() {
                 phase_timer_.mark("restore", eq_.now());
                 phase_timer_.finish(eq_.now());
                 ++stats_.recoveries;
+                report_counts();
                 busy_ = false;  // rewind and stand guard for the next fault
                 if (trace_ && trace_->on(sim::TraceCat::kFt)) {
                   trace_->log(sim::TraceCat::kFt, eq_.now(), "ftd",

@@ -92,6 +92,8 @@ class Ftd {
   void on_fatal();
   void run_recovery();
   void step(sim::Time cost, std::function<void()> fn);
+  // A counter in Stats moved: tell the invariant checker.
+  void report_counts() const;
 
   sim::EventQueue& eq_;
   Driver& driver_;

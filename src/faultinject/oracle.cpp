@@ -7,28 +7,36 @@
 
 namespace myri::fi {
 
-Oracle::Oracle(gm::Cluster& cluster, Config cfg)
-    : cluster_(cluster), cfg_(cfg) {}
+Oracle::Oracle(gm::Cluster& cluster) : cluster_(cluster) {}
 
 Oracle::~Oracle() { detach(); }
 
 void Oracle::watch(StreamWorkload& wl, std::uint32_t send_tokens,
                    std::uint32_t recv_tokens) {
+  const std::size_t i = streams_.size();
   streams_.push_back(Stream{&wl, send_tokens, recv_tokens, 0});
+  const auto [tx, fresh_tx] = by_sender_.try_emplace(&wl.sender(), i);
+  if (!fresh_tx && send_tokens < streams_[tx->second].send_tokens) {
+    tx->second = i;
+  }
+  gm::Port& rx_port = wl.receiver();
+  const auto [rx, fresh_rx] = by_receiver_.try_emplace(
+      RecvPort{&rx_port.node().mcp(), rx_port.id()}, i);
+  if (!fresh_rx && recv_tokens < streams_[rx->second].recv_tokens) {
+    rx->second = i;
+  }
 }
 
 void Oracle::attach() {
   attached_ = true;
-  cluster_.eq().set_after_event([this](sim::Time now) {
-    if (!ok()) return;
-    if (!checked_once_ || now - last_check_ >= cfg_.check_gap) check_now();
-  });
+  cluster_.eq().set_checks(this);
+  check_now();
 }
 
 void Oracle::detach() {
   if (!attached_) return;
   attached_ = false;
-  cluster_.eq().set_after_event(nullptr);
+  cluster_.eq().set_checks(nullptr);
 }
 
 void Oracle::violate(const std::string& invariant,
@@ -57,6 +65,29 @@ void Oracle::on_delivery(std::size_t stream, int msg) {
   } else {
     ++s.next_msg;
   }
+  if (ok()) check_stream(stream);
+}
+
+// ---- change points ----
+
+void Oracle::link_delivered(const net::Link& link) {
+  if (ok()) check_link(link);
+}
+
+void Oracle::send_token_returned(const gm::Port& port) {
+  if (!ok()) return;
+  const auto it = by_sender_.find(&port);
+  if (it != by_sender_.end()) check_send_tokens(it->second);
+}
+
+void Oracle::recv_token_added(const mcp::Mcp& mcp, std::uint8_t port) {
+  if (!ok()) return;
+  const auto it = by_receiver_.find(RecvPort{&mcp, port});
+  if (it != by_receiver_.end()) check_recv_tokens(it->second);
+}
+
+void Oracle::ftd_counted(const core::Ftd& ftd) {
+  if (ok()) check_ftd(ftd);
 }
 
 void Oracle::add_drift_probe(std::string name,
@@ -83,78 +114,84 @@ void Oracle::check_drift() {
 void Oracle::check_now() {
   if (!ok()) return;
   ++checks_;
-  checked_once_ = true;
-  last_check_ = cluster_.eq().now();
-  check_streams();
-  check_tokens();
-  check_watchdog();
-  check_links();
-}
-
-void Oracle::check_streams() {
+  for (std::size_t i = 0; i < streams_.size() && ok(); ++i) check_stream(i);
   for (std::size_t i = 0; i < streams_.size() && ok(); ++i) {
-    const StreamWorkload& wl = *streams_[i].wl;
-    if (wl.duplicates() > 0) {
-      violate("stream-exactly-once", "stream " + std::to_string(i) + ": " +
-                                         std::to_string(wl.duplicates()) +
-                                         " duplicate(s)");
-    } else if (wl.corrupted() > 0) {
-      violate("stream-corruption", "stream " + std::to_string(i) + ": " +
-                                       std::to_string(wl.corrupted()) +
-                                       " corrupted");
-    }
+    check_send_tokens(i);
+    if (ok()) check_recv_tokens(i);
   }
-}
-
-void Oracle::check_tokens() {
-  for (std::size_t i = 0; i < streams_.size() && ok(); ++i) {
-    Stream& s = streams_[i];
-    const std::uint32_t free = s.wl->sender().send_tokens_free();
-    if (free > s.send_tokens) {
-      violate("token-conservation",
-              "stream " + std::to_string(i) + ": sender has " +
-                  std::to_string(free) + " send tokens free, allotment is " +
-                  std::to_string(s.send_tokens));
-    }
-    const std::size_t held =
-        s.wl->receiver().node().mcp().recv_tokens_held(s.wl->receiver().id());
-    if (held > s.recv_tokens) {
-      violate("token-conservation",
-              "stream " + std::to_string(i) + ": LANai holds " +
-                  std::to_string(held) + " recv tokens, allotment is " +
-                  std::to_string(s.recv_tokens));
-    }
-  }
-}
-
-void Oracle::check_watchdog() {
   for (int i = 0; i < cluster_.size() && ok(); ++i) {
     gm::Node& n = cluster_.node(i);
-    if (!n.has_ftd()) continue;
-    const auto& st = n.ftd().stats();
-    if (st.false_alarms != 0) {
-      violate("watchdog-soundness",
-              n.name() + ": " + std::to_string(st.false_alarms) +
-                  " false alarm(s)");
-    } else if (st.recoveries > st.wakeups) {
-      violate("watchdog-soundness",
-              n.name() + ": " + std::to_string(st.recoveries) +
-                  " recoveries from " + std::to_string(st.wakeups) +
-                  " wakeups");
-    }
+    if (n.has_ftd()) check_ftd(n.ftd());
+  }
+  for (const net::Link* l : cluster_.topo().links()) {
+    if (!ok()) break;
+    check_link(*l);
   }
 }
 
-void Oracle::check_links() {
-  for (const net::Link* l : cluster_.topo().links()) {
-    if (!ok()) break;
-    const auto& st = l->stats();
-    if (st.delivered_bytes > st.offered_bytes || st.delivered > st.sent) {
-      violate("link-conservation",
-              "link " + l->name() + ": delivered exceeds offered (" +
-                  std::to_string(st.delivered_bytes) + " > " +
-                  std::to_string(st.offered_bytes) + " bytes)");
-    }
+void Oracle::check_stream(std::size_t i) {
+  const StreamWorkload& wl = *streams_[i].wl;
+  if (wl.duplicates() > 0) {
+    violate("stream-exactly-once", "stream " + std::to_string(i) + ": " +
+                                       std::to_string(wl.duplicates()) +
+                                       " duplicate(s)");
+  } else if (wl.corrupted() > 0) {
+    violate("stream-corruption", "stream " + std::to_string(i) + ": " +
+                                     std::to_string(wl.corrupted()) +
+                                     " corrupted");
+  }
+}
+
+void Oracle::check_send_tokens(std::size_t i) {
+  const Stream& s = streams_[i];
+  const std::uint32_t free = s.wl->sender().send_tokens_free();
+  if (free > s.send_tokens) {
+    violate("token-conservation",
+            "stream " + std::to_string(i) + ": sender has " +
+                std::to_string(free) + " send tokens free, allotment is " +
+                std::to_string(s.send_tokens));
+  }
+}
+
+void Oracle::check_recv_tokens(std::size_t i) {
+  const Stream& s = streams_[i];
+  const std::size_t held =
+      s.wl->receiver().node().mcp().recv_tokens_held(s.wl->receiver().id());
+  if (held > s.recv_tokens) {
+    violate("token-conservation",
+            "stream " + std::to_string(i) + ": LANai holds " +
+                std::to_string(held) + " recv tokens, allotment is " +
+                std::to_string(s.recv_tokens));
+  }
+}
+
+void Oracle::check_ftd(const core::Ftd& ftd) {
+  const auto& st = ftd.stats();
+  if (st.false_alarms == 0 && st.recoveries <= st.wakeups) return;
+  // Name the card: the FTD of a member, or of a card since replaced.
+  std::string who = "a replaced card";
+  for (int i = 0; i < cluster_.size(); ++i) {
+    gm::Node& n = cluster_.node(i);
+    if (n.has_ftd() && &n.ftd() == &ftd) who = n.name();
+  }
+  if (st.false_alarms != 0) {
+    violate("watchdog-soundness",
+            who + ": " + std::to_string(st.false_alarms) + " false alarm(s)");
+  } else {
+    violate("watchdog-soundness",
+            who + ": " + std::to_string(st.recoveries) +
+                " recoveries from " + std::to_string(st.wakeups) +
+                " wakeups");
+  }
+}
+
+void Oracle::check_link(const net::Link& link) {
+  const auto& st = link.stats();
+  if (st.delivered_bytes > st.offered_bytes || st.delivered > st.sent) {
+    violate("link-conservation",
+            "link " + link.name() + ": delivered exceeds offered (" +
+                std::to_string(st.delivered_bytes) + " > " +
+                std::to_string(st.offered_bytes) + " bytes)");
   }
 }
 

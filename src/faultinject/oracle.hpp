@@ -3,17 +3,27 @@
 // The hand-written sweeps only asserted invariants at end-of-run: a
 // violation that appeared and healed mid-run (a duplicate delivery later
 // compensated, a token leak refilled by recovery) was invisible. The
-// Oracle hooks sim::EventQueue's after-event observer and re-checks the
-// DESIGN.md invariants at event granularity while the schedule runs:
+// Oracle attaches to the cluster's event queue as its sim::Checks and
+// checks each local DESIGN.md invariant in O(1) at the point where its
+// state changes: a link's arrival, a port getting a send token back, a
+// card taking a receive token, an FTD counting, a stream delivery. A
+// violation is pinned to the virtual instant it appears, and nothing is
+// swept per event. Full sweeps (check_now) are the backstop: one at
+// attach, one per soak window (the runner's window tick) and one in
+// final_check.
 //
 //   stream-fifo          per-stream delivery indices strictly ascend by 1
 //   stream-exactly-once  no message index delivered twice
 //   stream-corruption    no delivered payload fails verification
+//                        (the three stream checks: at every delivery)
 //   token-conservation   a port never holds more tokens than configured
+//                        (when a port gets a send token back and when a
+//                        card takes a receive token)
 //   watchdog-soundness   no false alarms; recoveries never exceed wakeups
+//                        (when an FTD counts any of the three)
 //   link-conservation    per link, delivered <= offered bytes and
 //                        delivered <= sent packets (a link never delivers
-//                        more than it was handed)
+//                        more than it was handed; at every arrival)
 //   quiescence           after all streams complete and the cluster
 //                        drains: all send tokens free, FTGM send backups
 //                        empty (final_check only; streams abandoned to a
@@ -40,15 +50,17 @@
 //
 // The first violation is recorded with its virtual timestamp and checking
 // stops (later checks would cascade). The oracle is deterministic: its
-// check count and violation list feed the run's outcome digest.
+// violation list feeds the run's outcome digest.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "gm/cluster.hpp"
+#include "sim/checks.hpp"
 #include "sim/time.hpp"
 
 namespace myri::mapper {
@@ -59,21 +71,15 @@ namespace myri::fi {
 
 class StreamWorkload;
 
-class Oracle {
+class Oracle final : private sim::Checks {
  public:
-  struct Config {
-    /// Full invariant sweeps are throttled to at most one per this much
-    /// virtual time (delivery-driven stream checks are unthrottled).
-    sim::Time check_gap = sim::usec(200);
-  };
-
   struct Violation {
     sim::Time at = 0;
     std::string invariant;  // stable name, see table above
     std::string detail;
   };
 
-  Oracle(gm::Cluster& cluster, Config cfg);
+  explicit Oracle(gm::Cluster& cluster);
   ~Oracle();
   Oracle(const Oracle&) = delete;
   Oracle& operator=(const Oracle&) = delete;
@@ -83,17 +89,18 @@ class Oracle {
   void watch(StreamWorkload& wl, std::uint32_t send_tokens,
              std::uint32_t recv_tokens);
 
-  /// Install the event-queue hook: every executed event may trigger a
-  /// sweep (throttled by Config::check_gap).
+  /// Become the event queue's point-of-change checker and run one full
+  /// sweep (anything already wrong when checking starts).
   void attach();
-  /// Remove the hook (the destructor also detaches).
+  /// Stop checking at change points (the destructor also detaches).
   void detach();
 
   /// Per-delivery stream check: `msg` is the delivered message index
-  /// (-1 = failed verification). Unthrottled; call for every delivery.
+  /// (-1 = failed verification). Call for every delivery.
   void on_delivery(std::size_t stream, int msg);
 
-  /// Run one full invariant sweep right now.
+  /// Run one full invariant sweep right now: the backstop for the
+  /// change-point checks. checks_run() counts these.
   void check_now();
 
   /// Register a drift probe: `sample` reads some internal-state size,
@@ -152,23 +159,45 @@ class Oracle {
     std::function<std::uint64_t()> bound;
   };
 
+  // A card's receive port, as the card reports a token joining it.
+  struct RecvPort {
+    const mcp::Mcp* mcp;
+    std::uint8_t port;
+    bool operator==(const RecvPort&) const = default;
+  };
+  struct RecvPortHash {
+    std::size_t operator()(const RecvPort& k) const noexcept {
+      return std::hash<const void*>{}(k.mcp) ^ k.port;
+    }
+  };
+
+  // sim::Checks: the change points.
+  void link_delivered(const net::Link& link) override;
+  void send_token_returned(const gm::Port& port) override;
+  void recv_token_added(const mcp::Mcp& mcp, std::uint8_t port) override;
+  void ftd_counted(const core::Ftd& ftd) override;
+
   void violate(const std::string& invariant, const std::string& detail);
-  void check_streams();
-  void check_tokens();
-  void check_watchdog();
-  void check_links();
+  // One invariant on one component; check_now runs them all.
+  void check_stream(std::size_t i);
+  void check_send_tokens(std::size_t i);
+  void check_recv_tokens(std::size_t i);
+  void check_ftd(const core::Ftd& ftd);
+  void check_link(const net::Link& link);
   void check_membership();
   void check_route_convergence();
 
   gm::Cluster& cluster_;
   const mapper::FailoverManager* route_authority_ = nullptr;
   std::vector<net::NodeId> expected_roster_;
-  Config cfg_;
   std::vector<Stream> streams_;
+  // Change point -> the stream whose allotment bounds it. Several streams
+  // may share a port (membership senders are reused); the smallest
+  // allotment is the binding one.
+  std::unordered_map<const gm::Port*, std::size_t> by_sender_;
+  std::unordered_map<RecvPort, std::size_t, RecvPortHash> by_receiver_;
   std::vector<DriftProbe> drift_probes_;
   std::vector<Violation> violations_;
-  sim::Time last_check_ = 0;
-  bool checked_once_ = false;
   bool attached_ = false;
   std::uint64_t checks_ = 0;
   std::uint64_t drift_checks_ = 0;

@@ -388,7 +388,7 @@ namespace {
 constexpr std::uint32_t kTokens = 24;
 }  // namespace
 
-ScenarioRunner::ScenarioRunner(const Scenario& s, const Options& opt)
+ScenarioRunner::ScenarioRunner(const Scenario& s, const Options& /*opt*/)
     : s_(s), digest_(kFnvOffset) {
   const std::string bad = s_.validate();
   if (!bad.empty()) {
@@ -427,7 +427,7 @@ ScenarioRunner::ScenarioRunner(const Scenario& s, const Options& opt)
         *ports[i], *ports[(i + 1) % s_.nodes], wc));
   }
 
-  oracle_ = std::make_unique<Oracle>(*cluster_, Oracle::Config{opt.check_gap});
+  oracle_ = std::make_unique<Oracle>(*cluster_);
   oracle_->set_route_authority(fm_.get());
   oracle_->set_expected_roster(s_.expected_up_at_horizon());
   for (std::size_t i = 0; i < wls_.size(); ++i) watch(i);

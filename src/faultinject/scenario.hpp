@@ -204,6 +204,8 @@ struct RunReport {
   sim::Time violation_at = 0;
   std::uint64_t digest = 0;
   std::uint64_t deliveries = 0;   // delivery-log length
+  /// Full invariant sweeps (Oracle::checks_run): one at attach, one per
+  /// window, one at the end. Change-point checks are not counted.
   std::uint64_t oracle_checks = 0;
   std::uint64_t recoveries = 0;   // FTD recoveries, cluster-wide
   std::uint64_t remaps = 0;       // failover remaps (multi-switch only)
@@ -243,9 +245,9 @@ struct RunReport {
 class ScenarioRunner {
  public:
   struct Options {
-    /// Oracle sampling throttle: invariants are re-checked at the first
-    /// event boundary at least this long after the previous check (plus
-    /// at every delivery, unthrottled).
+    /// Has no effect. It throttled the oracle's per-event sweeps, which
+    /// are gone: the oracle checks each invariant where its state changes
+    /// (DESIGN.md section 10). Kept while perfbench's soak64 still sets it.
     sim::Time check_gap = sim::usec(200);
   };
 

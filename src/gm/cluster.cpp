@@ -6,10 +6,10 @@
 
 namespace myri::gm {
 
-void Cluster::end_slice() {
+metrics::Registry& Cluster::metrics() {
   for (auto& n : nodes_) n->mcp().catch_up();
   for (auto& n : quarantined_) n->mcp().catch_up();
-  publish_eq_metrics();
+  return metrics_;
 }
 
 Cluster::Cluster(const ClusterConfig& cfg) : rng_(cfg.seed), cfg_(cfg) {

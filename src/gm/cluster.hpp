@@ -57,7 +57,14 @@ class Cluster {
   /// Cluster-wide observability: every node, link and switch publishes
   /// its accounting here. Benches merge() per-repeat registries and/or
   /// export Registry::to_json() for machine-readable baselines.
-  [[nodiscard]] metrics::Registry& metrics() noexcept { return metrics_; }
+  ///
+  /// A sync-on-read touch point (DESIGN.md section 12): every card first
+  /// replays its elapsed L_timer ticks, so counters that read McpStats
+  /// fields directly show the values an eager tick chain would have left
+  /// at this instant, between run slices or inside an event. A reference
+  /// kept across a run goes stale for those counters; call metrics()
+  /// again to read them.
+  [[nodiscard]] metrics::Registry& metrics();
   [[nodiscard]] Node& node(int i) { return *nodes_.at(i); }
   [[nodiscard]] int size() const { return static_cast<int>(nodes_.size()); }
 
@@ -100,26 +107,22 @@ class Cluster {
   /// Run the simulation for `d` of virtual time.
   void run_for(sim::Time d) {
     eq_.run_until(eq_.now() + d);
-    end_slice();
+    publish_eq_metrics();
   }
   /// Run until the event queue drains, bounded against runaway loops by
   /// ClusterConfig::max_events (or an explicit non-zero override). Idle
   /// L_timer housekeeping schedules no events, so an idle cluster drains.
   std::size_t run_until_idle(std::size_t max_events = 0) {
     const std::size_t n = eq_.run(max_events != 0 ? max_events : cfg_.max_events);
-    end_slice();
+    publish_eq_metrics();
     return n;
   }
 
   void set_trace(sim::Trace* t);
 
  private:
-  // After every run slice: replay each card's elapsed L_timer ticks, so
-  // registry reads see the counters an eager tick chain would have left,
-  // and refresh the event-core health gauges.
-  void end_slice();
-  // Compaction sweeps (cancelled-entry eviction) and the dead-entry
-  // backlog.
+  // After every run slice, the event-core health gauges: compaction
+  // sweeps (cancelled-entry eviction) and the dead-entry backlog.
   void publish_eq_metrics() {
     metrics_.gauge("sim.eq_compactions")
         .set(static_cast<std::int64_t>(eq_.compactions()));

@@ -34,6 +34,18 @@ void Port::bind_metrics(metrics::Registry& reg, const std::string& prefix) {
   m_.replay_ns = &reg.histogram(p + "recovery.replay_ns");
 }
 
+void Port::test_inject_send_token() {
+  ++send_tokens_free_;
+  sync_token_gauges();
+  report_send_token();
+}
+
+void Port::report_send_token() const {
+  if (sim::Checks* c = node_.event_queue().checks()) {
+    c->send_token_returned(*this);
+  }
+}
+
 void Port::sync_token_gauges() {
   metrics::level(m_.send_tokens_in_flight,
                  static_cast<std::int64_t>(cfg_.send_tokens) -
@@ -301,6 +313,7 @@ void Port::dispatch(const mcp::EventRecord& ev) {
       ++send_tokens_free_;
       ++stats_.sends_completed;
       sync_token_gauges();
+      report_send_token();
       if (auto cb = send_callbacks_.take(ev.token_id)) (*cb)(true);
       break;
     }
@@ -336,6 +349,7 @@ void Port::unknown(const mcp::EventRecord& ev) {
       if (ftgm()) backup_.remove_send(ev.token_id);
       ++send_tokens_free_;
       sync_token_gauges();
+      report_send_token();
       if (auto cb = send_callbacks_.take(ev.token_id)) (*cb)(false);
       break;
     }

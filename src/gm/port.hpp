@@ -191,10 +191,7 @@ class Port {
   /// to prove the chaos oracle's token-conservation invariant fires on a
   /// real leak (fi::ScenarioEvent::Kind::kTokenLeak) — never called by
   /// production code, never generated in random schedules.
-  void test_inject_send_token() noexcept {
-    ++send_tokens_free_;
-    sync_token_gauges();
-  }
+  void test_inject_send_token();
 
   // ---- host receive queue (used by the MCP glue and the FTD) ----
   void push_event(const mcp::EventRecord& ev);
@@ -249,6 +246,8 @@ class Port {
   };
 
   void sync_token_gauges();
+  // A send token came back: tell the invariant checker.
+  void report_send_token() const;
 
   Status submit_send(const Buffer& buf, std::uint32_t len,
                      mcp::SendRequest req, SendCallback cb);

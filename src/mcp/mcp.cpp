@@ -586,11 +586,18 @@ void Mcp::host_post_send(const SendRequest& req) {
   schedule_rto_scan();
 }
 
+void Mcp::report_recv_token(std::uint8_t port) const {
+  if (sim::Checks* c = nic_.event_queue().checks()) {
+    c->recv_token_added(*this, port);
+  }
+}
+
 void Mcp::host_provide_recv_token(const RecvToken& tok) {
   catch_up();
   if (hung_ || !loaded_) return;
   if (tok.port >= kMaxPorts) return;
   ports_[tok.port].tokens.push_back(tok);
+  report_recv_token(tok.port);
 }
 
 void Mcp::host_restore_ack_entry(net::NodeId peer, std::uint32_t stream,
@@ -1085,6 +1092,7 @@ void Mcp::handle_data(net::Packet pkt) {
       // means the peer rewound across a message boundary; drop the stale
       // partial (its token returns to the pool).
       ports_[port].tokens.push_front(rs.token);
+      report_recv_token(port);
       rs.active = false;
     }
     // Match a receive token: first fit by capacity and priority.

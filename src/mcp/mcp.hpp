@@ -311,6 +311,8 @@ class Mcp {
                          RecvToken token, std::uint32_t msg_len,
                          std::uint32_t msg_id, net::NodeId src,
                          std::uint8_t src_port, std::uint32_t sid);
+  // A receive token joined `port`'s pool: tell the invariant checker.
+  void report_recv_token(std::uint8_t port) const;
   // DMA an event record to the host; `after` runs once it has landed,
   // unless the MCP hung meanwhile.
   template <typename After>

@@ -90,6 +90,7 @@ void Link::send(Packet pkt) {
     --queued_;
     ++stats_.delivered;
     stats_.delivered_bytes += wire;
+    if (sim::Checks* c = eq_.checks()) c->link_delivered(*this);
     dst_->deliver(std::move(p), dst_port_);
   });
 }

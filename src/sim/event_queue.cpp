@@ -300,7 +300,6 @@ bool EventQueue::pop_and_run(bool bounded, Time limit) {
     retire_slot(it.slot);
     cur_scheduled_at_ = e.scheduled_at;
     e.cb();
-    if (after_event_) after_event_(now_);
     cur_scheduled_at_ = kNotExecuting;
     recycle_slot(it.slot);
     return true;

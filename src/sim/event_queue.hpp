@@ -29,11 +29,11 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
 #include "sim/callback.hpp"
+#include "sim/checks.hpp"
 #include "sim/time.hpp"
 
 namespace myri::sim {
@@ -125,15 +125,12 @@ class EventQueue {
   /// The cap guards tests against runaway self-rescheduling loops.
   std::size_t run(std::size_t max_events = SIZE_MAX);
 
-  /// Observer invoked after every executed event, with the clock already
-  /// advanced to the event's timestamp. Continuous checkers (the chaos
-  /// oracle) hook here to sample cluster invariants at event granularity
-  /// instead of only at end-of-run. One observer at a time (last wins;
-  /// empty function clears). The observer must not call step()/run*()
-  /// re-entrantly, but may schedule new events.
-  void set_after_event(std::function<void(Time)> obs) {
-    after_event_ = std::move(obs);
-  }
+  /// Point-of-change invariant checker for everything driven by this
+  /// queue (sim/checks.hpp), or null. Components report each state change
+  /// an invariant depends on through checks(); the chaos oracle attaches
+  /// here. One checker at a time (last wins; null detaches).
+  void set_checks(Checks* c) noexcept { checks_ = c; }
+  [[nodiscard]] Checks* checks() const noexcept { return checks_; }
 
   /// True if no live (non-cancelled) events remain.
   [[nodiscard]] bool empty() const noexcept;
@@ -212,7 +209,7 @@ class EventQueue {
   std::array<std::uint64_t, kOccWords> occ_{};
   std::uint64_t occ_summary_ = 0;
   std::vector<Item> overflow_;  // min-heap on (at, seq)
-  std::function<void(Time)> after_event_;
+  Checks* checks_ = nullptr;
   Time now_ = 0;
   Time cur_scheduled_at_ = kNotExecuting;
   std::uint64_t cur_bn_ = 0;     // absolute bucket number of the cursor

@@ -357,6 +357,38 @@ TEST(ClusterMetrics, TrafficPopulatesStackCounters) {
   EXPECT_GT(reg.gauge("node0.port2.send_tokens_in_flight").max(), 0);
 }
 
+TEST(ClusterMetrics, ReadsSeeEveryCardsTicksUpToTheReadInstant) {
+  // Cards replay their L_timer ticks lazily (DESIGN.md section 12), and
+  // the registry reads McpStats fields directly. Cluster::metrics() syncs
+  // every card first, so a read between run slices and a read from
+  // inside an event both see the eager values. The registry is read
+  // before Mcp::stats(), which would catch the card up by itself.
+  gm::ClusterConfig cc;
+  cc.nodes = 4;
+  cc.mode = mcp::McpMode::kFtgm;
+  gm::Cluster cluster(cc);
+  int reads = 0;
+  const auto expect_synced = [&] {
+    ++reads;
+    metrics::Registry& reg = cluster.metrics();
+    for (int i = 0; i < cluster.size(); ++i) {
+      const std::string p = "node" + std::to_string(i) + ".mcp.";
+      const std::uint64_t runs = reg.counter(p + "l_timer_runs").value();
+      const std::uint64_t busy = reg.counter(p + "busy_ns").value();
+      const mcp::McpStats& st = cluster.node(i).mcp().stats();
+      EXPECT_GT(st.l_timer_runs, 0u) << p;
+      EXPECT_EQ(runs, st.l_timer_runs) << p << " at " << cluster.eq().now();
+      EXPECT_EQ(busy, st.busy_ns) << p << " at " << cluster.eq().now();
+    }
+  };
+  cluster.run_for(sim::usec(2900));
+  expect_synced();
+  cluster.eq().post_at(sim::usec(4321), expect_synced);
+  cluster.run_for(sim::msec(4));
+  expect_synced();
+  EXPECT_EQ(reads, 3);
+}
+
 TEST(ClusterMetrics, RecoveryPopulatesTable3PhaseHistograms) {
   gm::ClusterConfig cc;
   cc.nodes = 2;

@@ -92,6 +92,10 @@ TEST(Soak, Smoke64NodeAllFaultKindsZeroViolations) {
   EXPECT_GE(r.windows_checked, 60u);
   EXPECT_LE(r.windows_checked, 130u);
   EXPECT_EQ(r.drift_checks, r.windows_checked + 1);  // + final sweep
+  // Full invariant sweeps: one per window plus the ones at attach and at
+  // the end. Everything else is checked where it changes, so a sweep per
+  // event (or per slice) cannot come back unnoticed.
+  EXPECT_LE(r.oracle_checks, r.windows_checked + 2);
   EXPECT_EQ(r.window_digests.size(), r.windows_checked);
   EXPECT_GT(r.recoveries, 0u);  // hangs and flips actually fired
   EXPECT_GT(r.remaps, 0u);      // cable outages actually rerouted
