@@ -1,6 +1,64 @@
 #include "faultinject/workload.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+
 namespace myri::fi {
+
+namespace {
+
+// pattern(m, j) = 131m + 31j + 7 = 31(j + k_m) (mod 256), with the phase
+// k_m = 223(131m + 7) mod 256 (223 is 31's inverse mod 256). So every
+// message is a window into one 256-byte period, and whole runs of a
+// payload are filled with memcpy and checked with memcmp. The period is
+// stored twice over so a 256-byte run starting at any phase is contiguous.
+struct Period {
+  std::array<std::byte, 512> bytes{};
+  constexpr Period() {
+    for (std::uint32_t i = 0; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<std::byte>((31 * i) & 0xff);
+    }
+  }
+};
+constexpr Period kPeriod;
+
+std::uint32_t phase(int msg) {
+  return (223u * (131u * static_cast<std::uint32_t>(msg) + 7u)) & 0xff;
+}
+
+// Calls f(j, run, n) for payload bytes [from, from + n) of message `msg`
+// in runs of at most 256 bytes; stops early when f returns false.
+template <typename F>
+bool for_each_run(int msg, std::uint32_t from, std::uint32_t n, F&& f) {
+  const std::uint32_t k = phase(msg);
+  for (std::uint32_t j = from; j < from + n;) {
+    const std::uint32_t run = std::min<std::uint32_t>(256, from + n - j);
+    if (!f(j, &kPeriod.bytes[(j + k) & 0xff], run)) return false;
+    j += run;
+  }
+  return true;
+}
+
+}  // namespace
+
+void StreamWorkload::fill_pattern(std::span<std::byte> out, int msg) {
+  for_each_run(msg, 0, static_cast<std::uint32_t>(out.size()),
+               [&](std::uint32_t j, const std::byte* run, std::uint32_t n) {
+                 std::memcpy(out.data() + j, run, n);
+                 return true;
+               });
+}
+
+bool StreamWorkload::matches_pattern(std::span<const std::byte> in, int msg,
+                                     std::uint32_t from) {
+  if (in.size() <= from) return true;
+  return for_each_run(
+      msg, from, static_cast<std::uint32_t>(in.size()) - from,
+      [&](std::uint32_t j, const std::byte* run, std::uint32_t n) {
+        return std::memcmp(in.data() + j, run, n) == 0;
+      });
+}
 
 StreamWorkload::StreamWorkload(gm::Port& sender, gm::Port& receiver,
                                Config cfg)
@@ -30,9 +88,7 @@ void StreamWorkload::start() {
 
 void StreamWorkload::fill(const gm::Buffer& buf, int msg) {
   auto span = sender_.node().memory().at(buf.addr, cfg_.msg_len);
-  for (std::uint32_t j = 0; j < span.size(); ++j) {
-    span[j] = pattern(msg, j);
-  }
+  fill_pattern(span, msg);
   // Message index in the first 4 bytes (still matches pattern() in checks
   // below because verify() decodes it first).
   if (span.size() >= 4) {
@@ -150,14 +206,7 @@ void StreamWorkload::verify(const gm::RecvInfo& info) {
     if (on_delivery_) on_delivery_(-1);
     return;
   }
-  bool ok = true;
-  for (std::uint32_t j = 4; j < span.size(); ++j) {
-    if (span[j] != pattern(msg, j)) {
-      ok = false;
-      break;
-    }
-  }
-  if (!ok) {
+  if (!matches_pattern(span, msg, 4)) {
     ++corrupted_;
     if (on_delivery_) on_delivery_(-1);
     return;

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "gm/node.hpp"
@@ -75,6 +76,12 @@ class StreamWorkload {
     return static_cast<std::byte>((msg * 131 + static_cast<int>(j) * 31 + 7) &
                                   0xff);
   }
+
+  /// Write pattern(msg, j) to out[j] for every j, a whole run at a time.
+  static void fill_pattern(std::span<std::byte> out, int msg);
+  /// True when in[j] == pattern(msg, j) for every j >= from.
+  static bool matches_pattern(std::span<const std::byte> in, int msg,
+                              std::uint32_t from);
 
  private:
   void pump_sends();

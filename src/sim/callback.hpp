@@ -6,8 +6,9 @@
 // and PCI models take it, and the MCP's exec/post_event wrap their guard
 // around the caller's step and hand the whole closure over in one piece. A
 // closure is type-erased exactly once, and the event queue builds it in
-// its slab entry (emplace) and runs it there, so the steady-state message
-// path does no heap allocation per step. A std::function per step would
+// its slab entry (emplace), then runs and destroys it there with one
+// indirect call (run_once), so the steady-state message path does no heap
+// allocation per step. A std::function per step would
 // allocate for every closure past its 16-byte buffer; a captured Packet
 // alone is 128 bytes. Only oversized or throwing-move callables fall back
 // to the heap; hot-path wrappers static_assert fits_inline<> so a closure
@@ -71,6 +72,15 @@ class InlineCallback {
   void operator()() { vt_->invoke(buf_); }
   explicit operator bool() const noexcept { return vt_ != nullptr; }
 
+  /// Run the held callable once, then destroy it, with one indirect call;
+  /// this object is empty from the moment the call starts. The event
+  /// queue runs every event this way, in place in its slab entry.
+  void run_once() {
+    const VTable* vt = vt_;
+    vt_ = nullptr;
+    vt->run_once(buf_);
+  }
+
   /// True when a callable of type Fn lives in the inline buffer rather
   /// than behind a heap pointer (exposed for tests/bench assertions).
   template <typename Fn>
@@ -82,6 +92,8 @@ class InlineCallback {
  private:
   struct VTable {
     void (*invoke)(void*);
+    // Invoke, then destroy (also when the call throws).
+    void (*run_once)(void*);
     // Move-construct dst from src, then destroy src's callable.
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void*);
@@ -93,8 +105,18 @@ class InlineCallback {
   }
 
   template <typename Fn>
+  struct DestroyAfter {  // destroys the callable when the call returns
+    Fn* fn;
+    ~DestroyAfter() { fn->~Fn(); }
+  };
+
+  template <typename Fn>
   static constexpr VTable kInlineVt = {
       [](void* p) { (*as<Fn>(p))(); },
+      [](void* p) {
+        const DestroyAfter<Fn> guard{as<Fn>(p)};
+        (*guard.fn)();
+      },
       [](void* dst, void* src) {
         ::new (dst) Fn(std::move(*as<Fn>(src)));
         as<Fn>(src)->~Fn();
@@ -107,6 +129,10 @@ class InlineCallback {
   template <typename Fn>
   static constexpr VTable kHeapVt = {
       [](void* p) { (**as<Fn*>(p))(); },
+      [](void* p) {
+        const std::unique_ptr<Fn> fn(*as<Fn*>(p));
+        (*fn)();
+      },
       [](void* dst, void* src) { ::new (dst) Fn*(*as<Fn*>(src)); },
       [](void* p) { delete *as<Fn*>(p); },
   };

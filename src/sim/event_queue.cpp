@@ -2,148 +2,276 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
+#include <cstddef>
 #include <memory>
+#include <new>
+#include <stdexcept>
+#include <type_traits>
 
 namespace myri::sim {
 
 // ---- event slab ----------------------------------------------------------
 //
 // Every scheduled event occupies one pooled Entry. Its closure is built in
-// the entry (InlineCallback::emplace) and runs there, so the steady-state
-// hot path neither allocates nor copies a closure. The pool grows in fixed
-// chunks and never moves an entry, which is what lets a callback run in
-// place while it schedules enough events to grow the pool. Slots are
-// recycled through a free list; each reuse bumps the slot's generation so
-// outstanding Handles (and any queue item referencing the old incarnation)
-// go inert instead of touching the new occupant. The slab is
-// shared_ptr-owned by the queue and weak_ptr-referenced by Handles, which
+// the entry (InlineCallback::emplace), runs there and is destroyed there
+// (InlineCallback::run_once), so the steady-state hot path neither
+// allocates nor copies a closure. The pool grows by chunks that never
+// move, which is what lets a callback run in place while it schedules
+// enough events to grow the pool; an entry is constructed when its slot is
+// first handed out, so the untouched tail of a chunk costs no memory. A
+// slot is freed only after its event has left both tiers, so a queue key
+// never meets a recycled slot and carries no generation; the generation
+// is for Handles alone, and it moves on when the event starts running or
+// its slot is freed. Handles hold a weak_ptr to the queue's Slab, which
 // makes a Handle outliving its queue a safe no-op.
 
-struct EventQueue::Slab {
-  static constexpr std::uint32_t kNone = 0xffffffffu;
-  static constexpr std::uint32_t kChunkShift = 5;  // 32 entries, 6 KiB
-  static constexpr std::uint32_t kChunk = 1u << kChunkShift;
-  static constexpr std::uint32_t kChunkMask = kChunk - 1;
-
-  enum class State : std::uint8_t { kFree, kPending, kCancelled };
-
-  // The event's (at, seq) live in its queue Item; the entry keeps the
-  // clock at scheduling time for current_scheduled_at(). 192 bytes: three
-  // cache lines.
-  struct Entry {
-    Time scheduled_at = 0;
-    Callback cb;
-    std::uint32_t gen = 0;
-    std::uint32_t next_free = kNone;
-    State state = State::kFree;
-  };
-
-  Entry& at(std::uint32_t slot) {
-    return chunks[slot >> kChunkShift][slot & kChunkMask];
-  }
-
-  std::vector<std::unique_ptr<Entry[]>> chunks;
-  std::uint32_t size = 0;  // slots handed out so far
-  std::uint32_t free_head = kNone;
-  std::size_t live = 0;       // pending (non-cancelled) events
-  std::size_t cancelled = 0;  // cancelled entries not yet reclaimed
+// While the event is queued its callback is empty only if it was
+// cancelled. `at` and `tie` rebuild the event's key when the far tier
+// pours it into the near one; `next` links the far bucket list or, once
+// freed, the free list. Three cache lines, the last holding the
+// callback's vtable pointer next to the bookkeeping.
+struct alignas(64) EventQueue::Entry {
+  Callback cb;
+  Time at = 0;
+  std::uint64_t tie = 0;
+  Time scheduled_at = 0;
+  std::uint32_t next = kNoSlot;
+  std::uint32_t gen = 0;
 };
+
+struct EventQueue::Slab {
+  static_assert(sizeof(Entry) == 192);
+  static_assert(std::is_standard_layout_v<Entry> && offsetof(Entry, cb) == 0);
+  EventQueue* owner;
+};
+
+// The per-event paths below are forced inline into claim() and into
+// run_until() and step(), so each event costs two calls into the queue.
+#define MYRI_EQ_INLINE inline __attribute__((always_inline))
+
+MYRI_EQ_INLINE EventQueue::Entry& EventQueue::entry(
+    std::uint32_t slot) const noexcept {
+  // The first chunk holds most queues whole. Chunk k starts at slot
+  // 256 * (2^k - 1).
+  if (slot < (1u << kFirstChunkShift)) [[likely]] return chunk_[0][slot];
+  const std::uint32_t q = (slot >> kFirstChunkShift) + 1;
+  const int k = std::bit_width(q) - 1;
+  return chunk_[k][slot + (1u << kFirstChunkShift) -
+                   ((1u << kFirstChunkShift) << k)];
+}
 
 void EventQueue::Handle::cancel() {
   auto s = slab_.lock();
-  if (!s || slot_ >= s->size) return;
-  Slab::Entry& e = s->at(slot_);
-  if (e.gen != gen_ || e.state != Slab::State::kPending) return;
-  e.state = Slab::State::kCancelled;
-  e.cb = nullptr;  // release captured resources eagerly
-  --s->live;
-  ++s->cancelled;
+  if (!s || slot_ >= s->owner->slots_) return;
+  EventQueue& q = *s->owner;
+  Entry& e = q.entry(slot_);
+  if (e.gen != gen_ || !e.cb) return;
+  e.cb = nullptr;  // marks it cancelled; releases captures eagerly
+  --q.live_;
+  ++q.cancelled_;
 }
 
 bool EventQueue::Handle::pending() const {
   auto s = slab_.lock();
-  if (!s || slot_ >= s->size) return false;
-  const Slab::Entry& e = s->at(slot_);
-  return e.gen == gen_ && e.state == Slab::State::kPending;
+  if (!s || slot_ >= s->owner->slots_) return false;
+  const Entry& e = s->owner->entry(slot_);
+  return e.gen == gen_ && static_cast<bool>(e.cb);
 }
 
 namespace {
 
-// "Later" ordering on (at, seq). Used three ways: sorting a bucket
-// descending (so it drains ascending from the back), as the comparator
-// that makes std::push_heap a min-heap, and for the sorted insert into
-// the currently-draining bucket.
-constexpr auto kLater = [](const auto& a, const auto& b) {
-  if (a.at != b.at) return a.at > b.at;
-  return a.seq > b.seq;
-};
-
 // Compaction triggers once at least this many cancelled entries have
-// accumulated AND they outnumber the live events.
+// accumulated AND they outnumber the live events (see compact()).
 constexpr std::size_t kCompactMin = 1024;
 
 }  // namespace
 
 EventQueue::EventQueue()
-    : slab_(std::make_shared<Slab>()), buckets_(kBucketCount) {}
-
-EventQueue::~EventQueue() = default;
-
-bool EventQueue::empty() const noexcept { return slab_->live == 0; }
-
-std::size_t EventQueue::pending_events() const noexcept {
-  return slab_->live;
+    : heads_(std::make_unique<std::uint32_t[]>(kBucketCount)),
+      slab_(std::make_shared<Slab>(Slab{this})) {
+  std::fill_n(heads_.get(), kBucketCount, kNoSlot);
 }
+
+EventQueue::~EventQueue() {
+  slab_.reset();  // Handles go inert before any closure is destroyed
+  for (std::uint32_t slot = 0; slot < slots_; ++slot) entry(slot).~Entry();
+  for (Entry* c : chunk_) {
+    if (c != nullptr) ::operator delete(c, std::align_val_t{alignof(Entry)});
+  }
+}
+
+bool EventQueue::empty() const noexcept { return live_ == 0; }
+
+std::size_t EventQueue::pending_events() const noexcept { return live_; }
 
 std::size_t EventQueue::cancelled_pending() const noexcept {
-  return slab_->cancelled;
+  return cancelled_;
 }
 
-std::uint32_t EventQueue::alloc_slot() {
-  Slab& s = *slab_;
-  if (s.free_head != Slab::kNone) {
-    const std::uint32_t slot = s.free_head;
-    s.free_head = s.at(slot).next_free;
-    return slot;
+std::uint32_t EventQueue::grow_slab() {
+  // The free list is empty: hand out the next never-used slot, opening a
+  // new chunk when it starts one.
+  const std::uint32_t slot = slots_;
+  if (slot > kSlotMask) {
+    throw std::length_error("EventQueue: more than 2^24 queued events");
   }
-  if ((s.size & Slab::kChunkMask) == 0) {
-    s.chunks.push_back(std::make_unique<Slab::Entry[]>(Slab::kChunk));
+  const int k = std::bit_width((slot >> kFirstChunkShift) + 1) - 1;
+  if (chunk_[k] == nullptr) {
+    const std::size_t n = std::size_t{1} << (kFirstChunkShift + k);
+    chunk_[k] = static_cast<Entry*>(::operator new(
+        n * sizeof(Entry), std::align_val_t{alignof(Entry)}));
+    // Every queued event holds a slot, so the near heap grows with the
+    // chunks and never needs more room than they have slots.
+    const std::size_t slots_now = 2 * n - (std::size_t{1} << kFirstChunkShift);
+    if (near_cap_ < slots_now) {
+      auto bigger = std::make_unique<Key[]>(slots_now);
+      std::copy_n(near_.get(), near_size_, bigger.get());
+      near_ = std::move(bigger);
+      near_cap_ = static_cast<std::uint32_t>(slots_now);
+    }
   }
-  return s.size++;
+  ::new (static_cast<void*>(&entry(slot))) Entry();
+  ++slots_;
+  return slot;
 }
 
-void EventQueue::retire_slot(std::uint32_t slot) {
-  Slab::Entry& e = slab_->at(slot);
-  ++e.gen;  // outstanding handles and queue items go stale
-  e.state = Slab::State::kFree;
+MYRI_EQ_INLINE void EventQueue::push_free(std::uint32_t slot, Entry& e) {
+  e.next = free_head_;
+  free_head_ = slot;
+  free_ = &e;
 }
 
-void EventQueue::recycle_slot(std::uint32_t slot) {
-  Slab& s = *slab_;
-  Slab::Entry& e = s.at(slot);
-  e.cb = nullptr;
-  e.next_free = s.free_head;
-  s.free_head = slot;
+MYRI_EQ_INLINE std::uint32_t EventQueue::pop_free() {
+  // The head's entry is known; look its successor up for the next claim.
+  const std::uint32_t slot = free_head_;
+  free_head_ = free_->next;
+  free_ = free_head_ != kNoSlot ? &entry(free_head_) : nullptr;
+  return slot;
 }
 
 void EventQueue::free_slot(std::uint32_t slot) {
-  retire_slot(slot);
-  recycle_slot(slot);
+  Entry& e = entry(slot);
+  ++e.gen;
+  push_free(slot, e);
 }
 
-EventQueue::Claim EventQueue::claim(Time at) {
-  at = std::max(at, now_);
-  const std::uint32_t slot = alloc_slot();
-  Slab::Entry& e = slab_->at(slot);
+// ---- near tier: 4-ary min-heap ---------------------------------------------
+
+namespace {
+
+// Put `k` at hole `i` of the n-key heap `h` and sift it down. Returns the
+// key that ends up at `i`.
+template <typename K>
+MYRI_EQ_INLINE K sift_down(K* h, std::size_t n, std::size_t i, K k) {
+  K at_start = k;
+  for (bool first_move = true;; first_move = false) {
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + 4, n);
+    std::size_t m = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (h[c] < h[m]) m = c;
+    }
+    if (!(h[m] < k)) break;
+    if (first_move) at_start = h[m];
+    h[i] = h[m];
+    i = m;
+  }
+  h[i] = k;
+  return at_start;
+}
+
+}  // namespace
+
+MYRI_EQ_INLINE void EventQueue::near_push(Key k, Entry& e) {
+  Key* h = near_.get();
+  std::size_t i = near_size_++;
+  while (i > 0) {
+    const std::size_t parent = (i - 1) >> 2;
+    if (!(k < h[parent])) break;
+    h[i] = h[parent];
+    i = parent;
+  }
+  h[i] = k;
+  if (i == 0) top_ = &e;
+}
+
+MYRI_EQ_INLINE void EventQueue::near_pop() {
+  // Look the new earliest entry up while the current event runs, so the
+  // next pop starts without a dependent slab lookup.
+  const std::size_t n = --near_size_;
+  const Key root = sift_down(near_.get(), n, 0, near_[n]);
+  top_ = n != 0 ? &entry(key_slot(root)) : nullptr;
+}
+
+void EventQueue::near_heapify() {
+  const std::size_t n = near_size_;
+  for (std::size_t top = n / 4 + 1; top-- > 0;) {
+    if (top < n) sift_down(near_.get(), n, top, near_[top]);
+  }
+  top_ = n != 0 ? &entry(key_slot(near_[0])) : nullptr;
+}
+
+// ---- scheduling ------------------------------------------------------------
+
+MYRI_EQ_INLINE std::uint64_t EventQueue::stamp(Entry& e, std::uint32_t slot,
+                                               Time at) {
+  e.at = at;
+  e.tie = next_seq_++ << kSlotBits | slot;
   e.scheduled_at = now_;
-  e.state = Slab::State::kPending;
-  ++slab_->live;
-  place_item(Item{at, next_seq_++, slot, e.gen});
-  maybe_compact();
-  return Claim{e.cb, slot, e.gen};
+  return e.tie;
 }
 
-// ---- occupancy bitmap ----------------------------------------------------
+EventQueue::Callback& EventQueue::claim(Time at) {
+  at = std::max(at, now_);
+  // The common case, kept free of calls: a recycled slot, no sweep due,
+  // an event for the near tier.
+  if (free_ == nullptr || cancelled_ >= kCompactMin ||
+      bucket_of(at) >= horizon_ || next_seq_ == kSeqLimit) [[unlikely]] {
+    return claim_slow(at);
+  }
+  ++live_;
+  Entry& e = *free_;
+  const std::uint32_t slot = pop_free();
+  near_push(make_key(at, stamp(e, slot, at)), e);
+  return e.cb;
+}
+
+EventQueue::Callback& EventQueue::claim_slow(Time at) {
+  ++live_;
+  // Sweep before the new entry is queued: its callback is still empty, and
+  // a queued entry with an empty callback reads as cancelled.
+  if (cancelled_ >= kCompactMin && cancelled_ >= live_) compact();
+  if (next_seq_ == kSeqLimit) {
+    throw std::overflow_error("EventQueue: sequence numbers exhausted");
+  }
+  const std::uint32_t slot = free_ != nullptr ? pop_free() : grow_slab();
+  Entry& e = entry(slot);
+  const std::uint64_t tie = stamp(e, slot, at);
+  if (bucket_of(at) < horizon_) {
+    near_push(make_key(at, tie), e);
+  } else {
+    far_push(slot, at);
+  }
+  return e.cb;
+}
+
+void EventQueue::require_callable(bool callable) {
+  if (!callable) throw std::invalid_argument("EventQueue: empty callback");
+}
+
+EventQueue::Handle EventQueue::schedule_at(Time at, Callback cb) {
+  require_callable(static_cast<bool>(cb));
+  Callback& slot_cb = claim(at);
+  slot_cb.emplace(std::move(cb));
+  // The callback is the entry's first member, so its address is the
+  // entry's.
+  const Entry& e = *std::launder(reinterpret_cast<const Entry*>(&slot_cb));
+  return Handle(slab_, key_slot(e.tie), e.gen);
+}
+
+// ---- far tier: occupancy bitmap -------------------------------------------
 
 void EventQueue::mark_occupied(std::uint64_t idx) noexcept {
   occ_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
@@ -156,9 +284,13 @@ void EventQueue::mark_empty(std::uint64_t idx) noexcept {
   if (w == 0) occ_summary_ &= ~(std::uint64_t{1} << (idx >> 6));
 }
 
+bool EventQueue::occupied(std::uint64_t idx) const noexcept {
+  return (occ_[idx >> 6] >> (idx & 63) & 1) != 0;
+}
+
 std::uint64_t EventQueue::next_occupied(std::uint64_t idx) const noexcept {
-  // First occupied ring index at or after `idx`, wrapping past 4095 to 0.
-  // Precondition: some bucket is occupied (occ_summary_ != 0).
+  // First occupied bucket index at or after `idx`, wrapping past 4095 to
+  // 0. Precondition: some bucket is occupied (occ_summary_ != 0).
   std::uint64_t w = idx >> 6;
   const std::uint64_t here = occ_[w] & (~std::uint64_t{0} << (idx & 63));
   if (here != 0) return (w << 6) | std::countr_zero(here);
@@ -172,136 +304,137 @@ std::uint64_t EventQueue::next_occupied(std::uint64_t idx) const noexcept {
 
 template <typename F>
 void EventQueue::for_each_occupied(F&& f) {
-  // Visits every non-empty bucket by ring index. `f` may empty the
-  // bucket; the bitmap is brought up to date after it returns.
+  // Visits every non-empty bucket's list head by index. `f` may empty the
+  // list; the bitmap is brought up to date after it returns.
   for (std::uint64_t sum = occ_summary_; sum != 0; sum &= sum - 1) {
     const std::uint64_t w = std::countr_zero(sum);
     for (std::uint64_t bits = occ_[w]; bits != 0; bits &= bits - 1) {
       const std::uint64_t idx = (w << 6) | std::countr_zero(bits);
-      f(buckets_[idx]);
-      if (buckets_[idx].empty()) mark_empty(idx);
+      f(heads_[idx]);
+      if (heads_[idx] == kNoSlot) mark_empty(idx);
     }
   }
 }
 
-// ---- calendar ------------------------------------------------------------
+// ---- far tier: calendar ----------------------------------------------------
 
-void EventQueue::place_item(const Item& it) {
-  // Invariant: every pending event satisfies bucket_of(at) >= cur_bn_
-  // (schedule_at clamps to now_, and the cursor never passes the bucket
-  // of the current clock). Within the ring window each absolute bucket
-  // number maps to a distinct slot, so a bucket only ever mixes events
-  // of one bucket number.
-  const std::uint64_t bn = bucket_of(it.at);
-  if (bn < cur_bn_ + kBucketCount) {
-    auto& b = buckets_[bn & kBucketMask];
-    if (cur_sorted_ && bn == cur_bn_) {
-      // The current bucket drains ascending from the back; keep it
-      // sorted descending on insert so a callback scheduling at `now`
-      // still fires in FIFO order behind its equal-timestamp peers.
-      b.insert(std::lower_bound(b.begin(), b.end(), it, kLater), it);
+void EventQueue::far_push(std::uint32_t slot, Time at) {
+  const std::uint64_t idx = bucket_of(at) & kBucketMask;
+  entry(slot).next = heads_[idx];
+  heads_[idx] = slot;
+  mark_occupied(idx);
+  ++far_size_;
+}
+
+void EventQueue::pour(std::uint64_t bn) {
+  // Move bucket number `bn`'s events into the near tier; events of later
+  // ring turns stay. Cancelled entries have left the queue and are freed.
+  const std::uint64_t idx = bn & kBucketMask;
+  std::uint32_t* link = &heads_[idx];
+  while (*link != kNoSlot) {
+    const std::uint32_t slot = *link;
+    Entry& e = entry(slot);
+    if (bucket_of(e.at) != bn) {
+      link = &e.next;
+      continue;
+    }
+    *link = e.next;
+    --far_size_;
+    if (e.cb) {
+      near_push(make_key(e.at, e.tie), e);
     } else {
-      b.push_back(it);
+      --cancelled_;
+      free_slot(slot);
     }
-    mark_occupied(bn & kBucketMask);
-  } else {
-    overflow_.push_back(it);
-    std::push_heap(overflow_.begin(), overflow_.end(), kLater);
+  }
+  if (heads_[idx] == kNoSlot) mark_empty(idx);
+}
+
+__attribute__((noinline)) void EventQueue::pour_until(std::uint64_t target) {
+  // Raise the horizon to `target`, pouring each bucket it passes.
+  for (; horizon_ < target; ++horizon_) {
+    if (occupied(horizon_ & kBucketMask)) pour(horizon_);
   }
 }
 
-void EventQueue::migrate_overflow() {
-  // Move overflow events that fell inside the horizon into the ring.
-  // Doing this on every cursor move keeps the overflow strictly later
-  // than everything in the ring.
-  while (!overflow_.empty() &&
-         bucket_of(overflow_.front().at) < cur_bn_ + kBucketCount) {
-    std::pop_heap(overflow_.begin(), overflow_.end(), kLater);
-    const Item mig = overflow_.back();
-    overflow_.pop_back();
-    const std::uint64_t idx = bucket_of(mig.at) & kBucketMask;
-    buckets_[idx].push_back(mig);
-    mark_occupied(idx);
-  }
+std::uint64_t EventQueue::earliest_far_bucket() {
+  std::uint64_t best = ~std::uint64_t{0};
+  for_each_occupied([&](std::uint32_t& head) {
+    for (std::uint32_t slot = head; slot != kNoSlot;) {
+      const Entry& e = entry(slot);
+      best = std::min(best, bucket_of(e.at));
+      slot = e.next;
+    }
+  });
+  return best;
 }
 
-bool EventQueue::advance_to_next(bool bounded, Time limit) {
-  auto& cur = buckets_[cur_bn_ & kBucketMask];
-  if (cur.empty()) {
-    cur_sorted_ = false;
-    const std::uint64_t limit_bn = bucket_of(limit);
-    std::uint64_t target = 0;
-    if (occ_summary_ != 0) {
-      // The ring window maps each bucket number to a distinct slot, so
-      // the next occupied slot's ring distance is its bucket distance.
-      // Every overflow event lies past the window, hence past `target`:
-      // jumping there is the same as stepping bucket by bucket.
-      const std::uint64_t cur_idx = cur_bn_ & kBucketMask;
-      target = cur_bn_ + ((next_occupied(cur_idx) - cur_idx) & kBucketMask);
-      if (bounded && target > limit_bn) {
-        // Never move the cursor past the limit's bucket; that keeps
-        // cur_bn_ <= bucket_of(now_) after run_until returns, which
-        // place_item's window bijectivity depends on. Parking still
-        // migrates, so the overflow stays past the window.
-        if (cur_bn_ < limit_bn) {
-          cur_bn_ = limit_bn;
-          migrate_overflow();
-        }
-        return false;
-      }
-    } else {
-      if (overflow_.empty()) return false;
-      // Rebase: jump the cursor straight to the earliest overflow event.
-      target = bucket_of(overflow_.front().at);
-      if (bounded && target > limit_bn) return false;
+__attribute__((noinline)) bool EventQueue::refill(bool bounded, Time limit) {
+  // The near tier is empty, so the next event is in the far tier's first
+  // bucket number at or past the horizon that holds an event. The bitmap
+  // names the next non-empty bucket index; its list may hold only later
+  // ring turns, so after a whole turn without a find, look the earliest
+  // bucket number up instead of turning again.
+  std::uint64_t swept = 0;
+  while (near_size_ == 0) {
+    if (far_size_ == 0) return false;
+    const std::uint64_t idx = horizon_ & kBucketMask;
+    const std::uint64_t dist = (next_occupied(idx) - idx) & kBucketMask;
+    std::uint64_t bn = horizon_ + dist;
+    swept += dist + kLead;
+    if (swept > kBucketCount) {
+      bn = earliest_far_bucket();
+      swept = 0;
     }
-    cur_bn_ = target;
-    migrate_overflow();
-  }
-  if (!cur_sorted_) {
-    auto& b = buckets_[cur_bn_ & kBucketMask];
-    if (b.size() > 1) std::sort(b.begin(), b.end(), kLater);
-    cur_sorted_ = true;
+    // A bounded run leaves what lies past its limit's bucket in place.
+    if (bounded && bn > bucket_of(limit)) return false;
+    horizon_ = bn;
+    pour_until(bn + kLead);
   }
   return true;
 }
 
-bool EventQueue::pop_and_run(bool bounded, Time limit) {
-  Slab& s = *slab_;
-  while (s.live > 0) {
-    if (!advance_to_next(bounded, limit)) return false;
-    const std::uint64_t idx = cur_bn_ & kBucketMask;
-    auto& b = buckets_[idx];
-    const Item it = b.back();
-    Slab::Entry& e = s.at(it.slot);
-    if (e.gen != it.gen) {  // slot recycled since: stale item
-      b.pop_back();
-      if (b.empty()) mark_empty(idx);
+// ---- running events -------------------------------------------------------
+
+MYRI_EQ_INLINE bool EventQueue::pop_and_run(bool bounded, Time limit) {
+  while (live_ > 0) {
+    if (near_size_ == 0 && !refill(bounded, limit)) return false;
+    const Key k = near_[0];
+    const std::uint32_t slot = key_slot(k);
+    Entry& e = *top_;
+    assert(&e == &entry(slot) && e.tie == static_cast<std::uint64_t>(k) &&
+           "a queued key's slot was recycled");
+    if (!e.cb) {  // cancelled
+      near_pop();
+      --cancelled_;
+      free_slot(slot);
       continue;
     }
-    if (e.state == Slab::State::kCancelled) {
-      b.pop_back();
-      if (b.empty()) mark_empty(idx);
-      --s.cancelled;
-      free_slot(it.slot);
-      continue;
-    }
-    if (bounded && it.at > limit) return false;
-    b.pop_back();
-    if (b.empty()) mark_empty(idx);
-    now_ = it.at;
-    --s.live;
+    if (bounded && key_at(k) > limit) return false;
+    near_pop();
+    now_ = key_at(k);
+    --live_;
     ++executed_;
+    // Keep the horizon kLead buckets ahead of the clock, so events the
+    // callback schedules into the near future go straight to the heap.
+    if (bucket_of(now_) + kLead > horizon_) {
+      if (far_size_ == 0) {
+        horizon_ = bucket_of(now_) + kLead;
+      } else {
+        pour_until(bucket_of(now_) + kLead);
+      }
+    }
     // Retire the event before it runs: its own Handle is inert from here
     // on, so the callback may schedule or cancel freely, including
     // rescheduling itself. The slot rejoins the free list only after the
     // callback returns, so nothing the callback schedules can land in it;
-    // the closure runs in place at a stable address.
-    retire_slot(it.slot);
+    // the closure runs in place at a stable address and is destroyed
+    // there when it returns.
+    ++e.gen;
     cur_scheduled_at_ = e.scheduled_at;
-    e.cb();
+    e.cb.run_once();
     cur_scheduled_at_ = kNotExecuting;
-    recycle_slot(it.slot);
+    push_free(slot, e);
     return true;
   }
   reclaim_all();
@@ -309,7 +442,7 @@ bool EventQueue::pop_and_run(bool bounded, Time limit) {
 }
 
 bool EventQueue::step() {
-  if (slab_->live == 0) {
+  if (live_ == 0) {
     reclaim_all();
     return false;
   }
@@ -317,10 +450,12 @@ bool EventQueue::step() {
 }
 
 std::size_t EventQueue::run_until(Time t) {
-  std::size_t n = 0;
-  while (pop_and_run(true, t)) ++n;
+  const std::uint64_t before = executed_;
+  while (pop_and_run(true, t)) {
+  }
   now_ = std::max(now_, t);
-  return n;
+  if (far_size_ == 0) horizon_ = std::max(horizon_, bucket_of(now_) + kLead);
+  return static_cast<std::size_t>(executed_ - before);
 }
 
 std::size_t EventQueue::run(std::size_t max_events) {
@@ -329,52 +464,59 @@ std::size_t EventQueue::run(std::size_t max_events) {
   return n;
 }
 
-void EventQueue::reclaim_all() {
-  // No live events remain: every gen-matching entry still queued is
-  // cancelled. Drop them all and rewind the cursor to the clock.
-  Slab& s = *slab_;
-  const auto drop = [&](const Item& it) {
-    const Slab::Entry& e = s.at(it.slot);
-    if (e.gen == it.gen && e.state == Slab::State::kCancelled) {
-      --s.cancelled;
-      free_slot(it.slot);
+__attribute__((noinline)) void EventQueue::reclaim_all() {
+  // No live events remain: every entry still queued is cancelled. Free
+  // them all and bring the horizon back to the clock.
+  for (std::size_t i = 0; i < near_size_; ++i) free_slot(key_slot(near_[i]));
+  near_size_ = 0;
+  top_ = nullptr;
+  for_each_occupied([&](std::uint32_t& head) {
+    while (head != kNoSlot) {
+      const std::uint32_t slot = head;
+      head = entry(slot).next;
+      free_slot(slot);
     }
-  };
-  for_each_occupied([&](std::vector<Item>& b) {
-    for (const Item& it : b) drop(it);
-    b.clear();
   });
-  for (const Item& it : overflow_) drop(it);
-  overflow_.clear();
-  cur_sorted_ = false;
-  cur_bn_ = bucket_of(now_);
+  cancelled_ = 0;
+  far_size_ = 0;
+  horizon_ = bucket_of(now_) + kLead;
 }
 
-void EventQueue::maybe_compact() {
-  Slab& s = *slab_;
-  if (s.cancelled < kCompactMin || s.cancelled < s.live) return;
-  // Long-horizon soaks cancel retry timers far faster than the clock
-  // reaches them; sweep the dead entries out so queue memory tracks the
-  // live population instead of the cancellation history.
+void EventQueue::compact() {
+  // Runs from claim() once at least kCompactMin cancelled entries have
+  // accumulated AND they outnumber the live events. Long-horizon soaks
+  // cancel retry timers far faster than the clock reaches them; sweep the
+  // dead entries out so queue memory tracks the live population instead
+  // of the cancellation history. Dropping keys never changes the order of
+  // the survivors.
   ++compactions_;
-  const auto dead = [&](const Item& it) {
-    Slab::Entry& e = s.at(it.slot);
-    if (e.gen != it.gen) return true;
-    if (e.state == Slab::State::kCancelled) {
-      --s.cancelled;
-      free_slot(it.slot);
-      return true;
-    }
-    return false;
+  const auto dead = [&](std::uint32_t slot) {
+    if (entry(slot).cb) return false;
+    --cancelled_;
+    free_slot(slot);
+    return true;
   };
-  // remove_if preserves the relative order of survivors, so a sorted
-  // current bucket stays sorted and FIFO order is unaffected.
-  for_each_occupied([&](std::vector<Item>& b) {
-    b.erase(std::remove_if(b.begin(), b.end(), dead), b.end());
+  Key* h = near_.get();
+  near_size_ = static_cast<std::size_t>(
+      std::remove_if(h, h + near_size_,
+                     [&](Key k) { return dead(key_slot(k)); }) -
+      h);
+  near_heapify();
+  for_each_occupied([&](std::uint32_t& head) {
+    std::uint32_t* link = &head;
+    while (*link != kNoSlot) {
+      const std::uint32_t slot = *link;
+      const std::uint32_t next = entry(slot).next;
+      if (dead(slot)) {
+        *link = next;
+        --far_size_;
+      } else {
+        link = &entry(slot).next;
+      }
+    }
   });
-  overflow_.erase(std::remove_if(overflow_.begin(), overflow_.end(), dead),
-                  overflow_.end());
-  std::make_heap(overflow_.begin(), overflow_.end(), kLater);
 }
+
+#undef MYRI_EQ_INLINE
 
 }  // namespace myri::sim

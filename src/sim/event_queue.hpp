@@ -13,24 +13,26 @@
 // event exactly when its eager event would have been scheduled first
 // (DESIGN.md §12).
 //
-// Internally the queue is a calendar queue: a ring of fixed-width time
-// buckets plus a min-heap overflow for events beyond the ring's horizon,
-// with all event entries pooled in a slab allocator. Each closure is built
-// directly in its slab entry (InlineCallback) and runs there: entries have
-// stable addresses, so the hot path neither allocates nor copies a closure
-// per event (DESIGN.md §12). An occupancy bitmap over the ring (one bit
-// per bucket plus a summary word) lets the cursor jump straight to the
-// next non-empty bucket with two count-trailing-zeros steps, so a sparse
-// timeline costs nothing per empty bucket. The execution order is defined
-// purely by the (timestamp, sequence) pair, identical to the classic
-// binary-heap implementation this replaced, so golden traces and chaos
-// digests are bit-stable across the designs.
+// Internally the queue has two tiers over one slab of event entries
+// (DESIGN.md §12). The near future, every event due before the horizon
+// (the rest of the clock's 16 µs bucket and at least one more), lives in
+// a small 4-ary min-heap of compact (at, seq, slot) keys. Only the sparse
+// far tail (retransmit timers, alarms, watchdog wakes) goes to a calendar
+// of 4096 buckets whose lists are threaded through the slab entries, so
+// no bucket owns memory; an occupancy bitmap finds the next non-empty
+// bucket in two count-trailing-zeros steps, and when the clock nears the
+// horizon the next bucket is poured into the heap. Each closure is built
+// directly in its slab entry (InlineCallback) and runs and is destroyed
+// there, so the hot path neither allocates nor copies a closure per event.
+// The execution order is defined purely by the (timestamp, sequence) pair,
+// identical to the classic binary-heap implementation this replaced, so
+// golden traces and chaos digests are bit-stable across the designs.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <vector>
+#include <type_traits>
 
 #include "sim/callback.hpp"
 #include "sim/checks.hpp"
@@ -38,19 +40,22 @@
 
 namespace myri::sim {
 
-class EventQueue {
+class alignas(64) EventQueue {
  public:
   /// Sized so the common Link/Switch hop closures (capturing a 128-byte
   /// Packet plus a pointer and a port) stay inline in the event slab.
   using Callback = InlineCallback<152>;
 
-  struct Slab;  // event entry pool, defined in event_queue.cpp
+ private:
+  struct Entry;  // one pooled event, defined in event_queue.cpp
+  struct Slab;   // what Handles hold: the queue, while it lives
 
+ public:
   /// Cancellation handle for a scheduled event. Copyable; outliving the
   /// queue or the event firing is safe (cancel becomes a no-op). The
-  /// handle addresses a pooled slot by (index, generation): once the
-  /// event fires or is cancelled the slot's generation moves on and the
-  /// handle goes inert.
+  /// handle addresses a pooled slot by (index, generation) and goes inert
+  /// once the event starts running (the slot's generation moves on) or is
+  /// cancelled (the entry's callback is emptied).
   class Handle {
    public:
     Handle() = default;
@@ -79,11 +84,7 @@ class EventQueue {
   [[nodiscard]] Time now() const noexcept { return now_; }
 
   /// Schedule `cb` at absolute time `at` (clamped to now if in the past).
-  Handle schedule_at(Time at, Callback cb) {
-    const Claim c = claim(at);
-    c.cb.emplace(std::move(cb));
-    return Handle(slab_, c.slot, c.gen);
-  }
+  Handle schedule_at(Time at, Callback cb);
 
   /// Schedule `cb` after `delay` nanoseconds of virtual time.
   Handle schedule_after(Time delay, Callback cb) {
@@ -94,7 +95,10 @@ class EventQueue {
   /// in its slab entry and no Handle is made. The hot paths use this.
   template <typename F>
   void post_at(Time at, F&& f) {
-    claim(at).cb.emplace(std::forward<F>(f));
+    if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
+      require_callable(static_cast<bool>(f));
+    }
+    claim(at).emplace(std::forward<F>(f));
   }
 
   /// post_at after `delay` nanoseconds of virtual time.
@@ -146,77 +150,118 @@ class EventQueue {
   [[nodiscard]] std::uint64_t executed() const noexcept { return executed_; }
 
   /// Compaction sweeps performed (cancelled-entry eviction; see
-  /// maybe_compact in event_queue.cpp). Exported as `sim.eq_compactions`.
+  /// compact() in event_queue.cpp). Exported as `sim.eq_compactions`.
   [[nodiscard]] std::uint64_t compactions() const noexcept {
     return compactions_;
   }
 
  private:
-  // One ring bucket covers 256 ns; 4096 buckets span ~1.05 ms. Events
-  // beyond the horizon wait in the overflow heap and migrate into the
-  // ring as the cursor advances.
-  static constexpr int kBucketShift = 8;
+  // Near tier: a 4-ary min-heap of 128-bit keys, the time in the high
+  // half and the tie in the low half, so one integer compare orders them
+  // by (at, seq). The tie is the scheduling sequence above the slab slot:
+  // each sequence is unique, and the slot finds the entry.
+  using Key = unsigned __int128;
+  static constexpr int kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask =
+      (std::uint64_t{1} << kSlotBits) - 1;
+  static constexpr std::uint64_t kSeqLimit = std::uint64_t{1}
+                                             << (64 - kSlotBits);
+  static constexpr Key make_key(Time at, std::uint64_t tie) noexcept {
+    return Key{at} << 64 | tie;
+  }
+  static constexpr Time key_at(Key k) noexcept {
+    return static_cast<Time>(k >> 64);
+  }
+  static constexpr std::uint32_t key_slot(Key k) noexcept {
+    return static_cast<std::uint32_t>(static_cast<std::uint64_t>(k) &
+                                      kSlotMask);
+  }
+  void near_push(Key k, Entry& e);
+  void near_pop();
+  void near_heapify();
+
+  // Far tier: bucket b holds the events with (at >> kBucketShift) % 4096
+  // == b, for any number of ring turns ahead, as a singly linked list
+  // through the entries. Everything below the horizon bucket is in the
+  // near tier, everything at or past it in the far tier.
+  static constexpr int kBucketShift = 14;
   static constexpr std::uint64_t kBucketCount = 1u << 12;
   static constexpr std::uint64_t kBucketMask = kBucketCount - 1;
-
-  // A bucket entry: enough to order the event and find its slab slot.
-  // The generation pins the slot's identity — a stale item whose slot
-  // was recycled is skipped at pop time.
-  struct Item {
-    Time at;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
-
+  // The horizon stays at least this many buckets past the clock's bucket.
+  static constexpr std::uint64_t kLead = 2;
   static constexpr std::uint64_t bucket_of(Time at) noexcept {
     return at >> kBucketShift;
   }
 
-  // Occupancy bitmap: bit i of occ_ is set iff ring bucket i holds at
-  // least one item (stale and cancelled items included); bit w of
-  // occ_summary_ is set iff occ_[w] is non-zero.
+  // Occupancy bitmap: bit i of occ_ is set iff far bucket i is non-empty
+  // (cancelled entries included); bit w of occ_summary_ is set iff
+  // occ_[w] is non-zero.
   static constexpr std::size_t kOccWords = kBucketCount / 64;
   static_assert(kOccWords <= 64, "one summary bit per bitmap word");
   void mark_occupied(std::uint64_t idx) noexcept;
   void mark_empty(std::uint64_t idx) noexcept;
+  [[nodiscard]] bool occupied(std::uint64_t idx) const noexcept;
   [[nodiscard]] std::uint64_t next_occupied(std::uint64_t idx) const noexcept;
   template <typename F>
   void for_each_occupied(F&& f);
 
-  // A freshly queued slab entry whose callback the caller builds in place.
-  // The one commit routine behind schedule_at and post_at.
-  struct Claim {
-    Callback& cb;
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
-  Claim claim(Time at);
+  void far_push(std::uint32_t slot, Time at);
+  void pour(std::uint64_t bn);
+  void pour_until(std::uint64_t target);
+  bool refill(bool bounded, Time limit);
+  [[nodiscard]] std::uint64_t earliest_far_bucket();
 
-  void place_item(const Item& it);
-  void migrate_overflow();
-  bool advance_to_next(bool bounded, Time limit);
+  // A queued entry with an empty callback reads as cancelled, so an empty
+  // callback is refused before anything is queued.
+  static void require_callable(bool callable);
+
+  // Queue a fresh entry and return its empty callback for the caller to
+  // build in place. The one commit routine behind schedule_at and post_at.
+  Callback& claim(Time at);
+  Callback& claim_slow(Time at);
+  std::uint64_t stamp(Entry& e, std::uint32_t slot, Time at);
+
   bool pop_and_run(bool bounded, Time limit);
-  std::uint32_t alloc_slot();
-  void retire_slot(std::uint32_t slot);
-  void recycle_slot(std::uint32_t slot);
-  void free_slot(std::uint32_t slot);
   void reclaim_all();
-  void maybe_compact();
+  void compact();
 
-  std::shared_ptr<Slab> slab_;
-  std::vector<std::vector<Item>> buckets_;
-  std::array<std::uint64_t, kOccWords> occ_{};
-  std::uint64_t occ_summary_ = 0;
-  std::vector<Item> overflow_;  // min-heap on (at, seq)
-  Checks* checks_ = nullptr;
+  // Slab: pooled entries in chunks that never move, recycled through a
+  // free list. Chunk k holds 256 << k entries, so the table of 17 chunks
+  // covers every 24-bit slot number and fits in the queue object itself.
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  static constexpr int kFirstChunkShift = 8;
+  static constexpr int kChunks = 17;
+  [[nodiscard]] Entry& entry(std::uint32_t slot) const noexcept;
+  std::uint32_t grow_slab();
+  void push_free(std::uint32_t slot, Entry& e);
+  std::uint32_t pop_free();
+  void free_slot(std::uint32_t slot);
+
+  // The fields every event touches, in the queue's first two cache lines.
   Time now_ = 0;
   Time cur_scheduled_at_ = kNotExecuting;
-  std::uint64_t cur_bn_ = 0;     // absolute bucket number of the cursor
-  bool cur_sorted_ = false;      // current bucket sorted & being drained
   std::uint64_t next_seq_ = 0;
+  std::unique_ptr<Key[]> near_;  // heap storage, sized with the slab
+  Entry* top_ = nullptr;         // the entry of near_[0]
+  Entry* free_ = nullptr;        // the entry of free_head_
+  std::uint32_t near_size_ = 0;
+  std::uint32_t free_head_ = kNoSlot;
+  std::size_t live_ = 0;           // pending (non-cancelled) events
+  std::size_t cancelled_ = 0;      // cancelled entries not yet reclaimed
+  std::uint64_t horizon_ = kLead;  // first bucket number of the far tier
   std::uint64_t executed_ = 0;
+  Checks* checks_ = nullptr;
+  std::uint32_t slots_ = 0;  // slots handed out so far
+  std::uint32_t near_cap_ = 0;
+  std::array<Entry*, kChunks> chunk_{};
+
+  std::size_t far_size_ = 0;  // entries in the far tier
+  std::unique_ptr<std::uint32_t[]> heads_;  // far bucket lists
+  std::uint64_t occ_summary_ = 0;
+  std::array<std::uint64_t, kOccWords> occ_{};
   std::uint64_t compactions_ = 0;
+  // Last, so Handles go inert before the entries are destroyed.
+  std::shared_ptr<Slab> slab_;
 };
 
 }  // namespace myri::sim

@@ -16,6 +16,7 @@
 #include <functional>
 #include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -249,6 +250,48 @@ TEST(EventQueueInPlace, SelfReschedulingNeverReusesItsRunningSlot) {
   for (std::size_t i = 0; i < seen.size(); ++i) EXPECT_EQ(seen[i], i);
 }
 
+TEST(EventQueueInPlace, RunOnceDestroysTheClosureAsTheCallReturns) {
+  // One indirect call runs the closure and destroys it: inline and heap-
+  // held closures alike, and also when the call throws.
+  auto token = std::make_shared<int>(7);
+  long seen = 0;
+  EventQueue::Callback small([token, &seen] { seen = token.use_count(); });
+  small.run_once();
+  EXPECT_EQ(seen, 2);  // the closure's copy lived through the call
+  EXPECT_FALSE(small);
+  EXPECT_EQ(token.use_count(), 1);
+
+  const std::array<std::uint64_t, 32> pad{};  // 256 bytes: held on the heap
+  auto big = [token, pad, &seen] {
+    seen = token.use_count() + static_cast<long>(pad[0]);
+  };
+  static_assert(!EventQueue::Callback::fits_inline<decltype(big)>());
+  EventQueue::Callback large(std::move(big));
+  large.run_once();
+  EXPECT_EQ(seen, 2);
+  EXPECT_EQ(token.use_count(), 1);
+
+  EventQueue::Callback thrower([token] { throw std::runtime_error("boom"); });
+  EXPECT_THROW(thrower.run_once(), std::runtime_error);
+  EXPECT_FALSE(thrower);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueueInPlace, EmptyCallbacksAreRefusedBeforeAnythingIsQueued) {
+  // A queued entry with an empty callback would read as cancelled and
+  // unbalance the live and cancelled counts.
+  EventQueue eq;
+  EXPECT_THROW(eq.schedule_at(10, EventQueue::Callback{}),
+               std::invalid_argument);
+  EXPECT_THROW(eq.post_at(10, EventQueue::Callback{}), std::invalid_argument);
+  EXPECT_TRUE(eq.empty());
+  EXPECT_EQ(eq.cancelled_pending(), 0u);
+  bool ran = false;
+  eq.post_at(20, [&ran] { ran = true; });
+  EXPECT_EQ(eq.run(), 1u);
+  EXPECT_TRUE(ran);
+}
+
 TEST(EventQueueInPlace, EqualTimestampOrderMatchesTheCopyingQueue) {
   // Equal-timestamp waves on both sides of a bucket edge whose events
   // schedule children at now and one bucket later, and cancel a
@@ -288,19 +331,25 @@ TEST(EventQueueInPlace, EqualTimestampOrderMatchesTheCopyingQueue) {
 }
 
 // Naive reference model for the differential tests: every scheduled
-// event with its (at, seq) and whether it was cancelled. The queue under
-// test must fire exactly the uncancelled events, in (at, seq) order, and
-// after run_until(t) exactly those due by t must have fired.
+// event with its (at, seq), the clock when it was scheduled, and whether
+// it was cancelled. The queue under test must fire exactly the
+// uncancelled events, in (at, seq) order, each at its time and reporting
+// its scheduling time through current_scheduled_at(); after run_until(t)
+// exactly those due by t must have fired. An event may carry a hook that
+// runs inside it, to schedule or cancel from a callback.
 class Differential {
  public:
+  using Hook = std::function<void(Differential&)>;
+
   EventQueue& eq() { return eq_; }
   [[nodiscard]] std::size_t scheduled() const { return ref_.size(); }
 
-  void schedule(Time at) {
+  std::size_t schedule(Time at, Hook hook = nullptr) {
     const std::uint64_t s = ref_.size();
-    handles_.push_back(
-        eq_.schedule_at(at, [this, s] { fired_.push_back(s); }));
-    ref_.push_back({std::max(at, eq_.now()), s});
+    ref_.push_back({std::max(at, eq_.now()), s, eq_.now()});
+    hooks_.push_back(std::move(hook));
+    handles_.push_back(eq_.schedule_at(at, [this, s] { fire(s); }));
+    return s;
   }
 
   // Cancel event k if it is still pending (a fired or already cancelled
@@ -342,10 +391,24 @@ class Differential {
   struct Ref {
     Time at;
     std::uint64_t seq;
+    Time scheduled_at;
     bool cancelled = false;
   };
+
+  void fire(std::uint64_t s) {
+    fired_.push_back(s);
+    EXPECT_EQ(eq_.now(), ref_[s].at) << "event " << s;
+    EXPECT_EQ(eq_.current_scheduled_at(), ref_[s].scheduled_at)
+        << "event " << s;
+    if (hooks_[s]) {
+      const Hook hook = hooks_[s];  // the hook may grow hooks_
+      hook(*this);
+    }
+  }
+
   EventQueue eq_;
   std::vector<Ref> ref_;
+  std::vector<Hook> hooks_;
   std::vector<EventQueue::Handle> handles_;
   std::vector<std::uint64_t> fired_;  // seq order actually observed
 };
@@ -552,6 +615,225 @@ TEST(EventQueueCalendar, RunUntilThenLateInsertKeepsOrder) {
   eq.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(eq.now(), 10'000'000u);
+}
+
+// ---- two tiers: near heap and far calendar ---------------------------------
+//
+// Every event due before the horizon waits in the near heap; the horizon
+// stays at least two 16 384 ns buckets past the clock's bucket. Later
+// events wait in the far calendar of 4096 such buckets, any number of ring
+// turns ahead, and are poured into the heap as the horizon reaches them.
+// Geometry mirrored from event_queue.hpp; every schedule below is checked
+// against the reference model for order and current_scheduled_at().
+constexpr Time kFarBucket = Time{1} << 14;
+constexpr Time kFarTurn = kFarBucket * 4096;
+
+// A time within a few ns of an edge the tiers care about, seen from `now`:
+// the bucket edges one to four buckets ahead (the horizon moves among
+// them), the next ring turn, and later turns.
+Time tier_edge(Rng& rng, Time now) {
+  static constexpr Time kAhead[] = {1, 2, 3, 4, 4096, 4097, 2 * 4096 + 1,
+                                    3 * 4096};
+  const Time edge =
+      (now / kFarBucket + kAhead[rng.below(std::size(kAhead))]) * kFarBucket;
+  return edge + rng.below(7) - 3;
+}
+
+TEST(EventQueueTiers, EventsStraddlingTheNearFarBoundary) {
+  Rng rng(11);
+  Differential d;
+  Time vnow = 0;
+  for (int round = 0; round < 300; ++round) {
+    const int burst = 1 + static_cast<int>(rng.below(6));
+    for (int i = 0; i < burst; ++i) d.schedule(tier_edge(rng, vnow));
+    // Steps to an edge move the horizon one bucket at a time or in jumps.
+    vnow = rng.below(3) == 0 ? tier_edge(rng, vnow)
+                             : vnow + rng.below(2 * kFarBucket);
+    d.run_until(vnow);
+  }
+  d.finish();
+}
+
+TEST(EventQueueTiers, AtNowInsertsFromCallbacksInBothTiers) {
+  // Events spawn children at their own time (behind their equal-timestamp
+  // peers), inside and just past the horizon, and a ring turn ahead, whose
+  // own children then run from a far-tier pour. Some seeds share one far
+  // timestamp, so poured peers and their at-now children interleave.
+  Rng rng(12);
+  Differential d;
+  int budget = 5000;
+  Differential::Hook spawn = [&](Differential& x) {
+    const Time now = x.eq().now();
+    const int kids = static_cast<int>(rng.below(3));
+    for (int i = 0; i < kids && budget > 0; ++i, --budget) {
+      switch (rng.below(4)) {
+        case 0:
+          x.schedule(now, spawn);
+          break;
+        case 1:
+          x.schedule(now + rng.below(kFarBucket), spawn);
+          break;
+        case 2:
+          x.schedule(tier_edge(rng, now), spawn);
+          break;
+        default:
+          x.schedule(now + kFarTurn + rng.below(kFarBucket), spawn);
+          break;
+      }
+    }
+  };
+  for (int i = 0; i < 50; ++i) d.schedule(rng.below(4 * kFarBucket), spawn);
+  for (int i = 0; i < 5; ++i) d.schedule(kFarTurn + 100, spawn);
+  for (int i = 0; i < 20; ++i) {
+    d.schedule(kFarTurn * (1 + rng.below(3)) + rng.below(kFarBucket), spawn);
+  }
+  d.finish();
+  EXPECT_EQ(budget, 0);
+}
+
+TEST(EventQueueTiers, CancelsOfNearAndFarEvents) {
+  // Cancels from outside and from callbacks hit events in the heap, in the
+  // calendar and a ring turn ahead; cancelled far entries are dropped when
+  // their bucket is poured, cancelled near ones when they reach the top.
+  Rng rng(13);
+  Differential d;
+  Time vnow = 0;
+  const Differential::Hook cancel_one = [&rng](Differential& x) {
+    x.cancel(rng.below(x.scheduled()));
+  };
+  for (int round = 0; round < 200; ++round) {
+    const int burst = 1 + static_cast<int>(rng.below(12));
+    for (int i = 0; i < burst; ++i) {
+      const std::uint64_t r = rng.below(3);
+      const Time at = r == 0   ? vnow + rng.below(kFarBucket)
+                      : r == 1 ? vnow + rng.below(2 * kFarTurn)
+                               : tier_edge(rng, vnow);
+      d.schedule(at, rng.below(4) == 0 ? cancel_one : nullptr);
+    }
+    for (int i = 0; i < 3; ++i) d.cancel(rng.below(d.scheduled()));
+    vnow += rng.below(4 * kFarBucket);
+    d.run_until(vnow);
+  }
+  d.finish();
+}
+
+TEST(EventQueueTiers, CompactionWithBothTiersPopulated) {
+  // Mass cancellation across the heap and the calendar (this turn and
+  // later ones) crosses the compaction threshold; the sweep must empty
+  // both tiers of dead entries and leave the survivors' order alone.
+  Differential d;
+  d.run_until(kFarBucket / 2);
+  for (int i = 0; i < 3000; ++i) {
+    const Time at = i % 3 == 0 ? kFarBucket / 2 + static_cast<Time>(i) * 7
+                               : static_cast<Time>(3 + (i * 37) % 9000) *
+                                         kFarBucket +
+                                     static_cast<Time>(i);
+    d.schedule(at);
+  }
+  for (std::size_t k = 0; k < d.scheduled(); ++k) {
+    if (k % 10 != 0) d.cancel(k);
+  }
+  EXPECT_EQ(d.eq().compactions(), 0u);
+  EXPECT_GE(d.eq().cancelled_pending(), 1024u);
+  d.schedule(kFarBucket);  // the next schedule sweeps
+  EXPECT_EQ(d.eq().compactions(), 1u);
+  EXPECT_EQ(d.eq().cancelled_pending(), 0u);
+  d.run_until(3 * kFarBucket);
+  d.finish();
+}
+
+TEST(EventQueueTiers, BoundedRunsParkInEmptyStretches) {
+  // Sparse far events with bounded runs whose limits land in empty
+  // stretches, inside a queued event's bucket but before it, and exactly
+  // on it; late inserts then arrive ahead of everything still queued.
+  Rng rng(14);
+  Differential d;
+  Time vnow = 0;
+  for (int round = 0; round < 300; ++round) {
+    if (rng.below(3) == 0) {
+      d.schedule(vnow + kFarBucket * (2 + rng.below(3 * 4096)) +
+                 rng.below(kFarBucket));
+    }
+    switch (rng.below(3)) {
+      case 0:
+        vnow += rng.below(kFarBucket);
+        break;
+      case 1:
+        vnow = tier_edge(rng, vnow);
+        break;
+      default:
+        vnow += kFarBucket * rng.below(2 * 4096);
+        break;
+    }
+    d.run_until(vnow);
+    d.schedule(vnow + rng.below(3));
+    if (rng.below(2) == 0) d.schedule(vnow + rng.below(2 * kFarBucket));
+  }
+  d.finish();
+}
+
+TEST(EventQueueTiers, HorizonCrossingDuringABoundedRun) {
+  // One run_until whose limit lies buckets past the horizon: the horizon
+  // moves inside the run, and callbacks in that run schedule on both
+  // sides of it, into a bucket already holding a later event, and a ring
+  // turn ahead into the same bucket index.
+  Differential d;
+  const Time t0 = 10 * kFarBucket;
+  d.schedule(5 * kFarBucket + 3, [t0](Differential& x) {
+    x.schedule(t0 + 2);
+    x.schedule(x.eq().now());
+  });
+  d.schedule(t0 - 1, [](Differential& x) {
+    x.schedule(x.eq().now() + kFarBucket);
+    x.schedule(x.eq().now());
+    x.schedule(x.eq().now() + 1);
+  });
+  d.schedule(t0);
+  d.schedule(t0 + 1);
+  d.schedule(12 * kFarBucket - 1);
+  d.schedule(t0 + kFarTurn);
+  d.run_until(t0 + 1);  // t0 + 2, same bucket, stays queued
+  d.run_until(11 * kFarBucket + 5);
+  d.finish();
+}
+
+TEST(EventQueueTiers, EqualTimestampOrderAcrossTheTiersMatchesTheParent) {
+  // Equal-timestamp waves on both sides of the initial horizon and a ring
+  // turn on, whose events spawn children at now, one bucket on and one
+  // turn on, and cancel neighbours. The order was recorded on the queue
+  // this one replaced (one sorted 256 ns calendar with an overflow heap).
+  EventQueue eq;
+  std::vector<int> order;
+  std::vector<EventQueue::Handle> handles;
+  int next_id = 0;
+  std::function<void(Time)> spawn;
+  spawn = [&](Time at) {
+    const int id = next_id++;
+    handles.push_back(eq.schedule_at(at, [&, id] {
+      order.push_back(id);
+      if (next_id < 160) {
+        if (id % 3 == 0) spawn(eq.now());
+        if (id % 4 == 1) spawn(eq.now() + kFarBucket);
+        if (id % 5 == 2) spawn(eq.now() + kFarTurn);
+      }
+      if (id % 7 == 3 && static_cast<std::size_t>(id + 1) < handles.size()) {
+        handles[id + 1].cancel();
+      }
+      if (id % 11 == 5 && id >= 2) handles[id - 2].cancel();
+    }));
+  };
+  for (const Time t : {2 * kFarBucket - 1, 2 * kFarBucket - 1, 2 * kFarBucket,
+                       2 * kFarBucket + 1, kFarTurn + 2 * kFarBucket}) {
+    for (int k = 0; k < 4; ++k) spawn(t);
+  }
+  eq.run();
+  const std::vector<int> want = {
+      0, 1, 2, 3, 5, 6, 7, 20, 23, 25, 8, 9, 10, 28, 12, 13, 14, 15, 30,
+      33, 34, 35, 21, 24, 27, 37, 39, 40, 44, 29, 32, 36, 47, 38, 42,
+      49, 45, 52, 51, 55, 22, 26, 16, 17, 19, 31, 41, 43, 57, 60, 63,
+      64, 48, 65, 50, 59, 54, 61, 67, 66, 70, 68, 56, 62, 69, 72, 74,
+      73, 76, 71, 75, 77, 78, 80, 79};
+  EXPECT_EQ(order, want);
 }
 
 // ---- digest stability across the queue rewrite ---------------------------

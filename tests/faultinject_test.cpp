@@ -2,6 +2,10 @@
 // and classification sanity.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "faultinject/campaign.hpp"
 #include "faultinject/workload.hpp"
 #include "gm/cluster.hpp"
@@ -54,6 +58,31 @@ TEST(Workload, DetectsTamperedPayload) {
   ASSERT_TRUE(wl.complete());
   // Now verify the oracle itself: a mismatching pattern byte is detected.
   EXPECT_NE(StreamWorkload::pattern(1, 10), StreamWorkload::pattern(2, 10));
+}
+
+TEST(Workload, WholeRunFillAndCheckAgreeWithPatternByteForByte) {
+  // fill_pattern/matches_pattern copy and compare whole runs of the
+  // 256-byte period; they must reproduce pattern() at every byte, for
+  // every phase and across run boundaries.
+  for (const int msg : {0, 1, 2, 7, 255, 256, 1000, 65535, 1 << 20}) {
+    for (const std::uint32_t len :
+         {0u, 1u, 4u, 5u, 255u, 256u, 257u, 511u, 512u, 513u, 1500u, 4096u}) {
+      std::vector<std::byte> buf(len);
+      StreamWorkload::fill_pattern(buf, msg);
+      for (std::uint32_t j = 0; j < len; ++j) {
+        ASSERT_EQ(buf[j], StreamWorkload::pattern(msg, j))
+            << "msg " << msg << " byte " << j;
+      }
+      EXPECT_TRUE(StreamWorkload::matches_pattern(buf, msg, 4));
+      for (const std::uint32_t bad : {4u, len / 2, len - 1}) {
+        if (len <= 4 || bad < 4) continue;
+        buf[bad] ^= std::byte{0x01};
+        EXPECT_FALSE(StreamWorkload::matches_pattern(buf, msg, 4))
+            << "msg " << msg << " len " << len << " flipped " << bad;
+        buf[bad] ^= std::byte{0x01};
+      }
+    }
+  }
 }
 
 TEST(Workload, CountsMissingMessages) {
