@@ -118,18 +118,22 @@ std::uint32_t EventQueue::grow_slab() {
   }
   const int k = std::bit_width((slot >> kFirstChunkShift) + 1) - 1;
   if (chunk_[k] == nullptr) {
-    const std::size_t n = std::size_t{1} << (kFirstChunkShift + k);
-    chunk_[k] = static_cast<Entry*>(::operator new(
-        n * sizeof(Entry), std::align_val_t{alignof(Entry)}));
     // Every queued event holds a slot, so the near heap grows with the
-    // chunks and never needs more room than they have slots.
+    // chunks and never needs more room than they have slots. Both arrays
+    // are allocated before either is published, so a failed allocation
+    // leaves the queue as it was.
+    const std::size_t n = std::size_t{1} << (kFirstChunkShift + k);
     const std::size_t slots_now = 2 * n - (std::size_t{1} << kFirstChunkShift);
-    if (near_cap_ < slots_now) {
-      auto bigger = std::make_unique<Key[]>(slots_now);
+    std::unique_ptr<Key[]> bigger;
+    if (near_cap_ < slots_now) bigger = std::make_unique<Key[]>(slots_now);
+    auto* chunk = static_cast<Entry*>(::operator new(
+        n * sizeof(Entry), std::align_val_t{alignof(Entry)}));
+    if (bigger != nullptr) {
       std::copy_n(near_.get(), near_size_, bigger.get());
       near_ = std::move(bigger);
       near_cap_ = static_cast<std::uint32_t>(slots_now);
     }
+    chunk_[k] = chunk;
   }
   ::new (static_cast<void*>(&entry(slot))) Entry();
   ++slots_;
@@ -239,14 +243,17 @@ EventQueue::Callback& EventQueue::claim(Time at) {
 }
 
 EventQueue::Callback& EventQueue::claim_slow(Time at) {
-  ++live_;
-  // Sweep before the new entry is queued: its callback is still empty, and
-  // a queued entry with an empty callback reads as cancelled.
-  if (cancelled_ >= kCompactMin && cancelled_ >= live_) compact();
   if (next_seq_ == kSeqLimit) {
     throw std::overflow_error("EventQueue: sequence numbers exhausted");
   }
+  // Sweep before the new entry is queued: its callback is still empty, and
+  // a queued entry with an empty callback reads as cancelled. The new
+  // event is not counted yet, so the cancelled entries must outnumber the
+  // live events with it included.
+  if (cancelled_ >= kCompactMin && cancelled_ > live_) compact();
+  // grow_slab() may throw; count the event only once it has a slot.
   const std::uint32_t slot = free_ != nullptr ? pop_free() : grow_slab();
+  ++live_;
   Entry& e = entry(slot);
   const std::uint64_t tie = stamp(e, slot, at);
   if (bucket_of(at) < horizon_) {
@@ -255,6 +262,11 @@ EventQueue::Callback& EventQueue::claim_slow(Time at) {
     far_push(slot, at);
   }
   return e.cb;
+}
+
+void EventQueue::unclaim() noexcept {
+  --live_;
+  ++cancelled_;
 }
 
 void EventQueue::require_callable(bool callable) {

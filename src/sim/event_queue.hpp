@@ -98,7 +98,13 @@ class alignas(64) EventQueue {
     if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
       require_callable(static_cast<bool>(f));
     }
-    claim(at).emplace(std::forward<F>(f));
+    Callback& cb = claim(at);
+    try {
+      cb.emplace(std::forward<F>(f));
+    } catch (...) {
+      unclaim();  // copying `f` threw: the entry stays queued, cancelled
+      throw;
+    }
   }
 
   /// post_at after `delay` nanoseconds of virtual time.
@@ -219,6 +225,8 @@ class alignas(64) EventQueue {
   // build in place. The one commit routine behind schedule_at and post_at.
   Callback& claim(Time at);
   Callback& claim_slow(Time at);
+  // Count the entry claim() just returned, still empty, as cancelled.
+  void unclaim() noexcept;
   std::uint64_t stamp(Entry& e, std::uint32_t slot, Time at);
 
   bool pop_and_run(bool bounded, Time limit);

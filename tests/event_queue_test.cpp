@@ -292,6 +292,29 @@ TEST(EventQueueInPlace, EmptyCallbacksAreRefusedBeforeAnythingIsQueued) {
   EXPECT_TRUE(ran);
 }
 
+TEST(EventQueueInPlace, ThrowingClosureCopyLeavesTheLiveCountAsItWas) {
+  // post_at builds the closure in an entry it has already queued. When
+  // copying the closure throws, that entry stays behind as a cancelled
+  // one: the live count is as before, and the entry is reclaimed like any
+  // other cancelled one.
+  struct Throws {
+    Throws() = default;
+    Throws(const Throws&) { throw std::runtime_error("copy"); }
+    void operator()() const {}
+  };
+  EventQueue eq;
+  bool ran = false;
+  eq.post_at(10, [&ran] { ran = true; });
+  const Throws t;
+  EXPECT_THROW(eq.post_at(5, t), std::runtime_error);
+  EXPECT_EQ(eq.pending_events(), 1u);
+  EXPECT_EQ(eq.cancelled_pending(), 1u);
+  EXPECT_EQ(eq.run(), 1u);
+  EXPECT_TRUE(ran);
+  EXPECT_TRUE(eq.empty());
+  EXPECT_EQ(eq.cancelled_pending(), 0u);
+}
+
 TEST(EventQueueInPlace, EqualTimestampOrderMatchesTheCopyingQueue) {
   // Equal-timestamp waves on both sides of a bucket edge whose events
   // schedule children at now and one bucket later, and cancel a

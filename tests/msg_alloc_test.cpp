@@ -11,7 +11,9 @@
 // gate holds on any runner.
 //
 // The event queue on its own gets a ceiling too: a fresh queue running a
-// sparse soak-like schedule allocates only when its slab grows.
+// sparse soak-like schedule allocates only when its slab grows. And since
+// the allocator below can be made to fail, a failed slab growth is
+// checked to leave the queue as it was.
 //
 // Its own binary: the counting global operator new below (plain and
 // over-aligned) replaces the allocator for every test linked with it.
@@ -30,18 +32,33 @@
 
 namespace {
 std::size_t g_allocs = 0;  // the simulator is single-threaded
+// When set to n > 0, the n-th allocation from now on throws bad_alloc.
+std::size_t g_fail_in = 0;
+bool fail_now() { return g_fail_in != 0 && --g_fail_in == 0; }
 }  // namespace
 
 void* operator new(std::size_t n) {
   ++g_allocs;
+  if (fail_now()) throw std::bad_alloc();
   if (void* p = std::malloc(n != 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Out of line: inlined, their free() meets pointers from the operator new
+// above, which GCC's -Wmismatched-new-delete flags once that new has a
+// second throw path.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+// Sanitizer runtimes define the array forms themselves, bypassing the
+// operator new above; route them through it so every build counts alike.
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 void* operator new(std::size_t n, std::align_val_t al) {
   ++g_allocs;
   const auto a = static_cast<std::size_t>(al);
+  if (fail_now()) throw std::bad_alloc();
   if (void* p = std::aligned_alloc(a, (std::max<std::size_t>(n, 1) + a - 1) /
                                           a * a)) {
     return p;
@@ -224,6 +241,43 @@ TEST(QueueAllocations, SparseSoakScheduleAllocatesOnlyWhenTheSlabGrows) {
               static_cast<unsigned long long>(events), peak, allocs);
   EXPECT_GE(events, 1'000'000u);
   EXPECT_LE(allocs, 2 + 2 * chunks);
+}
+
+TEST(QueueAllocations, FailedSlabGrowthLeavesTheQueueAsItWas) {
+  // The 257th queued event opens the slab's second chunk, which takes two
+  // allocations: a bigger near heap and the chunk itself. Fail the first,
+  // then the second, until the growth goes through: a failed event must
+  // not be counted or run, and the queue must keep its order.
+  sim::EventQueue eq;
+  std::array<int, 600> order{};
+  std::size_t ran = 0;
+  const auto post = [&](int i) {
+    eq.post_at(sim::Time(1000 - i),
+               [&order, &ran, i] { order.at(ran++) = i; });
+  };
+  for (int i = 0; i < 256; ++i) post(i);
+  std::size_t failures = 0;
+  for (std::size_t fail = 1;; ++fail) {
+    g_fail_in = fail;
+    try {
+      post(256);
+    } catch (const std::bad_alloc&) {
+      g_fail_in = 0;
+      ++failures;
+      EXPECT_EQ(eq.pending_events(), 256u);
+      EXPECT_EQ(eq.cancelled_pending(), 0u);
+      continue;
+    }
+    g_fail_in = 0;
+    break;
+  }
+  EXPECT_EQ(failures, 2u);
+  for (int i = 257; i < 600; ++i) post(i);
+  EXPECT_EQ(eq.pending_events(), 600u);
+  EXPECT_EQ(eq.run(), 600u);
+  EXPECT_TRUE(eq.empty());
+  ASSERT_EQ(ran, 600u);
+  for (int j = 0; j < 600; ++j) EXPECT_EQ(order[j], 599 - j);
 }
 
 }  // namespace

@@ -4,9 +4,10 @@
     python3 tools/sampler/resolve.py PROFILE [--top N]
         [--match LABEL=REGEX ...] [--annotate NAME]
 
-PROFILE is the file libsampler.so wrote ($SAMPLER_OUT.<pid>). Each sampled
-address is mapped to its object and, through `nm -n -S` of that object
-(`nm -D` when it has no static symbol table), to the enclosing function.
+PROFILE is the file the CMake-built build/libmyri_sampler.so wrote
+($SAMPLER_OUT.<pid>). Each sampled address is mapped to its object and,
+through `nm -n -S` of that object (`nm -D` when it has no static symbol
+table), to the enclosing function.
 
     --top N            print the N functions with the most samples (30)
     --match L=REGEX    print the share of samples whose function name

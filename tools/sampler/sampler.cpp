@@ -1,15 +1,17 @@
 // SIGPROF program-counter sampler, loaded into any binary with LD_PRELOAD.
 //
-//   g++ -O2 -shared -fPIC -o libsampler.so tools/sampler/sampler.cpp
-//   SAMPLER_OUT=prof LD_PRELOAD=$PWD/libsampler.so ./perfbench ...
+//   cmake --build build --target myri_sampler   # build/libmyri_sampler.so
+//   SAMPLER_OUT=prof LD_PRELOAD=$PWD/build/libmyri_sampler.so ./perfbench ...
 //   python3 tools/sampler/resolve.py prof.<pid>
 //
-// ITIMER_PROF fires every SAMPLER_US microseconds of CPU time (default
-// 1000); the handler stores the interrupted instruction's address. At exit
-// the sampler writes every executable segment of every loaded object
-// ("obj <lo> <hi> <load bias> <path>") and then one sampled address per
-// line to $SAMPLER_OUT.<pid>. Sampling costs nothing per call, unlike
-// -pg's mcount hook, so small hot functions are not inflated.
+// ITIMER_PROF asks for a signal every millisecond of CPU time; the kernel
+// delivers at most one per scheduler tick, so a 250 Hz kernel gives about
+// 250 samples per CPU second. The handler stores the interrupted
+// instruction's address. At exit the sampler writes every executable
+// segment of every loaded object ("obj <lo> <hi> <load bias> <path>") and
+// then one sampled address per line to $SAMPLER_OUT.<pid>. Sampling costs
+// nothing per call, unlike -pg's mcount hook, so small hot functions are
+// not inflated.
 #include <link.h>
 #include <signal.h>
 #include <sys/time.h>
@@ -23,6 +25,7 @@
 namespace {
 
 constexpr std::size_t kMaxSamples = std::size_t{1} << 21;
+constexpr long kIntervalUs = 1000;
 std::uintptr_t g_pcs[kMaxSamples];
 volatile std::size_t g_count = 0;
 
@@ -59,10 +62,8 @@ __attribute__((constructor)) void start() {
   sa.sa_sigaction = on_prof;
   sa.sa_flags = SA_SIGINFO | SA_RESTART;
   sigaction(SIGPROF, &sa, nullptr);
-  const char* us = std::getenv("SAMPLER_US");
-  const long period = us != nullptr ? std::atol(us) : 1000;
   itimerval it = {};
-  it.it_interval.tv_usec = period > 0 ? period : 1000;
+  it.it_interval.tv_usec = kIntervalUs;
   it.it_value = it.it_interval;
   setitimer(ITIMER_PROF, &it, nullptr);
 }
