@@ -15,7 +15,6 @@
 #include "bench/common.hpp"
 #include "faultinject/campaign.hpp"
 #include "lanai/disassembler.hpp"
-#include "sim/rng.hpp"
 
 using namespace myri;
 
@@ -26,22 +25,22 @@ int main() {
   fi::CampaignConfig cc;
   cc.mode = mcp::McpMode::kGm;
   cc.seed = 77;
+  cc.runs = bench::scaled(600);
   fi::Campaign camp(cc);
-  const int runs = bench::scaled(600);
 
   // field -> outcome counts.
   std::map<lanai::Field, std::array<int, fi::kNumOutcomes>> table;
   std::map<std::string, std::array<int, 2>> by_mnemonic;  // [hang, total]
-  sim::Rng seeder(cc.seed);
-  for (int i = 0; i < runs; ++i) {
-    const fi::RunRecord r = camp.run_one(seeder.next_u64());
+  camp.run([&](int i, const fi::RunRecord& r) {
     const lanai::Field f = lanai::field_of_bit(r.orig_word, r.word_bit);
     table[f][static_cast<int>(r.outcome)]++;
     auto& m = by_mnemonic[lanai::mnemonic(lanai::op_of(r.orig_word))];
     m[0] += r.hang ? 1 : 0;
     m[1] += 1;
-    if ((i + 1) % 100 == 0) std::fprintf(stderr, "  ... %d/%d\n", i + 1, runs);
-  }
+    if ((i + 1) % 100 == 0) {
+      std::fprintf(stderr, "  ... %d/%d\n", i + 1, cc.runs);
+    }
+  });
 
   std::printf("%-8s %6s | %6s %8s %8s %6s %8s\n", "field", "flips", "hang%",
               "corrupt%", "restart%", "other%", "noimpact%");

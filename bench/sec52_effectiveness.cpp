@@ -17,7 +17,7 @@ int main() {
   cc.mode = mcp::McpMode::kFtgm;
   cc.seed = 2003;  // same seed as Table 1: same flips, now under FTGM
   fi::Campaign camp(cc);
-  const fi::CampaignSummary s = camp.run([&](int i) {
+  const fi::CampaignSummary s = camp.run([&](int i, const fi::RunRecord&) {
     if ((i + 1) % 100 == 0) {
       std::fprintf(stderr, "  ... %d/%d runs\n", i + 1, cc.runs);
     }

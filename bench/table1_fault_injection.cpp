@@ -18,7 +18,7 @@ int main() {
   cc.mode = mcp::McpMode::kGm;
   cc.seed = 2003;
   fi::Campaign camp(cc);
-  const fi::CampaignSummary s = camp.run([&](int i) {
+  const fi::CampaignSummary s = camp.run([&](int i, const fi::RunRecord&) {
     if ((i + 1) % 200 == 0) {
       std::fprintf(stderr, "  ... %d/%d runs\n", i + 1, cc.runs);
     }

@@ -119,7 +119,8 @@ RunRecord Campaign::run_one(std::uint64_t run_seed) {
   return rec;
 }
 
-CampaignSummary Campaign::run(const std::function<void(int)>& progress) {
+CampaignSummary Campaign::run(
+    const std::function<void(int, const RunRecord&)>& progress) {
   CampaignSummary sum;
   sim::Rng seeder(cfg_.seed);
   for (int i = 0; i < cfg_.runs; ++i) {
@@ -131,7 +132,7 @@ CampaignSummary Campaign::run(const std::function<void(int)>& progress) {
       if (rec.detected) ++sum.hangs_detected;
       if (rec.recovered) ++sum.hangs_recovered;
     }
-    if (progress) progress(i);
+    if (progress) progress(i, rec);
   }
   return sum;
 }

@@ -85,8 +85,9 @@ class Campaign {
   /// Run one injection experiment with its own seed.
   RunRecord run_one(std::uint64_t run_seed);
 
-  /// Full campaign; `progress(i)` fires after each run.
-  CampaignSummary run(const std::function<void(int)>& progress = nullptr);
+  /// Full campaign; `progress(i, record)` fires after run i.
+  CampaignSummary run(
+      const std::function<void(int, const RunRecord&)>& progress = nullptr);
 
  private:
   CampaignConfig cfg_;

@@ -101,6 +101,9 @@ class Cpu {
   [[nodiscard]] std::uint64_t total_cycles() const noexcept {
     return total_cycles_;
   }
+  /// Count cycles of code run natively in place of run() (a mirror that
+  /// leaves the state run() would have left).
+  void retire(std::uint64_t cycles) noexcept { total_cycles_ += cycles; }
 
  private:
   Sram& sram_;

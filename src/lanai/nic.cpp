@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "lanai/tx_descriptor.hpp"
 
@@ -135,7 +136,7 @@ void Nic::start_hdma(bool to_sram, host::DmaAddr haddr, std::uint32_t laddr,
       // over kernel/user state: the "host computer crash" failure category.
       const bool safe = pinned_ok_ && pinned_ok_(haddr, len) &&
                         hmem_->at(haddr, len).size() == len;
-      auto src = sram_.bytes(laddr, len);
+      auto src = std::as_const(sram_).bytes(laddr, len);
       if (safe && src.size() == len) {
         hmem_->write(haddr, src);
       } else {
@@ -177,7 +178,7 @@ void Nic::tx_from_descriptor(std::uint32_t desc_addr) {
     ++stats_.tx_errors;
     return;
   }
-  auto src = sram_.bytes(pay_addr, pay_len);
+  auto src = std::as_const(sram_).bytes(pay_addr, pay_len);
   pkt.payload.assign(src.begin(), src.end());
   pkt.seal();
   send_packet(std::move(pkt));

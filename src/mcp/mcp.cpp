@@ -88,12 +88,15 @@ Mcp::Mcp(lanai::Nic& nic, host::PciBus& pci, host::HostMemory& hmem,
 
 void Mcp::load() {
   catch_up();
-  // Write the send_chunk image into the SRAM code segment.
+  // Write the send_chunk image into the SRAM code segment and watch it:
+  // the native mirror runs only while no write has touched it since.
   auto& sram = nic_.sram();
   for (std::size_t i = 0; i < image_.program.words.size(); ++i) {
     sram.write32(image_.program.base + static_cast<std::uint32_t>(i * 4),
                  image_.program.words[i]);
   }
+  sram.watch_code(image_.program.base, code_size());
+  code_epoch_ = sram.code_epoch();
   ++gen_;
   loaded_ = true;
   hung_ = false;
@@ -147,10 +150,18 @@ void Mcp::load() {
   }
 }
 
-bool Mcp::run_interpreted(std::uint32_t entry) {
+bool Mcp::run_send_chunk(std::uint32_t entry) {
   catch_up();
   ++stats_.send_chunk_runs;
-  const lanai::RunResult r = nic_.cpu().run(entry, cfg_.cycle_budget);
+  auto& sram = nic_.sram();
+  std::optional<lanai::RunResult> native;
+  if (sram.code_epoch() == code_epoch_) {
+    native = run_send_chunk_native(image_, entry, nic_.cpu(), sram, nic_,
+                                   cfg_.cycle_budget);
+  }
+  if (native) ++stats_.send_chunk_native;
+  const lanai::RunResult r =
+      native ? std::move(*native) : nic_.cpu().run(entry, cfg_.cycle_budget);
   const sim::Time c =
       r.cycles * static_cast<sim::Time>(cfg_.timing.lanai.cycle_time_ns());
   busy_until_ = std::max(busy_until_, nic_.event_queue().now()) + c;
@@ -683,7 +694,7 @@ void Mcp::start_fragment(SendStream& s) {
     return;
   }
 
-  // Fill the SRAM send descriptor the interpreted send_chunk consumes.
+  // Fill the SRAM send descriptor send_chunk consumes.
   using D = SendDescLayout;
   auto& sram = nic_.sram();
   const std::uint32_t slot =
@@ -715,7 +726,7 @@ void Mcp::start_fragment(SendStream& s) {
   pending_stream_key_ = key;
   pending_seq_ = seq;
   exec(cost, [this] {
-    if (!run_interpreted(image_.entry_dma)) {
+    if (!run_send_chunk(image_.entry_dma)) {
       // Processor hung mid-send; the engine claim dies with this MCP
       // generation (reset on load/restart).
       return;
@@ -740,7 +751,7 @@ void Mcp::start_fragment(SendStream& s) {
 
 void Mcp::finish_fragment_tx() {
   if (!dma_active_) return;
-  if (!run_interpreted(image_.entry_tx)) return;
+  if (!run_send_chunk(image_.entry_tx)) return;
   dma_active_ = false;
   ++stats_.fragments_tx;
   auto it = send_streams_.find(pending_stream_key_);

@@ -31,7 +31,7 @@
 // in the order a chain of per-tick events would run them against the
 // executing event, in closed form for runs of identical idle ticks. Every
 // routine that reads or writes state a tick affects calls it first:
-// exec()/run_interpreted(), the NIC hooks, host_* commands,
+// exec()/run_send_chunk(), the NIC hooks, host_* commands,
 // load/restart/hang, Nic::reset and the ISR/IMR/IT registers, the
 // driver's magic-word access and FATAL handler, SRAM-flip injection, the
 // stats accessors, and the end of every Cluster run slice.
@@ -259,8 +259,10 @@ class Mcp {
   // event. Defined in mcp.cpp, their only user.
   template <typename F>
   void exec(sim::Time cost, F fn);
-  // Run interpreted code; on abnormal return, transition to hung/restart.
-  bool run_interpreted(std::uint32_t entry);
+  // Run send_chunk at `entry`: natively while the code is the loaded
+  // image and the call takes a mirrored path, else interpreted. On an
+  // abnormal return, transition to hung/restart.
+  bool run_send_chunk(std::uint32_t entry);
   void handle_cpu_failure(const lanai::RunResult& r);
   void become_hung(const std::string& reason);
   void restart_self();
@@ -336,6 +338,7 @@ class Mcp {
   HostIface* host_ = nullptr;
   sim::Trace* trace_ = nullptr;
   const SendChunkImage& image_;  // shared by every card in the process
+  std::uint64_t code_epoch_ = 0;  // SRAM code epoch right after load()
 
   bool loaded_ = false;
   bool hung_ = false;
@@ -355,7 +358,7 @@ class Mcp {
   };
   std::deque<ReservedRun> runs_;
   TickEvent next_;
-  // exec() and run_interpreted() replan only once busy_until_ passes this:
+  // exec() and run_send_chunk() replan only once busy_until_ passes this:
   // beyond it the next run may lag past the IT1 deadline.
   sim::Time busy_limit_ = ~sim::Time{0};
   bool replaying_ = false;

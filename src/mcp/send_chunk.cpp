@@ -1,5 +1,9 @@
 #include "mcp/send_chunk.hpp"
 
+#include <utility>
+
+#include "lanai/registers.hpp"
+#include "lanai/tx_descriptor.hpp"
 #include "mcp/sram_layout.hpp"
 
 namespace myri::mcp {
@@ -112,12 +116,115 @@ sc_tx_lo:
   return kSrc;
 }
 
+namespace {
+
+// FNV-1a over the image's base address and words. run_send_chunk_native()
+// mirrors exactly the image with this key: an edit to the source above
+// changes the key, switches the mirror off, and fails the test that pins
+// it (SendChunkMirror.KeyMatchesTheAssembledImage) until the mirror
+// below is brought in line and the key updated.
+constexpr std::uint64_t kMirroredImageKey = 0x6ac05cf039b48faau;
+
+std::uint64_t image_key(const lanai::Program& p) {
+  std::uint64_t h = 0xcbf29ce484222325u;
+  auto mix = [&h](std::uint32_t w) {
+    for (int i = 0; i < 4; ++i) {
+      h = (h ^ ((w >> (8 * i)) & 0xffu)) * 0x100000001b3u;
+    }
+  };
+  mix(p.base);
+  for (const std::uint32_t w : p.words) mix(w);
+  return h;
+}
+
+// Cycles of the mirrored paths: one per instruction executed.
+constexpr std::uint64_t kPhaseACycles = 22;  // checks, one poll, DMA start
+constexpr std::uint64_t kPhaseBCycles = 35;  // 12 field copies, doorbell
+
+// sc_build_tx's copies, in program order: (send desc, TX desc) offsets.
+using D = SendDescLayout;
+using T = lanai::TxDescLayout;
+constexpr std::pair<std::uint32_t, std::uint32_t> kTxCopies[] = {
+    {D::kDst, T::kDst},           {D::kSeq, T::kSeq},
+    {D::kStream, T::kStream},     {D::kDstPort, T::kDstPort},
+    {D::kStagingAddr, T::kPayloadAddr}, {D::kLen, T::kPayloadLen},
+    {D::kMsgId, T::kMsgId},       {D::kMsgLen, T::kMsgLen},
+    {D::kFragOffset, T::kFragOffset},   {D::kSrcPort, T::kSrcPort},
+    {D::kTarget, T::kTarget},     {D::kFlags, T::kFlags},
+};
+
+}  // namespace
+
 SendChunkImage assemble_send_chunk() {
   SendChunkImage img;
   img.program = lanai::assemble(send_chunk_source(), SramLayout::kCodeBase);
   img.entry_dma = img.program.label("send_chunk");
   img.entry_tx = img.program.label("send_chunk_tx");
+  img.mirrored = image_key(img.program) == kMirroredImageKey;
   return img;
+}
+
+std::optional<lanai::RunResult> run_send_chunk_native(
+    const SendChunkImage& img, std::uint32_t entry, lanai::Cpu& cpu,
+    lanai::Sram& sram, lanai::MmioDevice& mmio, std::uint64_t max_cycles) {
+  constexpr std::uint32_t d = SramLayout::kSendDescAddr;
+  constexpr std::uint32_t tx = SramLayout::kTxDescAddr;
+  if (!img.mirrored || !sram.in_range(d, D::kSize) ||
+      !sram.in_range(tx, T::kSize)) {
+    return std::nullopt;
+  }
+  lanai::RunResult res;
+  res.pc = lanai::Cpu::kReturnAddr;
+  if (entry == img.entry_dma) {
+    // send_chunk: the sanity checks pass (blt is signed, so a length with
+    // the sign bit set passes), the resend flag is clear, and the first
+    // poll finds the engine idle.
+    res.cycles = kPhaseACycles;
+    if (max_cycles < res.cycles) return std::nullopt;
+    const std::uint32_t len = sram.read32(d + D::kLen);
+    const std::uint32_t host = sram.read32(d + D::kHostAddr);
+    const std::uint32_t stage = sram.read32(d + D::kStagingAddr);
+    const std::uint32_t flags = sram.read32(d + D::kFlags);
+    if (static_cast<std::int32_t>(len) > 4096 || host == 0 || stage == 0 ||
+        (flags & 2u) != 0) {
+      return std::nullopt;
+    }
+    if (mmio.mmio_read(lanai::kRegHdmaCtrl) != 0) return std::nullopt;
+    mmio.mmio_write(lanai::kRegHdmaHost, host);
+    mmio.mmio_write(lanai::kRegHdmaLocal, stage);
+    mmio.mmio_write(lanai::kRegHdmaLen, len);
+    mmio.mmio_write(lanai::kRegHdmaCtrl, 1);
+    cpu.set_reg(3, host);
+    cpu.set_reg(4, stage);
+    cpu.set_reg(5, len);
+    cpu.set_reg(6, 1);
+    cpu.set_reg(8, 2000);
+    cpu.set_reg(9, 0);
+    cpu.set_reg(10, 2);
+  } else if (entry == img.entry_tx) {
+    // send_chunk_tx -> sc_build_tx: copy the fields, ring TX_DESC (both
+    // priorities ring it the same way), return through r14 and r15.
+    res.cycles = kPhaseBCycles;
+    if (max_cycles < res.cycles) return std::nullopt;
+    std::uint32_t v = 0;
+    for (const auto& [from, to] : kTxCopies) {
+      v = sram.read32(d + from);
+      sram.write32(tx + to, v);
+    }
+    mmio.mmio_write(lanai::kRegTxDesc, tx);
+    cpu.set_reg(3, tx);
+    cpu.set_reg(5, v & 1u);  // v: the flags, copied last
+    cpu.set_reg(6, 1);
+    cpu.set_reg(7, tx);
+    cpu.set_reg(14, img.entry_tx + 12);  // after send_chunk_tx's jal
+  } else {
+    return std::nullopt;
+  }
+  cpu.set_reg(1, lanai::kMmioBase);
+  cpu.set_reg(2, d);
+  cpu.set_reg(15, lanai::Cpu::kReturnAddr);
+  cpu.retire(res.cycles);
+  return res;
 }
 
 }  // namespace myri::mcp

@@ -165,6 +165,7 @@ struct McpStats {
   std::uint64_t events_posted = 0;
   std::uint64_t l_timer_runs = 0;
   std::uint64_t send_chunk_runs = 0;
+  std::uint64_t send_chunk_native = 0;  // runs the native mirror served
   std::uint64_t send_chunk_bailouts = 0;  // error-path returns, no DMA
   std::uint64_t alarms_fired = 0;
   std::uint64_t announces_sent = 0;     // post-recovery route announces

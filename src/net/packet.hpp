@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "net/crc32.hpp"
 #include "net/route.hpp"
 
 namespace myri::net {
@@ -84,9 +85,5 @@ struct Packet {
   /// Short human-readable description for traces.
   [[nodiscard]] std::string describe() const;
 };
-
-/// Standard CRC-32 (IEEE 802.3 polynomial), table-driven (slicing-by-8).
-std::uint32_t crc32(const std::uint8_t* data, std::size_t len,
-                    std::uint32_t seed = 0xffffffffu);
 
 }  // namespace myri::net

@@ -143,7 +143,7 @@ TEST(Assembler, ErrorMessagesCarryLineNumbers) {
 
 TEST(Assembler, ProgramLabelLookupThrowsOnMissing) {
   const Program p = assemble("nop\n", 0);
-  EXPECT_THROW(p.label("missing"), AsmError);
+  EXPECT_THROW(static_cast<void>(p.label("missing")), AsmError);
 }
 
 }  // namespace

@@ -74,22 +74,99 @@ std::vector<std::uint8_t> pseudo_random_bytes(std::size_t n) {
   return v;
 }
 
+// Every kernel this CPU can run, and crc32_fold's own choice among them.
+struct CrcKernel {
+  const char* name;
+  std::uint32_t (*fold)(std::uint32_t, const std::uint8_t*, std::size_t);
+};
+
+std::vector<CrcKernel> crc_kernels() {
+  std::vector<CrcKernel> k = {{"table", crc32_fold_table},
+                              {"selected", crc32_fold}};
+  if (crc32_clmul_supported()) k.push_back({"clmul", crc32_fold_clmul});
+  return k;
+}
+
 TEST(Crc32, MatchesByteWiseReferenceAtEveryLengthAndOffset) {
-  const auto buf = pseudo_random_bytes(4096 + 7 + 8);
+  // Every length up to 320 B crosses each 16- and 64-byte boundary of the
+  // carry-less kernel (one block, four lanes, and the table tail) at
+  // every alignment within a block.
+  const auto buf = pseudo_random_bytes(4096 + 16 + 8);
   std::vector<std::size_t> lengths;
-  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
-  for (const std::size_t n : {4089u, 4095u, 4097u, 4103u}) {
+  for (std::size_t n = 0; n <= 320; ++n) lengths.push_back(n);
+  for (const std::size_t n : {4089u, 4095u, 4096u, 4097u, 4103u}) {
     lengths.push_back(n);
   }
-  for (std::size_t off = 0; off < 8; ++off) {
-    for (const std::size_t n : lengths) {
-      const std::uint8_t* p = buf.data() + off;
-      EXPECT_EQ(crc32(p, n), reference_fold(0xffffffffu, p, n) ^ 0xffffffffu)
-          << "offset " << off << " length " << n;
-      EXPECT_EQ(crc32(p, n, 0x12345678u),
-                reference_fold(0x12345678u, p, n) ^ 0xffffffffu)
-          << "seeded, offset " << off << " length " << n;
+  for (const CrcKernel& k : crc_kernels()) {
+    for (std::size_t off = 0; off < 16; ++off) {
+      for (const std::size_t n : lengths) {
+        const std::uint8_t* p = buf.data() + off;
+        EXPECT_EQ(k.fold(0xffffffffu, p, n), reference_fold(0xffffffffu, p, n))
+            << k.name << " offset " << off << " length " << n;
+        EXPECT_EQ(k.fold(0x12345678u, p, n), reference_fold(0x12345678u, p, n))
+            << k.name << " seeded, offset " << off << " length " << n;
+      }
     }
+  }
+  const std::uint8_t* p = buf.data() + 3;
+  EXPECT_EQ(crc32(p, 300), reference_fold(0xffffffffu, p, 300) ^ 0xffffffffu);
+  EXPECT_EQ(crc32(p, 300, 0x12345678u),
+            reference_fold(0x12345678u, p, 300) ^ 0xffffffffu);
+}
+
+TEST(Crc32, WordsThenBytesMatchTheReferenceOverTheirBytes) {
+  using Fold = std::uint32_t (*)(std::uint32_t, std::span<const std::uint64_t>,
+                                 const std::uint8_t*, std::size_t);
+  std::vector<std::pair<const char*, Fold>> kernels = {
+      {"table", crc32_fold_table}, {"selected", crc32_fold}};
+  if (crc32_clmul_supported()) {
+    kernels.emplace_back("clmul", static_cast<Fold>(crc32_fold_clmul));
+  }
+  const auto bytes = pseudo_random_bytes(300 + 16);
+  std::array<std::uint64_t, 9> words{};
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    words[i] = 0x0123456789abcdefull * (i + 3) ^ (i << 40);
+  }
+  for (const auto& [name, fold] : kernels) {
+    for (std::size_t nw = 0; nw <= words.size(); ++nw) {
+      std::vector<std::uint8_t> msg;
+      for (std::size_t i = 0; i < nw; ++i) {
+        for (int b = 0; b < 8; ++b) {
+          msg.push_back(static_cast<std::uint8_t>(words[i] >> (8 * b)));
+        }
+      }
+      const std::size_t head = msg.size();
+      for (std::size_t off = 0; off < 16; off += 5) {
+        for (std::size_t n = 0; n <= 300; n += (n < 40 ? 1 : 13)) {
+          msg.resize(head);
+          msg.insert(msg.end(), bytes.begin() + off, bytes.begin() + off + n);
+          const std::span<const std::uint64_t> w(words.data(), nw);
+          EXPECT_EQ(fold(0xffffffffu, w, bytes.data() + off, n),
+                    reference_fold(0xffffffffu, msg.data(), msg.size()))
+              << name << " words " << nw << " offset " << off << " length "
+              << n;
+        }
+      }
+    }
+  }
+}
+
+TEST(Crc32, ClmulKernelMatchesTheTableOnRandomCases) {
+  if (!crc32_clmul_supported()) GTEST_SKIP() << "no PCLMULQDQ on this CPU";
+  const auto buf = pseudo_random_bytes(5000 + 64);
+  const char* check = "123456789";
+  EXPECT_EQ(crc32_fold_clmul(0xffffffffu,
+                             reinterpret_cast<const std::uint8_t*>(check), 9) ^
+                0xffffffffu,
+            0xcbf43926u);
+  sim::Rng rng(20090101);
+  for (int i = 0; i < 20000; ++i) {
+    const std::size_t off = rng.below(64);
+    const std::size_t n = rng.below(5001);
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    const std::uint8_t* p = buf.data() + off;
+    ASSERT_EQ(crc32_fold_clmul(seed, p, n), crc32_fold_table(seed, p, n))
+        << "offset " << off << " length " << n << " seed " << seed;
   }
 }
 

@@ -183,7 +183,7 @@ TEST(RouteGraph, InterfacesShareTheirSwitchTreeAndEditsInvalidate) {
   const auto i2 = g.add_vertex(false);
   const auto s3 = g.add_vertex(true);
   const auto i4 = g.add_vertex(false);
-  for (const auto [sw, v, port] :
+  for (const auto& [sw, v, port] :
        {std::tuple{s0, i1, 0}, std::tuple{s0, i2, 1}, std::tuple{s3, i4, 2}}) {
     g.add_edge(sw, v, static_cast<std::uint8_t>(port));
     g.add_edge(v, sw, 0);
