@@ -9,6 +9,7 @@ namespace myri::gm {
 metrics::Registry& Cluster::metrics() {
   for (auto& n : nodes_) n->mcp().catch_up();
   for (auto& n : quarantined_) n->mcp().catch_up();
+  for (const net::Link* l : topo_->links()) l->settle();
   return metrics_;
 }
 

@@ -59,9 +59,10 @@ class Cluster {
   /// export Registry::to_json() for machine-readable baselines.
   ///
   /// A sync-on-read touch point (DESIGN.md section 12): every card first
-  /// replays its elapsed L_timer ticks, so counters that read McpStats
-  /// fields directly show the values an eager tick chain would have left
-  /// at this instant, between run slices or inside an event. A reference
+  /// replays its elapsed L_timer ticks, and every link settles its
+  /// arrivals (section 9), so counters that read McpStats and LinkStats
+  /// fields directly show the values an eager chain would have left at
+  /// this instant, between run slices or inside an event. A reference
   /// kept across a run goes stale for those counters; call metrics()
   /// again to read them.
   [[nodiscard]] metrics::Registry& metrics();

@@ -32,6 +32,17 @@ namespace {
 // line's end-to-end route crosses every switch, one byte each, so a chain
 // is as long as the longest route (Route::kMaxHops).
 constexpr std::size_t kMaxSwitches = Route::kMaxHops;
+
+// "p<pod><kind><index>", e.g. "p3e1". Built by appending: GCC 12 reports a
+// false -Wrestrict for `"p" + std::to_string(pod)`, whose operator+
+// inserts the literal in front of the temporary.
+std::string pod_name(int pod, char kind, int index) {
+  std::string name = "p";
+  name += std::to_string(pod);
+  name += kind;
+  name += std::to_string(index);
+  return name;
+}
 }  // namespace
 
 std::size_t FabricBuilder::capacity(const FabricConfig& cfg) {
@@ -170,14 +181,8 @@ void FabricBuilder::build_fat_tree3() {
   const int hosts_per_pod = half * half;
   const int pods = (cfg_.nodes + hosts_per_pod - 1) / hosts_per_pod;
   for (int p = 0; p < pods; ++p) {
-    for (int e = 0; e < half; ++e) {
-      add_switch(cfg_.radix,
-                 "p" + std::to_string(p) + "e" + std::to_string(e));
-    }
-    for (int a = 0; a < half; ++a) {
-      add_switch(cfg_.radix,
-                 "p" + std::to_string(p) + "a" + std::to_string(a));
-    }
+    for (int e = 0; e < half; ++e) add_switch(cfg_.radix, pod_name(p, 'e', e));
+    for (int a = 0; a < half; ++a) add_switch(cfg_.radix, pod_name(p, 'a', a));
   }
   const int core_base = pods * 2 * half;
   for (int a = 0; a < half; ++a) {

@@ -1,6 +1,9 @@
 #include "net/link.hpp"
 
 #include <cassert>
+#include <stdexcept>
+
+#include "net/switch.hpp"
 
 namespace myri::net {
 
@@ -9,10 +12,63 @@ Link::Link(sim::EventQueue& eq, sim::Rng rng, Config cfg, std::string name)
 
 void Link::connect(PacketSink& dst, std::uint8_t dst_port) {
   dst_ = &dst;
+  sw_ = nullptr;
   dst_port_ = dst_port;
 }
 
-bool Link::can_accept() const { return queued_ < cfg_.max_queued_packets; }
+void Link::connect(Switch& dst, std::uint8_t dst_port) {
+  // An arrival due at the routing step's instant T was sent before
+  // T - propagation, so before the step's old scheduling instant
+  // T - routing_latency: the step followed it.
+  if (cfg_.propagation <= dst.routing_latency()) {
+    throw std::invalid_argument("link " + name_ +
+                                ": propagation must exceed the switch's "
+                                "routing latency");
+  }
+  dst_ = &dst;
+  sw_ = &dst;
+  dst_port_ = dst_port;
+}
+
+void Link::settle() const {
+  const sim::Time now = eq_.now();
+  const std::uint64_t seq = eq_.current_seq();
+  const std::size_t mask = in_flight_.size() - 1;
+  while (queued_ > 0) {
+    const InFlight& f = in_flight_[head_];
+    if (f.at > now || (f.at == now && f.seq() > seq)) break;
+    ++stats_.delivered;
+    stats_.delivered_bytes += f.wire();
+    head_ = (head_ + 1) & mask;
+    --queued_;
+  }
+}
+
+bool Link::can_accept() const {
+  settle();
+  return queued_ < cfg_.max_queued_packets;
+}
+
+bool Link::can_accept_after_arrivals() const {
+  settle();
+  // What is left at now() follows the executing event in the order.
+  std::size_t n = queued_;
+  const std::size_t mask = in_flight_.size() - 1;
+  for (std::size_t i = 0; i < queued_; ++i) {
+    if (in_flight_[(head_ + i) & mask].at != eq_.now()) break;
+    --n;
+  }
+  return n < cfg_.max_queued_packets;
+}
+
+void Link::grow_in_flight() {
+  std::vector<InFlight> grown(in_flight_.empty() ? 4 : 2 * queued_);
+  for (std::size_t i = 0; i < queued_; ++i) {
+    grown[i] = in_flight_[(head_ + i) & (in_flight_.size() - 1)];
+  }
+  in_flight_ = std::move(grown);
+  head_ = 0;
+}
 
 void Link::bind_metrics(metrics::Registry& reg) {
   const std::string p = "link." + name_ + '.';
@@ -55,10 +111,13 @@ void Link::apply_faults(Packet& pkt, bool& drop) {
   }
 }
 
-void Link::send(Packet pkt) {
+void Link::send(Packet&& pkt) {
   assert(dst_ != nullptr && "link not connected");
   // Fault injection only flips bits, so the wire size is stable from here.
   const std::size_t wire = pkt.wire_size();
+  if (wire >> kWireBits != 0) {
+    throw std::length_error("link " + name_ + ": packet too long");
+  }
   ++stats_.sent;
   stats_.offered_bytes += wire;
   if (down_) {
@@ -81,18 +140,32 @@ void Link::send(Packet pkt) {
   busy_until_ = depart + ser;
   const sim::Time arrive = busy_until_ + cfg_.propagation;
 
-  ++queued_;
   if (trace_ && trace_->on(sim::TraceCat::kNet)) {
     trace_->log(sim::TraceCat::kNet, eq_.now(), name_,
                 "TX " + pkt.describe());
   }
-  eq_.post_at(arrive, [this, wire, p = std::move(pkt)]() mutable {
-    --queued_;
-    ++stats_.delivered;
-    stats_.delivered_bytes += wire;
-    if (sim::Checks* c = eq_.checks()) c->link_delivered(*this);
-    dst_->deliver(std::move(p), dst_port_);
-  });
+  settle();  // the ring holds only what is in flight
+  // The event posted here takes the arrival's place in the order.
+  const std::uint64_t seq = eq_.next_seq();
+  if (sw_ != nullptr && sw_->routes_on(pkt)) {
+    // The packet goes on through the switch: one event for the hop, the
+    // switch's routing step, due routing_latency after the arrival.
+    eq_.post_at(arrive + sw_->routing_latency(),
+                [this, p = std::move(pkt)]() mutable {
+                  if (sim::Checks* c = eq_.checks()) c->link_delivered(*this);
+                  sw_->route(std::move(p), dst_port_);
+                });
+  } else {
+    eq_.post_at(arrive, [this, p = std::move(pkt)]() mutable {
+      settle();
+      if (sim::Checks* c = eq_.checks()) c->link_delivered(*this);
+      dst_->deliver(std::move(p), dst_port_);
+    });
+  }
+  if (queued_ == in_flight_.size()) grow_in_flight();
+  in_flight_[(head_ + queued_) & (in_flight_.size() - 1)] =
+      InFlight{arrive, seq << kWireBits | wire};
+  ++queued_;
 }
 
 }  // namespace myri::net

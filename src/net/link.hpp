@@ -5,10 +5,17 @@
 // injects the transient faults GM must tolerate: drops, bit corruption and
 // misroutes. Bounded queueing models backpressure: wormhole flow control is
 // approximated by stalling the upstream switch when the queue is full.
+//
+// A packet that goes on through the switch at the far end takes one event
+// for the hop: the switch's routing step, at arrival + routing latency.
+// Arrival is then a virtual event, so what an arrival counts (packets in
+// flight, delivered packets and bytes) is settled when it is read, from
+// the in-flight packets' arrival instants (DESIGN.md section 9).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "metrics/registry.hpp"
 #include "net/packet.hpp"
@@ -17,6 +24,8 @@
 #include "sim/trace.hpp"
 
 namespace myri::net {
+
+class Switch;
 
 /// Receiving side of a link: a switch input port or a NIC packet interface.
 class PacketSink {
@@ -60,6 +69,13 @@ class Link {
   /// Attach the receiving endpoint; `dst_port` is the endpoint-local port.
   void connect(PacketSink& dst, std::uint8_t dst_port);
 
+  /// Attach a switch input port. A packet whose route goes on through
+  /// `dst` is then handed to its routing step directly. The routing step
+  /// reads its output link as of after every arrival due at its instant,
+  /// which needs the propagation delay to exceed the routing latency;
+  /// throws std::invalid_argument otherwise.
+  void connect(Switch& dst, std::uint8_t dst_port);
+
   void set_faults(const LinkFaults& f) { faults_ = f; }
   void set_trace(sim::Trace* t) { trace_ = t; }
 
@@ -71,14 +87,30 @@ class Link {
   [[nodiscard]] bool is_down() const noexcept { return down_; }
 
   /// True if the link can accept another packet without exceeding its
-  /// queue bound. Upstream devices stall (retry later) when false.
+  /// queue bound. Upstream devices stall (retry later) when false. Counts
+  /// the packets whose arrival does not precede the executing event.
   [[nodiscard]] bool can_accept() const;
 
-  /// Enqueue a packet for transmission. Faults are applied per-packet.
-  /// Precondition: connect() has been called.
-  void send(Packet pkt);
+  /// can_accept() for a reader placed after every arrival due now: a
+  /// switch's routing step (DESIGN.md section 9).
+  [[nodiscard]] bool can_accept_after_arrivals() const;
 
-  [[nodiscard]] const LinkStats& stats() const noexcept { return stats_; }
+  /// Enqueue a packet for transmission. Faults are applied per-packet.
+  /// Precondition: connect() has been called. Throws std::length_error,
+  /// before any effect, for a packet of 16 MiB or more on the wire.
+  void send(Packet&& pkt);
+
+  /// Accounting as of the executing event (settle() first).
+  [[nodiscard]] const LinkStats& stats() const {
+    settle();
+    return stats_;
+  }
+
+  /// Count every arrival that precedes the executing event as delivered.
+  /// The registry reads `delivered` and `delivered_bytes` raw, so a
+  /// reader of the registry settles first (gm::Cluster::metrics()).
+  void settle() const;
+
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   [[nodiscard]] sim::Time busy_until() const noexcept { return busy_until_; }
 
@@ -88,16 +120,39 @@ class Link {
  private:
   void apply_faults(Packet& pkt, bool& drop);
 
+  // A packet in flight: its arrival's place in the event order (the
+  // instant and the sequence number of the event posted at send) and its
+  // wire size, the last two packed into one word: sequence numbers stay
+  // below 2^40 (EventQueue), and send() refuses a wire size of 2^24 bytes
+  // or more. Arrivals leave in order: both keys grow with each send.
+  static constexpr int kWireBits = 24;
+  struct InFlight {
+    sim::Time at;
+    std::uint64_t seq_wire;
+    [[nodiscard]] std::uint64_t seq() const noexcept {
+      return seq_wire >> kWireBits;
+    }
+    [[nodiscard]] std::uint64_t wire() const noexcept {
+      return seq_wire & ((std::uint64_t{1} << kWireBits) - 1);
+    }
+  };
+  [[gnu::noinline]] void grow_in_flight();
+
   sim::EventQueue& eq_;
   sim::Rng rng_;
   Config cfg_;
   std::string name_;
   PacketSink* dst_ = nullptr;
+  Switch* sw_ = nullptr;  // dst_ when it is a switch
   std::uint8_t dst_port_ = 0;
   LinkFaults faults_;
-  LinkStats stats_;
+  mutable LinkStats stats_;
   sim::Time busy_until_ = 0;
-  std::size_t queued_ = 0;
+  // Ring buffer of the packets in flight, oldest at head_; its size is a
+  // power of two. settle() retires arrivals from the head.
+  mutable std::vector<InFlight> in_flight_;
+  mutable std::size_t head_ = 0;
+  mutable std::size_t queued_ = 0;
   bool down_ = false;
   sim::Trace* trace_ = nullptr;
   metrics::CounterViews views_;

@@ -22,53 +22,67 @@ void Switch::bind_metrics(metrics::Registry& reg) {
   views_.expose(reg, p + "backpressure_stalls", stats_.stalled);
 }
 
+namespace {
+// Scouts and route pushes record their walked input ports, so the
+// receiving card can MAP_ROUTE_ACK along the reversed path even while its
+// own route table is stale or empty.
+bool records_walk(PacketType t) {
+  return t == PacketType::kMapScout || t == PacketType::kMapRoute;
+}
+}  // namespace
+
 void Switch::deliver(Packet pkt, std::uint8_t in_port) {
-  if (pkt.type == PacketType::kMapScout) {
-    pkt.walked.push_back(in_port);
-    if (pkt.route.empty()) {
+  if (routes_on(pkt)) {
+    // Reached only by a packet that did not come through a Link bound to
+    // this switch, or whose port was connected while it was on the wire.
+    eq_.post_after(cfg_.routing_latency,
+                   [this, p = std::move(pkt), in_port]() mutable {
+                     route(std::move(p), in_port);
+                   });
+    return;
+  }
+  if (records_walk(pkt.type)) pkt.walked.push_back(in_port);
+  if (pkt.route.empty()) {
+    if (pkt.type == PacketType::kMapScout) {
       answer_scout(pkt, in_port);
       return;
     }
-  } else if (pkt.type == PacketType::kMapRoute) {
-    // Route pushes record their walked input ports like scouts do, so the
-    // receiving card can MAP_ROUTE_ACK along the reversed path even while
-    // its own route table is stale or empty.
-    pkt.walked.push_back(in_port);
-    if (pkt.route.empty()) {
-      ++stats_.dead_routed;
-      return;
-    }
-  } else if (pkt.route.empty()) {
-    // A data packet whose route ends at a switch is undeliverable: this is
+    // A packet whose route ends at a switch is undeliverable: this is
     // what a misroute fault usually produces. The wormhole just kills it.
     ++stats_.dead_routed;
-    if (trace_ && trace_->on(sim::TraceCat::kNet)) {
+    if (pkt.type != PacketType::kMapRoute && trace_ &&
+        trace_->on(sim::TraceCat::kNet)) {
       trace_->log(sim::TraceCat::kNet, eq_.now(), name_,
                   "DEAD (route exhausted) " + pkt.describe());
     }
     return;
   }
-
   const std::uint8_t out_port = pkt.route.front();
   pkt.route.erase(pkt.route.begin());
-  if (out_port >= num_ports_ || out_[out_port] == nullptr) {
-    ++stats_.dead_routed;
-    if (trace_ && trace_->on(sim::TraceCat::kNet)) {
-      trace_->log(sim::TraceCat::kNet, eq_.now(), name_,
-                  "DEAD (bad port " + std::to_string(out_port) + ") " +
-                      pkt.describe());
-    }
-    return;
+  ++stats_.dead_routed;
+  if (trace_ && trace_->on(sim::TraceCat::kNet)) {
+    trace_->log(sim::TraceCat::kNet, eq_.now(), name_,
+                "DEAD (bad port " + std::to_string(out_port) + ") " +
+                    pkt.describe());
   }
-  eq_.post_after(cfg_.routing_latency,
-                 [this, p = std::move(pkt), out_port]() mutable {
-                   forward(std::move(p), out_port, 0);
-                 });
 }
 
-void Switch::forward(Packet pkt, std::uint8_t out_port, unsigned attempts) {
+void Switch::route(Packet&& pkt, std::uint8_t in_port) {
+  ++stats_.routing_steps;
+  if (records_walk(pkt.type)) pkt.walked.push_back(in_port);
+  const std::uint8_t out_port = pkt.route.front();
+  pkt.route.erase(pkt.route.begin());
+  forward(std::move(pkt), out_port, 0);
+}
+
+void Switch::forward(Packet&& pkt, std::uint8_t out_port, unsigned attempts) {
   Link& link = *out_[out_port];
-  if (!link.can_accept()) {
+  // The first attempt is the routing step, which follows every arrival
+  // due at its instant (DESIGN.md section 9); a retry reads the link at
+  // its own place in the event order.
+  const bool room = attempts == 0 ? link.can_accept_after_arrivals()
+                                  : link.can_accept();
+  if (!room) {
     // Backpressure: the downstream queue is full; stall and retry, like a
     // blocked wormhole. Give up after a bounded time so a wedged receiver
     // cannot leak packets forever (they become drops, which Go-Back-N heals).

@@ -444,8 +444,10 @@ MYRI_EQ_INLINE bool EventQueue::pop_and_run(bool bounded, Time limit) {
     // there when it returns.
     ++e.gen;
     cur_scheduled_at_ = e.scheduled_at;
+    cur_seq_ = e.tie >> kSlotBits;
     e.cb.run_once();
     cur_scheduled_at_ = kNotExecuting;
+    cur_seq_ = kAfterAll;
     push_free(slot, e);
     return true;
   }

@@ -121,6 +121,19 @@ class alignas(64) EventQueue {
   }
   static constexpr Time kNotExecuting = ~Time{0};
 
+  /// Scheduling sequence number of the event now executing; outside event
+  /// execution it is kAfterAll, which orders after every event at now().
+  /// With now() it places the caller in the `(at, seq)` order, so a
+  /// lazily settled model can tell which of its virtual events at now()
+  /// precede it (net::Link's arrivals, DESIGN.md section 9).
+  [[nodiscard]] std::uint64_t current_seq() const noexcept {
+    return cur_seq_;
+  }
+  static constexpr std::uint64_t kAfterAll = ~std::uint64_t{0};
+
+  /// The sequence number the next schedule_at/post_at takes.
+  [[nodiscard]] std::uint64_t next_seq() const noexcept { return next_seq_; }
+
   /// Run the next pending event, advancing the clock. False if queue empty.
   bool step();
 
@@ -248,6 +261,7 @@ class alignas(64) EventQueue {
   // The fields every event touches, in the queue's first two cache lines.
   Time now_ = 0;
   Time cur_scheduled_at_ = kNotExecuting;
+  std::uint64_t cur_seq_ = kAfterAll;
   std::uint64_t next_seq_ = 0;
   std::unique_ptr<Key[]> near_;  // heap storage, sized with the slab
   Entry* top_ = nullptr;         // the entry of near_[0]

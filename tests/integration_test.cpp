@@ -30,7 +30,7 @@ TEST(Integration, MapperThenRecoveryOnMappedFabric) {
     nc.mode = mcp::McpMode::kFtgm;
     nc.host_mem_bytes = 8u << 20;
     nodes.push_back(
-        std::make_unique<gm::Node>(eq, nc, "n" + std::to_string(i)));
+        std::make_unique<gm::Node>(eq, nc, std::string("n").append(std::to_string(i))));
     nodes.back()->attach(topo, i < 2 ? s0 : s1, static_cast<std::uint8_t>(i % 2));
     nodes.back()->boot();
   }

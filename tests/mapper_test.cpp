@@ -23,7 +23,7 @@ struct Fabric {
     nc.mode = mode;
     nc.host_mem_bytes = 4u << 20;
     nodes.push_back(std::make_unique<gm::Node>(
-        eq, nc, "n" + std::to_string(nodes.size())));
+        eq, nc, std::string("n").append(std::to_string(nodes.size()))));
     nodes.back()->attach(*topo, sw, port);
     nodes.back()->boot();
     return *nodes.back();

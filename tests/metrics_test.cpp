@@ -270,7 +270,7 @@ TEST(LinkAccounting, DroppedPacketsAreOfferedButNotDelivered) {
   p.payload.assign(256, std::byte{1});
   p.seal();
   const std::uint64_t wire = p.wire_size();
-  link.send(p);
+  link.send(net::Packet(p));
   eq.run();
 
   // The old code credited pkt.wire_size() to a single bytes counter before
@@ -292,7 +292,7 @@ TEST(LinkAccounting, DownLinkOffersButDeliversNothing) {
   p.payload.assign(64, std::byte{2});
   p.seal();
   const std::uint64_t wire = p.wire_size();
-  for (int i = 0; i < 3; ++i) link.send(p);
+  for (int i = 0; i < 3; ++i) link.send(net::Packet(p));
   eq.run();
 
   EXPECT_EQ(link.stats().offered_bytes, 3 * wire);
@@ -313,8 +313,8 @@ TEST(LinkAccounting, CleanDeliveryCountsBothAndFeedsRegistry) {
   p.payload.assign(128, std::byte{3});
   p.seal();
   const std::uint64_t wire = p.wire_size();
-  link.send(p);
-  link.send(p);
+  link.send(net::Packet(p));
+  link.send(net::Packet(p));
   eq.run();
 
   EXPECT_EQ(link.stats().offered_bytes, 2 * wire);

@@ -37,15 +37,15 @@ std::size_t g_fail_in = 0;
 bool fail_now() { return g_fail_in != 0 && --g_fail_in == 0; }
 }  // namespace
 
-void* operator new(std::size_t n) {
+// All out of line. Inlined, the new's malloc() meets the operator delete
+// below, and the deletes' free() meets pointers from this new: GCC's
+// -Wmismatched-new-delete flags both pairings.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   ++g_allocs;
   if (fail_now()) throw std::bad_alloc();
   if (void* p = std::malloc(n != 0 ? n : 1)) return p;
   throw std::bad_alloc();
 }
-// Out of line: inlined, their free() meets pointers from the operator new
-// above, which GCC's -Wmismatched-new-delete flags once that new has a
-// second throw path.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
@@ -133,6 +133,15 @@ class PingPong {
   std::uint64_t completed_ = 0;
 };
 
+// Routing steps run by every switch of `c` so far.
+std::uint64_t routing_steps(gm::Cluster& c) {
+  std::uint64_t n = 0;
+  for (std::uint16_t s = 0; s < c.topo().num_switches(); ++s) {
+    n += c.topo().get_switch(s).stats().routing_steps;
+  }
+  return n;
+}
+
 TEST(MessageAllocations, PingPongAllocatesAtMostThreeTimesPerMessage) {
   PingPong pp;
   gm::Cluster& c = pp.cluster();
@@ -143,15 +152,21 @@ TEST(MessageAllocations, PingPongAllocatesAtMostThreeTimesPerMessage) {
 
   const std::size_t allocs0 = g_allocs;
   const std::uint64_t events0 = c.eq().executed();
+  const std::uint64_t steps0 = routing_steps(c);
   const std::uint64_t delivered0 = pp.delivered();
   c.run_for(sim::msec(200));
   const std::size_t allocs = g_allocs - allocs0;
   const std::uint64_t events = c.eq().executed() - events0;
+  const std::uint64_t steps = routing_steps(c) - steps0;
   const std::uint64_t delivered = pp.delivered() - delivered0;
 
-  // Pinned when every step was still a std::function: the simulated
-  // program does not depend on how a closure is stored.
-  EXPECT_EQ(events, 398237u);
+  // 398,237 was pinned when every step was still a std::function and a
+  // switch hop took two events (the arrival, then the routing step): the
+  // simulated program depends neither on how a closure is stored nor on
+  // the arrival being an event of its own. Each hop now folds its arrival
+  // into its routing step, one event fewer per step.
+  EXPECT_EQ(events + steps, 398237u);
+  EXPECT_EQ(steps, 30488u);
   EXPECT_EQ(delivered, 15243u);
   EXPECT_GE(pp.completed() + 1, pp.delivered());
   const double per_msg =

@@ -116,7 +116,7 @@ TEST(MultiHop, TrafficAcrossThreeSwitchesUnderLoss) {
     gm::Node::Config nc;
     nc.id = id;
     nc.host_mem_bytes = 8u << 20;
-    auto n = std::make_unique<gm::Node>(eq, nc, "n" + std::to_string(id));
+    auto n = std::make_unique<gm::Node>(eq, nc, std::string("n").append(std::to_string(id)));
     n->attach(topo, sw, port);
     n->boot();
     return n;
@@ -184,8 +184,8 @@ TEST(LinkStats, ByteAccountingMatchesWireSizes) {
   p.route = {1, 2};
   const auto wire = p.wire_size();
   p.seal();
-  link.send(p);
-  link.send(p);
+  link.send(net::Packet(p));
+  link.send(net::Packet(p));
   eq.run();
   EXPECT_EQ(link.stats().offered_bytes, 2 * wire);
   EXPECT_EQ(link.stats().delivered_bytes, 2 * wire);

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "net/link.hpp"
@@ -408,6 +409,18 @@ TEST(Link, CanAcceptHonoursQueueBound) {
   eq.run();
   EXPECT_TRUE(link.can_accept());
   EXPECT_EQ(sink.packets.size(), 4u);
+}
+
+TEST(Link, RefusesAPacketTooLongForItsAccounting) {
+  // In-flight entries keep the wire size in 24 bits.
+  sim::EventQueue eq;
+  SinkSpy sink;
+  Link link(eq, sim::Rng(1), {}, "l");
+  link.connect(sink, 0);
+  EXPECT_THROW(link.send(make_data(0, std::size_t{1} << 24)),
+               std::length_error);
+  EXPECT_EQ(link.stats().sent, 0u);
+  EXPECT_TRUE(eq.empty());
 }
 
 TEST(Switch, StripsRouteByteAndForwards) {

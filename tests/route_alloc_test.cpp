@@ -45,22 +45,37 @@ gm::ClusterConfig soak_fabric() {
   return cc;
 }
 
+// Routing steps run by every switch of `c` so far.
+std::uint64_t routing_steps(gm::Cluster& c) {
+  std::uint64_t n = 0;
+  for (std::uint16_t s = 0; s < c.topo().num_switches(); ++s) {
+    n += c.topo().get_switch(s).stats().routing_steps;
+  }
+  return n;
+}
+
 TEST(RouteAllocations, RemapAllocatesAtMostTwicePerRoute) {
   gm::Cluster cluster(soak_fabric());
   mapper::FailoverManager fm(cluster);
   constexpr std::size_t kRoutes = 64 * 63;  // distributed per epoch
-  // Events per epoch, pinned when routes were still std::vectors: the
-  // simulated program does not depend on how a route is stored.
+  // Events per epoch, pinned when routes were still std::vectors and a
+  // switch hop took two events (the arrival, then the routing step): the
+  // simulated program depends neither on how a route is stored nor on the
+  // arrival being an event of its own. Each hop now folds its arrival
+  // into its routing step, one event fewer per step.
   constexpr std::size_t kEvents[] = {6997, 6997, 6997};
   for (const std::size_t expected_events : kEvents) {
     const std::size_t before = g_allocs;
+    const std::uint64_t steps0 = routing_steps(cluster);
     bool ok = false;
     fm.remap_now([&](bool r) { ok = r; });
     const std::size_t events = cluster.run_until_idle();
     const std::size_t allocs = g_allocs - before;
+    const std::uint64_t steps = routing_steps(cluster) - steps0;
     ASSERT_TRUE(ok);
     EXPECT_TRUE(fm.converged());
-    EXPECT_EQ(events, expected_events);
+    EXPECT_EQ(events + steps, expected_events);
+    EXPECT_EQ(steps, 2194u);
     const double per_route = static_cast<double>(allocs) / kRoutes;
     std::printf("epoch %u: %zu events, %zu allocations, %.2f per route\n",
                 fm.mapper().epoch(), events, allocs, per_route);
