@@ -1,5 +1,8 @@
 #include "core/driver.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "mcp/sram_layout.hpp"
 
 namespace myri::core {
@@ -38,7 +41,7 @@ std::uint32_t Driver::map_route_update(const net::RouteUpdateView& update,
   // Data chunk: mirror the entries (merged view — routes to nodes the
   // latest remap could not see survive, matching what the card holds).
   update.for_each([this](net::NodeId dst, std::span<const std::uint8_t> r) {
-    routes_[dst].assign(r);
+    routes_.set(dst, r);
   });
   if (update.epoch > installed_epoch_) {
     if (chunks_epoch_ != update.epoch) {
@@ -53,10 +56,12 @@ std::uint32_t Driver::map_route_update(const net::RouteUpdateView& update,
   return installed_epoch_;
 }
 
-void Driver::install_route(net::NodeId dst, net::Route route) {
-  auto& mirror = routes_[dst];
-  mirror = std::move(route);
-  nic_.set_route(dst, mirror);
+void Driver::install_route(net::NodeId dst, const net::Route& route) {
+  if (!routes_.set(dst, route)) {
+    throw std::out_of_range("route to node " + std::to_string(dst) +
+                            ": past the route table bound");
+  }
+  nic_.set_route(dst, route);
 }
 
 void Driver::record_local_epoch(std::uint32_t epoch) {
@@ -95,7 +100,9 @@ void Driver::restart_dma_and_interrupts() {
 }
 
 void Driver::restore_routes() {
-  for (const auto& [dst, route] : routes_) nic_.set_route(dst, route);
+  routes_.for_each([this](net::NodeId dst, const net::Route& route) {
+    nic_.set_route(dst, route);
+  });
   // The mirror restores *an epoch*, not necessarily the current one: tell
   // the MCP which, and let it announce to the mapper, which re-pushes if
   // a remap happened while this card was down. Pre-mapper direct installs

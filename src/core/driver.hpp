@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -20,6 +19,7 @@
 #include "lanai/nic.hpp"
 #include "mcp/mcp.hpp"
 #include "net/map_info.hpp"
+#include "net/route_table.hpp"
 
 namespace myri::core {
 
@@ -47,12 +47,17 @@ class Driver {
   /// Install a route on the card and mirror it (tests/benches use this to
   /// configure small fabrics without running the full mapper). Direct
   /// installs live in the pre-mapper world: they never touch the epoch.
-  void install_route(net::NodeId dst, net::Route route);
+  /// Throws std::out_of_range for a `dst` at or past
+  /// net::kRouteTableBound: a direct install is configuration, not wire
+  /// input, so it fails loudly instead of being counted and dropped.
+  void install_route(net::NodeId dst, const net::Route& route);
   /// Mapper-host shortcut: the mapper programs its own card directly and
   /// stamps the mirror as complete at `epoch`.
   void record_local_epoch(std::uint32_t epoch);
-  [[nodiscard]] const std::unordered_map<net::NodeId, net::Route>&
-  route_mirror() const {
+  /// The mirror: what restore_routes() puts back on a reset card. A
+  /// MAP_ROUTE entry for a `dst` at or past net::kRouteTableBound is
+  /// dropped here as on the card, and counted in its refused().
+  [[nodiscard]] const net::RouteTable& route_mirror() const noexcept {
     return routes_;
   }
   /// Last route epoch this node holds completely (0 = pre-mapper routes).
@@ -115,7 +120,7 @@ class Driver {
   host::TimingConfig timing_;
   mcp::HostIface* host_iface_ = nullptr;
   std::function<void()> wake_ftd_;
-  std::unordered_map<net::NodeId, net::Route> routes_;
+  net::RouteTable routes_;
   std::unordered_set<net::NodeId> draining_dsts_;
   // Epoch-versioned view of the mapper's table (the single source of
   // truth lives in mapper::Mapper; this is a per-node shadow of it).

@@ -274,17 +274,16 @@ void Oracle::check_route_convergence() {
     // roster is the membership truth. A node the roster retired (a drain
     // that finished earlier than predicted) is legitimately unmapped.
     if (!cluster_.roster().is_member(node)) continue;
-    if (m.table().count(node) == 0) {
+    if (!m.has_row(node)) {
       violate("route-convergence",
               cluster_.node(node).name() +
                   ": expected up at horizon but absent from the final map "
-                  "(" + std::to_string(m.table().size()) + " of " +
+                  "(" + std::to_string(m.table_nodes().size()) + " of " +
                   std::to_string(expected_roster_.size()) +
                   " expected interfaces mapped)");
     }
   }
-  for (const auto& [node, entries] : m.table()) {
-    (void)entries;
+  for (const net::NodeId node : m.table_nodes()) {
     if (!ok()) break;
     if (node >= static_cast<net::NodeId>(cluster_.size())) continue;
     const std::uint32_t got = cluster_.node(node).route_epoch();

@@ -65,14 +65,14 @@ class Node final : public mcp::HostIface {
 
   /// Install a route on the card and in the driver mirror (used by tests
   /// and benches; real deployments learn routes from the mapper).
-  void install_route(net::NodeId dst, net::Route route) {
-    driver_.install_route(dst, std::move(route));
+  void install_route(net::NodeId dst, const net::Route& route) {
+    driver_.install_route(dst, route);
   }
 
   /// True once a route to `dst` is known (installed directly or learnt
   /// from the mapper). Port::post() refuses kUnreachable destinations.
   [[nodiscard]] bool has_route(net::NodeId dst) const {
-    return driver_.route_mirror().count(dst) != 0;
+    return driver_.route_mirror().contains(dst);
   }
 
   /// True while this node knows a newer route epoch exists than the one

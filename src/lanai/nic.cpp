@@ -24,15 +24,6 @@ void Nic::attach_host(host::HostMemory& hmem, host::PciBus& pci,
   irq_ = &irq;
 }
 
-void Nic::set_route(net::NodeId dst, std::span<const std::uint8_t> route) {
-  routes_[dst].assign(route);
-}
-
-const net::Route* Nic::route(net::NodeId dst) const {
-  auto it = routes_.find(dst);
-  return it == routes_.end() ? nullptr : &it->second;
-}
-
 void Nic::set_isr_bits(std::uint32_t bits) {
   isr_ |= bits;
   maybe_raise_host_irq();

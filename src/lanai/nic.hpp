@@ -18,7 +18,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "host/host_memory.hpp"
@@ -31,6 +30,7 @@
 #include "lanai/timer.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
+#include "net/route_table.hpp"
 #include "sim/trace.hpp"
 
 namespace myri::lanai {
@@ -95,11 +95,19 @@ class Nic final : public MmioDevice, public net::PacketSink {
   void set_node_id(net::NodeId id) { node_id_ = id; }
   [[nodiscard]] net::NodeId node_id() const noexcept { return node_id_; }
   /// Install (or overwrite) the route to `dst`; a re-install reuses the
-  /// entry's capacity.
-  void set_route(net::NodeId dst, std::span<const std::uint8_t> route);
-  [[nodiscard]] const net::Route* route(net::NodeId dst) const;
+  /// entry's capacity. A `dst` at or past net::kRouteTableBound is
+  /// refused (false) and counted in routes().refused().
+  bool set_route(net::NodeId dst, std::span<const std::uint8_t> route) {
+    return routes_.set(dst, route);
+  }
+  [[nodiscard]] const net::Route* route(net::NodeId dst) const {
+    return routes_.find(dst);
+  }
   void clear_routes() { routes_.clear(); }
   [[nodiscard]] std::size_t num_routes() const { return routes_.size(); }
+  [[nodiscard]] const net::RouteTable& routes() const noexcept {
+    return routes_;
+  }
 
   // ---- registers (native view; MMIO uses the same state) ----
   [[nodiscard]] std::uint32_t isr() const noexcept { return isr_; }
@@ -182,7 +190,7 @@ class Nic final : public MmioDevice, public net::PacketSink {
   sim::Trace* trace_ = nullptr;
 
   net::NodeId node_id_ = net::kInvalidNode;
-  std::unordered_map<net::NodeId, net::Route> routes_;
+  net::RouteTable routes_;
 
   std::uint32_t isr_ = 0;
   std::uint32_t imr_ = 0;

@@ -48,10 +48,10 @@ void DeviceGraph::build(const std::map<std::uint32_t, DeviceInfo>& devices) {
   num_devices_ = keys_.size();
   net::RouteGraph::Vertex u = 0;
   for (const auto& [key, d] : devices) {
-    for (const auto& [port, edge] : d.neighbours) {
-      auto w = vertex(edge.first);
+    for (const auto& [port, nb] : d.neighbours) {
+      auto w = vertex(nb.key);
       if (!w) {
-        keys_.push_back(edge.first);
+        keys_.push_back(nb.key);
         w = graph_.add_vertex(false);
       }
       graph_.add_edge(u, *w, port);
@@ -78,6 +78,65 @@ std::optional<net::Route> DeviceGraph::route(std::uint32_t from,
   const auto w = vertex(to);
   if (!u || !w) return std::nullopt;
   return graph_.route(*u, *w);
+}
+
+Mapper::PendingScout& Mapper::ScoutSlots::add(std::uint32_t id) {
+  if (live_ == 0) first_ = next_ = id;
+  const std::size_t window = std::size_t{id - first_} + 1;
+  if (window > slots_.size()) {
+    // Re-place the live window in a ring big enough for it.
+    std::size_t n = slots_.empty() ? 64 : 2 * slots_.size();
+    while (n < window) n *= 2;
+    std::vector<Slot> grown(n);
+    for (std::uint32_t i = first_; i != next_; ++i) {
+      Slot& s = slots_[i & (slots_.size() - 1)];
+      if (s.live) grown[i & (n - 1)] = std::move(s);
+    }
+    slots_ = std::move(grown);
+  }
+  next_ = id + 1;
+  ++live_;
+  Slot& s = slots_[id & (slots_.size() - 1)];
+  s.live = true;
+  return s.scout;
+}
+
+Mapper::PendingScout* Mapper::ScoutSlots::find(std::uint32_t id) {
+  // Unsigned: an id below first_ wraps past the window too.
+  if (live_ == 0 || id - first_ >= next_ - first_) return nullptr;
+  Slot& s = slots_[id & (slots_.size() - 1)];
+  return s.live ? &s.scout : nullptr;
+}
+
+void Mapper::ScoutSlots::erase(std::uint32_t id) {
+  const std::size_t mask = slots_.size() - 1;
+  slots_[id & mask].live = false;
+  --live_;
+  while (first_ != next_ && !slots_[first_ & mask].live) ++first_;
+}
+
+void Mapper::ScoutSlots::clear() {
+  for (Slot& s : slots_) s.live = false;
+  live_ = 0;
+  first_ = next_;
+}
+
+Mapper::NodeState* Mapper::state(net::NodeId x) {
+  if (x >= net::kRouteTableBound) return nullptr;
+  if (x >= nodes_.size()) nodes_.resize(std::size_t{x} + 1);
+  return &nodes_[x];
+}
+
+void Mapper::unconverge(NodeState& n) {
+  if (n.converged && n.in_table) --converged_count_;
+  n.converged = false;
+}
+
+bool Mapper::stop_push(NodeState& n) {
+  if (!n.pushing) return false;
+  n.pushing = false;
+  --pushes_;
+  return true;
 }
 
 Mapper::Mapper(gm::Node& home, Config cfg) : home_(home), cfg_(cfg) {
@@ -114,7 +173,7 @@ void Mapper::run(std::function<void(bool)> done) {
 void Mapper::send_scout(net::Route route, std::optional<std::uint32_t> parent,
                         std::uint8_t out_port, std::uint32_t tries) {
   const std::uint32_t id = next_scout_++;
-  pending_[id] = PendingScout{route, parent, out_port, tries};
+  pending_.add(id) = PendingScout{route, parent, out_port, tries};
   ++stats_.scouts_sent;
 
   net::Packet pkt;
@@ -126,10 +185,10 @@ void Mapper::send_scout(net::Route route, std::optional<std::uint32_t> parent,
   home_.mcp().send_raw(std::move(pkt));
 
   home_.event_queue().post_after(cfg_.scout_timeout, [this, id] {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    PendingScout ctx = std::move(it->second);
-    pending_.erase(it);
+    PendingScout* p = pending_.find(id);
+    if (p == nullptr) return;
+    PendingScout ctx = std::move(*p);
+    pending_.erase(id);
     if (ctx.tries + 1 < cfg_.scout_tries) {
       // Reply lost — or still queued behind the discovery burst on the
       // home link. Re-probe: the retry rides a fabric the burst has long
@@ -147,17 +206,17 @@ void Mapper::send_scout(net::Route route, std::optional<std::uint32_t> parent,
 }
 
 void Mapper::on_reply(const net::Packet& pkt) {
-  auto it = pending_.find(pkt.msg_id);
-  if (it == pending_.end()) return;  // late reply after timeout
-  const PendingScout ctx = std::move(it->second);
-  pending_.erase(it);
+  PendingScout* p = pending_.find(pkt.msg_id);
+  if (p == nullptr) return;  // late reply after timeout
+  const PendingScout ctx = std::move(*p);
+  pending_.erase(pkt.msg_id);
   ++stats_.replies;
 
   const net::MapReplyInfo info = net::MapReplyInfo::decode(pkt.payload);
   // An interface the current map lacks answered a scout: a missing node
   // came (back) to life mid-remap. Progress for the owner's retry budget.
   if (epoch_ > 0 && info.kind == net::DeviceKind::kInterface &&
-      table_.count(info.id) == 0 && on_progress_) {
+      !has_row(info.id) && on_progress_) {
     on_progress_();
   }
   const DeviceRef v{info.kind, info.id};
@@ -174,16 +233,16 @@ void Mapper::on_reply(const net::Packet& pkt) {
           : 0;
 
   graph_dirty_ = true;
-  const bool fresh = devices_.find(vkey) == devices_.end();
+  const auto [vit, fresh] = devices_.try_emplace(vkey);
   if (fresh) {
-    DeviceInfo d;
+    DeviceInfo& d = vit->second;
     d.ref = v;
     d.ports = info.ports;
     d.scout_route = ctx.route;
-    devices_[vkey] = std::move(d);
+    d.neighbours.reserve(info.ports);
   }
-  devices_[parent_key].neighbours[parent_port] = {vkey, far_port};
-  devices_[vkey].neighbours[far_port] = {parent_key, parent_port};
+  devices_[parent_key].neighbours.set(parent_port, {vkey, far_port});
+  vit->second.neighbours.set(far_port, {parent_key, parent_port});
 
   if (fresh && info.kind == net::DeviceKind::kSwitch &&
       ctx.route.size() < cfg_.max_depth) {
@@ -242,23 +301,35 @@ std::optional<net::Route> Mapper::route_between(net::NodeId a,
 }
 
 std::vector<std::uint64_t> Mapper::route_length_counts() const {
-  const DeviceGraph& g = graph();
+  const DeviceGraph& dg = graph();
+  const net::RouteGraph& g = dg.graph();
+  // Sources with the same tree root share their row: read each root's
+  // tree once and count it for each of its sources (less the pair of a
+  // source with itself).
   std::vector<net::RouteGraph::Vertex> ifaces;
+  std::vector<net::RouteGraph::Vertex> firsts;  // first source of each root
+  std::vector<std::uint32_t> sources(g.size(), 0);  // by root
   for (const auto& [key, d] : devices_) {
-    if (d.ref.kind == net::DeviceKind::kInterface) {
-      ifaces.push_back(*g.vertex(key));
-    }
+    if (d.ref.kind != net::DeviceKind::kInterface) continue;
+    const net::RouteGraph::Vertex v = *dg.vertex(key);
+    ifaces.push_back(v);
+    if (sources[g.tree_root(v)]++ == 0) firsts.push_back(v);
   }
   std::vector<std::uint64_t> counts;
-  for (const net::RouteGraph::Vertex a : ifaces) {
+  for (const net::RouteGraph::Vertex a : firsts) {
+    const net::RouteGraph::Vertex r = g.tree_root(a);
+    g.routes_from(a, row_);
     for (const net::RouteGraph::Vertex b : ifaces) {
-      if (a == b) continue;
-      const auto len = g.graph().route_len(a, b);
-      if (!len) continue;
-      if (*len >= counts.size()) counts.resize(*len + 1, 0);
-      ++counts[*len];
+      if (row_.reached[b] == 0) continue;
+      const std::uint32_t pairs = sources[r] - (g.tree_root(b) == r ? 1 : 0);
+      const std::size_t len = row_.route[b].size();
+      if (len >= counts.size()) counts.resize(len + 1, 0);
+      counts[len] += pairs;
     }
   }
+  // A source alone on its root adds zero pairs; the per-pair count never
+  // listed a length past the longest route.
+  while (!counts.empty() && counts.back() == 0) counts.pop_back();
   return counts;
 }
 
@@ -270,23 +341,31 @@ void Mapper::compute_and_distribute() {
   ++epoch_;
   scrubs_since_map_ = 0;
   if (m_epoch_) m_epoch_->set(epoch_);
-  table_.clear();
-  home_route_.clear();
-  dist_.clear();
-  converged_.clear();
+  for (NodeState& n : nodes_) {
+    n.entries.clear();
+    n.in_table = false;
+    n.has_home_route = false;
+    n.converged = false;
+    n.pushing = false;
+  }
+  table_nodes_.clear();
+  converged_count_ = 0;
+  pushes_ = 0;
   converge_observed_ = false;
   distributing_ = true;
   dist_start_ = home_.event_queue().now();
 
   // Retired members are skipped even if a discovery scouted them before
   // their cable was unplugged (the retire/remap race).
-  std::vector<net::NodeId> ifaces;
   for (const net::NodeId x : interfaces()) {
-    if (retired_.count(x) == 0) ifaces.push_back(x);
+    if (retired_.count(x) == 0 && state(x) != nullptr) {
+      nodes_[x].in_table = true;
+      table_nodes_.push_back(x);
+    }
   }
-  // Every row reads the cached tree of the row's attach switch: one BFS
-  // per distinct switch, none at all when the graph has not changed.
+  const std::vector<net::NodeId>& ifaces = table_nodes_;
   const DeviceGraph& g = graph();
+  const net::RouteGraph& rg = g.graph();
   std::vector<net::RouteGraph::Vertex> vx;  // parallel to ifaces
   vx.reserve(ifaces.size());
   for (const net::NodeId x : ifaces) {
@@ -296,11 +375,14 @@ void Mapper::compute_and_distribute() {
   const net::RouteGraph::Vertex home_v =
       g.vertex(vertex_key(net::DeviceKind::kInterface, home_.id()))
           .value_or(kNoVertex);
+  rg.routes_from(home_v, row_);
   for (std::size_t i = 0; i < ifaces.size(); ++i) {
     const net::NodeId x = ifaces[i];
-    if (auto r = g.graph().route(home_v, vx[i])) {
-      home_route_[x] = *r;
-      last_route_[x] = std::move(*r);  // census fallback, survives epochs
+    if (vx[i] < rg.size() && vx[i] != home_v && row_.reached[vx[i]] != 0) {
+      NodeState& n = nodes_[x];
+      n.home_route = row_.route[vx[i]];
+      n.has_home_route = true;
+      last_route_[x] = n.home_route;  // census fallback, survives epochs
     }
     // Remember the attach point (switch, port) across epochs: the census
     // re-derives probe routes to it from whatever the graph looks like
@@ -308,42 +390,57 @@ void Mapper::compute_and_distribute() {
     const auto dit =
         devices_.find(vertex_key(net::DeviceKind::kInterface, x));
     if (dit != devices_.end() && !dit->second.neighbours.empty()) {
-      const auto& [nb_key, nb_port] = dit->second.neighbours.begin()->second;
-      last_attach_[x] = {nb_key, nb_port};
+      const Neighbour nb = (*dit->second.neighbours.begin()).second;
+      last_attach_[x] = {nb.key, nb.port};
     }
   }
 
   // Build the whole table before distributing anything: mark_converged's
-  // "everyone acked" check walks table_, so a partially built table would
-  // declare convergence the moment the home node self-installs.
+  // "everyone acked" check counts the table, so a partially built table
+  // would declare convergence the moment the home node self-installs.
+  // Rows are read off one tree walk per distinct tree root: interfaces
+  // on one switch share it, and differ only in leaving themselves out.
+  std::vector<std::size_t> by_root(ifaces.size());
+  std::vector<net::RouteGraph::Vertex> root(ifaces.size(), kNoVertex);
   for (std::size_t i = 0; i < ifaces.size(); ++i) {
-    std::vector<net::RouteEntry> entries;
+    by_root[i] = i;
+    if (vx[i] < rg.size()) root[i] = rg.tree_root(vx[i]);
+  }
+  std::sort(by_root.begin(), by_root.end(),
+            [&](std::size_t a, std::size_t b) {
+              return root[a] != root[b] ? root[a] < root[b] : a < b;
+            });
+  net::RouteGraph::Vertex row_root = kNoVertex;
+  for (const std::size_t i : by_root) {
+    if (root[i] == kNoVertex) continue;  // no vertex: an empty row
+    if (root[i] != row_root) {
+      rg.routes_from(vx[i], row_);
+      row_root = root[i];
+    }
+    std::vector<net::RouteEntry>& entries = nodes_[ifaces[i]].entries;
     entries.reserve(ifaces.size() - 1);
     for (std::size_t j = 0; j < ifaces.size(); ++j) {
-      if (j == i) continue;
-      if (auto r = g.graph().route(vx[i], vx[j])) {
-        entries.push_back({ifaces[j], std::move(*r)});
-      }
+      if (j == i || vx[j] >= rg.size() || row_.reached[vx[j]] == 0) continue;
+      entries.push_back({ifaces[j], row_.route[vx[j]]});
     }
-    table_[ifaces[i]] = std::move(entries);
   }
-  for (const auto& [x, entries] : table_) {
+  for (const net::NodeId x : table_nodes_) {
     if (x == home_.id()) {
       // Local install: the mapper host programs its own card directly and
       // stamps its driver shadow as complete at this epoch.
-      for (const auto& e : entries) {
+      for (const auto& e : nodes_[x].entries) {
         home_.install_route(e.dst, e.route);
       }
       home_.driver().record_local_epoch(epoch_);
       mark_converged(x);
       continue;
     }
-    if (home_route_.count(x) != 0) start_distribution(x);
+    if (nodes_[x].has_home_route) start_distribution(x);
   }
   if (tracing()) {
     trace("epoch " + std::to_string(epoch_) + ": routes for " +
-          std::to_string(table_.size()) + " node(s), " +
-          std::to_string(dist_.size()) + " remote push(es)");
+          std::to_string(table_nodes_.size()) + " node(s), " +
+          std::to_string(pushes_) + " remote push(es)");
   }
   check_distribution_done();
 }
@@ -357,8 +454,8 @@ bool Mapper::fold_in(net::NodeId x) {
   const auto dit = devices_.find(sw_key);
   if (dit == devices_.end()) return false;
   const std::uint32_t vkey = vertex_key(net::DeviceKind::kInterface, x);
-  const auto nb = dit->second.neighbours.find(sw_port);
-  if (nb != dit->second.neighbours.end() && nb->second.first != vkey) {
+  const Neighbour* nb = dit->second.neighbours.find(sw_port);
+  if (nb != nullptr && nb->key != vkey) {
     return false;  // someone else holds that port now: view is stale
   }
   if (devices_.count(vkey) == 0) {
@@ -369,8 +466,8 @@ bool Mapper::fold_in(net::NodeId x) {
     d.scout_route.push_back(sw_port);
     devices_[vkey] = std::move(d);
   }
-  dit->second.neighbours[sw_port] = {vkey, 0};
-  devices_[vkey].neighbours[0] = {sw_key, sw_port};
+  dit->second.neighbours.set(sw_port, {vkey, 0});
+  devices_[vkey].neighbours.set(0, {sw_key, sw_port});
   graph_dirty_ = true;
   ++stats_.census_folds;
   compute_and_distribute();
@@ -378,19 +475,23 @@ bool Mapper::fold_in(net::NodeId x) {
 }
 
 void Mapper::start_distribution(net::NodeId x) {
-  converged_.erase(x);
-  const std::size_t nchunks = chunks_for(table_[x].size());
-  Distribution d;
-  d.acked.assign(nchunks, false);
-  d.gen = ++dist_gen_;
-  dist_.insert_or_assign(x, std::move(d));
+  NodeState& n = nodes_[x];
+  unconverge(n);
+  const std::size_t nchunks = chunks_for(n.entries.size());
+  n.dist.acked.assign(nchunks, false);
+  n.dist.round = 0;
+  n.dist.gen = ++dist_gen_;
+  if (!n.pushing) {
+    n.pushing = true;
+    ++pushes_;
+  }
   for (std::size_t i = 0; i < nchunks; ++i) send_chunk(x, i);
   arm_retry(x);
 }
 
 void Mapper::push_routes(net::NodeId x) {
-  if (table_.count(x) == 0 || home_route_.count(x) == 0) return;
-  if (dist_.count(x) != 0) return;  // push already in flight
+  if (!has_row(x) || !nodes_[x].has_home_route) return;
+  if (nodes_[x].pushing) return;  // push already in flight
   ++stats_.repushes;
   if (tracing()) {
     trace("node " + std::to_string(x) + ": re-push @ epoch " +
@@ -400,15 +501,15 @@ void Mapper::push_routes(net::NodeId x) {
 }
 
 void Mapper::send_chunk(net::NodeId x, std::size_t i) {
-  auto rit = home_route_.find(x);
-  if (rit == home_route_.end()) return;
-  const std::span<const net::RouteEntry> row = table_.at(x);
+  const NodeState& n = nodes_[x];
+  if (!n.has_home_route) return;
+  const std::span<const net::RouteEntry> row = n.entries;
   const std::size_t first = std::min(i * kChunk, row.size());
   net::Packet pkt;
   pkt.type = net::PacketType::kMapRoute;
   pkt.src = home_.id();
   pkt.dst = x;
-  pkt.route = rit->second;
+  pkt.route = n.home_route;
   net::RouteUpdate u;
   u.epoch = epoch_;
   u.chunk = static_cast<std::uint16_t>(i);
@@ -421,16 +522,16 @@ void Mapper::send_chunk(net::NodeId x, std::size_t i) {
 }
 
 void Mapper::arm_retry(net::NodeId x) {
-  const auto it = dist_.find(x);
-  if (it == dist_.end()) return;
-  const std::uint64_t gen = it->second.gen;
+  const NodeState& n = nodes_[x];
+  if (!n.pushing) return;
+  const std::uint64_t gen = n.dist.gen;
   // Bounded exponential backoff: 1x, 2x, 4x ... 32x the base timeout.
   const sim::Time wait =
-      cfg_.ack_timeout << std::min<std::uint32_t>(it->second.round, 5);
+      cfg_.ack_timeout << std::min<std::uint32_t>(n.dist.round, 5);
   home_.event_queue().post_after(wait, [this, x, gen] {
-    auto dit = dist_.find(x);
-    if (dit == dist_.end() || dit->second.gen != gen) return;  // superseded
-    Distribution& d = dit->second;
+    NodeState& ns = nodes_[x];
+    if (!ns.pushing || ns.dist.gen != gen) return;  // superseded
+    Distribution& d = ns.dist;
     if (d.round >= cfg_.max_ack_retries) {
       // Retry budget exhausted: leave the node to scrub/announce repair
       // so a single dead card cannot wedge the remap forever.
@@ -438,7 +539,7 @@ void Mapper::arm_retry(net::NodeId x) {
         trace("node " + std::to_string(x) +
               ": ack retries exhausted, leaving to scrub");
       }
-      dist_.erase(dit);
+      stop_push(ns);
       check_distribution_done();
       return;
     }
@@ -465,32 +566,31 @@ void Mapper::on_route_ack(const net::Packet& pkt) {
   ++stats_.route_acks;
   if (retired_.count(node) != 0) return;  // stale ack from a retired card
 
-  const bool known = table_.count(node) != 0;
+  NodeState* n = state(node);
+  if (n == nullptr) return;  // past every route table: never mapped
+  const bool known = n->in_table;
   // Evidence a previously missing/lagging card is alive (see
   // set_on_progress): an announce, an answer from a node the current map
   // does not contain (current-epoch only — a late ack from an old push to
   // a since-removed node proves nothing about *now*), or a laggard heard
   // outside an in-flight push. Deliberately not every chunk ack.
-  const bool progress =
-      a.announce || (!known && a.epoch == epoch_) ||
-      (known && converged_.count(node) == 0 && dist_.count(node) == 0);
+  const bool progress = a.announce || (!known && a.epoch == epoch_) ||
+                        (known && !n->converged && !n->pushing);
 
-  auto it = dist_.find(node);
-  if (it != dist_.end() && a.epoch == epoch_ &&
-      a.chunk != net::kProbeChunk && a.chunk < it->second.acked.size()) {
-    it->second.acked[a.chunk] = true;
+  if (n->pushing && a.epoch == epoch_ && a.chunk != net::kProbeChunk &&
+      a.chunk < n->dist.acked.size()) {
+    n->dist.acked[a.chunk] = true;
   }
   const bool all_acked =
-      it != dist_.end() &&
-      std::all_of(it->second.acked.begin(), it->second.acked.end(),
-                  [](bool b) { return b; });
+      n->pushing && std::all_of(n->dist.acked.begin(), n->dist.acked.end(),
+                                [](bool b) { return b; });
   if (a.installed_epoch >= epoch_ || all_acked) {
-    dist_.erase(node);
+    stop_push(*n);
     mark_converged(node);
     check_distribution_done();
-  } else if (dist_.count(node) != 0) {
+  } else if (n->pushing) {
     // Push in flight: its retries cover the node.
-  } else if (converged_.count(node) != 0) {
+  } else if (n->converged) {
     // Stale ack from an older push.
   } else if (known) {
     // Scrub probe or announce found a laggard the map knows: repair it.
@@ -518,10 +618,11 @@ void Mapper::on_route_ack(const net::Packet& pkt) {
 }
 
 void Mapper::mark_converged(net::NodeId x) {
-  if (!converged_.insert(x).second || converge_observed_) return;
-  for (const auto& [node, entries] : table_) {
-    if (converged_.count(node) == 0) return;
-  }
+  NodeState& n = nodes_[x];
+  if (n.converged) return;
+  n.converged = true;
+  if (n.in_table) ++converged_count_;
+  if (converge_observed_ || !converged()) return;
   converge_observed_ = true;
   if (tracing()) trace("epoch " + std::to_string(epoch_) + " converged");
   metrics::observe(m_converge_us_,
@@ -529,7 +630,7 @@ void Mapper::mark_converged(net::NodeId x) {
 }
 
 void Mapper::check_distribution_done() {
-  if (!distributing_ || !dist_.empty()) return;
+  if (!distributing_ || pushes_ != 0) return;
   distributing_ = false;
   // Fire asynchronously: run()'s contract is that done() never re-enters
   // the caller's stack (the old settle timer behaved the same way).
@@ -542,17 +643,10 @@ void Mapper::check_distribution_done() {
   });
 }
 
-bool Mapper::converged() const {
-  for (const auto& [node, entries] : table_) {
-    if (converged_.count(node) == 0) return false;
-  }
-  return true;
-}
-
 std::vector<net::NodeId> Mapper::stale_nodes() const {
   std::vector<net::NodeId> out;
-  for (const auto& [node, entries] : table_) {
-    if (converged_.count(node) == 0) out.push_back(node);
+  for (const net::NodeId x : table_nodes_) {
+    if (!nodes_[x].converged) out.push_back(x);
   }
   return out;
 }
@@ -561,17 +655,16 @@ void Mapper::scrub() {
   if (epoch_ == 0) return;
   ++scrubs_since_map_;
   std::size_t probes = 0;
-  for (const auto& [x, entries] : table_) {
-    if (x == home_.id() || converged_.count(x) != 0 || dist_.count(x) != 0) {
+  for (const net::NodeId x : table_nodes_) {
+    const NodeState& n = nodes_[x];
+    if (x == home_.id() || n.converged || n.pushing || !n.has_home_route) {
       continue;
     }
-    auto rit = home_route_.find(x);
-    if (rit == home_route_.end()) continue;
     net::Packet pkt;
     pkt.type = net::PacketType::kMapRoute;
     pkt.src = home_.id();
     pkt.dst = x;
-    pkt.route = rit->second;
+    pkt.route = n.home_route;
     pkt.payload = net::RouteUpdate{epoch_, 0, 0, {}}.encode();
     pkt.seal();
     ++stats_.scrub_probes;
@@ -580,13 +673,13 @@ void Mapper::scrub() {
   }
   // Census: the roster says these nodes exist but the current map has no
   // trace of them (hung through every remap, recovery announce lost).
-  // An answer arrives as an ack from a node not in table_, which triggers
+  // An answer arrives as an ack from a node without a row, which triggers
   // on_node_returned_ -> remap.
   std::size_t census = 0;
   bool need_sweep = false;
   std::vector<net::NodeId> missing;
   for (const net::NodeId x : roster_) {
-    if (x != home_.id() && table_.count(x) == 0) missing.push_back(x);
+    if (x != home_.id() && !has_row(x)) missing.push_back(x);
   }
   // Probe routes are re-derived from the *current* switch graph every
   // pass: bytes frozen at the epoch the node vanished in may no longer
@@ -645,7 +738,7 @@ void Mapper::scrub() {
       const auto to_switch = graph().route(home_key, key);
       if (!to_switch) continue;
       for (std::uint8_t p = 0; p < dev.ports; ++p) {
-        if (dev.neighbours.count(p) != 0) continue;
+        if (dev.neighbours.find(p) != nullptr) continue;
         net::Route route = *to_switch;
         route.push_back(p);
         candidates.push_back(std::move(route));
@@ -692,21 +785,29 @@ void Mapper::retire_node(net::NodeId x) {
     last_route_.erase(x);
     last_attach_.erase(x);
   }
-  home_route_.erase(x);
-  converged_.erase(x);
-  table_.erase(x);
-  if (dist_.erase(x) != 0) check_distribution_done();
+  if (x < nodes_.size()) {
+    NodeState& n = nodes_[x];
+    unconverge(n);
+    if (n.in_table) {
+      n.in_table = false;
+      table_nodes_.erase(
+          std::find(table_nodes_.begin(), table_nodes_.end(), x));
+    }
+    n.entries.clear();
+    n.has_home_route = false;
+    if (stop_push(n)) check_distribution_done();
+  }
   // Unlink the interface vertex from the graph so later recomputes stop
   // routing to it (its attach port goes dark).
   const std::uint32_t vkey = vertex_key(net::DeviceKind::kInterface, x);
   const auto dit = devices_.find(vkey);
   if (dit != devices_.end()) {
     for (const auto& [port_at_iface, nb] : dit->second.neighbours) {
-      const auto sit = devices_.find(nb.first);
+      const auto sit = devices_.find(nb.key);
       if (sit == devices_.end()) continue;
-      const auto back = sit->second.neighbours.find(nb.second);
-      if (back != sit->second.neighbours.end() && back->second.first == vkey) {
-        sit->second.neighbours.erase(back);
+      const Neighbour* back = sit->second.neighbours.find(nb.port);
+      if (back != nullptr && back->key == vkey) {
+        sit->second.neighbours.erase(nb.port);
       }
     }
     devices_.erase(dit);
@@ -718,9 +819,11 @@ void Mapper::retire_node(net::NodeId x) {
 void Mapper::node_replaced(net::NodeId x) {
   retired_.erase(x);
   if (epoch_ == 0) return;  // never mapped: bring-up handles it
-  converged_.erase(x);
-  if (dist_.count(x) != 0) return;  // in-flight push reaches the spare
-  if (table_.count(x) != 0) {
+  if (x >= nodes_.size()) return;  // never acked nor tabled: census's job
+  NodeState& n = nodes_[x];
+  unconverge(n);
+  if (n.pushing) return;  // in-flight push reaches the spare
+  if (n.in_table) {
     // Same attach point, fresh card with an empty table: everyone else's
     // routes still hold, only x's table needs re-pushing.
     push_routes(x);
@@ -730,7 +833,7 @@ void Mapper::node_replaced(net::NodeId x) {
 
 bool Mapper::roster_complete() const {
   for (const net::NodeId x : roster_) {
-    if (table_.count(x) == 0) return false;
+    if (!has_row(x)) return false;
   }
   return true;
 }
@@ -738,7 +841,7 @@ bool Mapper::roster_complete() const {
 std::vector<net::NodeId> Mapper::missing_nodes() const {
   std::vector<net::NodeId> out;
   for (const net::NodeId x : roster_) {
-    if (table_.count(x) == 0) out.push_back(x);
+    if (!has_row(x)) out.push_back(x);
   }
   return out;
 }

@@ -25,7 +25,10 @@
 #include <map>
 #include <optional>
 #include <set>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gm/node.hpp"
@@ -33,6 +36,7 @@
 #include "net/map_info.hpp"
 #include "net/packet.hpp"
 #include "net/route_graph.hpp"
+#include "net/route_table.hpp"
 #include "sim/time.hpp"
 #include "sim/trace.hpp"
 
@@ -49,12 +53,94 @@ struct DeviceRef {
   friend bool operator==(const DeviceRef&, const DeviceRef&) = default;
 };
 
+/// Far end of a cable, seen from one of a device's ports.
+struct Neighbour {
+  std::uint32_t key = 0;  // the neighbour's DeviceRef key
+  std::uint8_t port = 0;  // the neighbour's port
+};
+
+/// A device's cables by local port: a flat array indexed by the port,
+/// grown to the highest port recorded. Iterates by ascending port,
+/// yielding (port, Neighbour) pairs.
+class PortNeighbours {
+  struct Slot {
+    Neighbour n;
+    bool present = false;
+  };
+
+ public:
+  class const_iterator {
+   public:
+    using value_type = std::pair<std::uint8_t, Neighbour>;
+    value_type operator*() const {
+      return {static_cast<std::uint8_t>(i_), (*slots_)[i_].n};
+    }
+    const_iterator& operator++() {
+      ++i_;
+      skip();
+      return *this;
+    }
+    friend bool operator==(const const_iterator& a, const const_iterator& b) {
+      return a.i_ == b.i_;
+    }
+
+   private:
+    friend class PortNeighbours;
+    const_iterator(const std::vector<Slot>* slots, std::size_t i)
+        : slots_(slots), i_(i) {
+      skip();
+    }
+    void skip() {
+      while (i_ < slots_->size() && !(*slots_)[i_].present) ++i_;
+    }
+    const std::vector<Slot>* slots_ = nullptr;
+    std::size_t i_ = 0;
+  };
+
+  /// Record (or overwrite) the cable on `port`.
+  void set(std::uint8_t port, Neighbour n) {
+    if (port >= slots_.size()) slots_.resize(std::size_t{port} + 1);
+    Slot& s = slots_[port];
+    if (!s.present) ++count_;
+    s = {n, true};
+  }
+  [[nodiscard]] const Neighbour* find(std::uint8_t port) const noexcept {
+    return port < slots_.size() && slots_[port].present ? &slots_[port].n
+                                                        : nullptr;
+  }
+  /// The cable on `port`; throws std::out_of_range when there is none.
+  [[nodiscard]] const Neighbour& at(std::uint8_t port) const {
+    const Neighbour* n = find(port);
+    if (n == nullptr) throw std::out_of_range("no cable on that port");
+    return *n;
+  }
+  /// Forget the cable on `port`; false when there was none.
+  bool erase(std::uint8_t port) noexcept {
+    if (find(port) == nullptr) return false;
+    slots_[port].present = false;
+    --count_;
+    return true;
+  }
+  void clear() noexcept {
+    slots_.clear();
+    count_ = 0;
+  }
+  /// Room for ports 0 .. ports - 1 without growing.
+  void reserve(std::size_t ports) { slots_.reserve(ports); }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  [[nodiscard]] const_iterator begin() const { return {&slots_, 0}; }
+  [[nodiscard]] const_iterator end() const { return {&slots_, slots_.size()}; }
+
+ private:
+  std::vector<Slot> slots_;
+  std::size_t count_ = 0;
+};
+
 struct DeviceInfo {
   DeviceRef ref;
   std::uint8_t ports = 1;
   net::Route scout_route;  // shortest probe route found
-  /// port -> (neighbour, neighbour's port)
-  std::map<std::uint8_t, std::pair<std::uint32_t, std::uint8_t>> neighbours;
+  PortNeighbours neighbours;
 };
 
 /// The dense route graph of a device map: one net::RouteGraph vertex per
@@ -150,18 +236,32 @@ class Mapper {
   // ---- route control plane (single source of truth) ----
   /// Current route epoch; bumped by every successful run. 0 = never ran.
   [[nodiscard]] std::uint32_t epoch() const noexcept { return epoch_; }
-  /// Per-node route tables of the current epoch, keyed by interface id.
-  [[nodiscard]] const std::map<net::NodeId, std::vector<net::RouteEntry>>&
-  table() const noexcept {
-    return table_;
+  /// Interfaces with a route table row at the current epoch, ascending.
+  /// Interfaces at or past net::kRouteTableBound never get one: no card
+  /// can hold a route to them.
+  [[nodiscard]] std::span<const net::NodeId> table_nodes() const noexcept {
+    return table_nodes_;
   }
-  /// True when every node in table() has acknowledged the current epoch.
-  [[nodiscard]] bool converged() const;
-  /// Nodes in table() that have not acknowledged the current epoch.
+  /// True when `x` has a row in the current epoch's table.
+  [[nodiscard]] bool has_row(net::NodeId x) const noexcept {
+    return x < nodes_.size() && nodes_[x].in_table;
+  }
+  /// `x`'s row of the current epoch, by ascending destination; empty when
+  /// `x` has none.
+  [[nodiscard]] std::span<const net::RouteEntry> row(net::NodeId x) const {
+    if (!has_row(x)) return {};
+    return nodes_[x].entries;
+  }
+  /// True when every node in table_nodes() has acknowledged the current
+  /// epoch.
+  [[nodiscard]] bool converged() const noexcept {
+    return converged_count_ == table_nodes_.size();
+  }
+  /// Nodes in table_nodes() that have not acknowledged the current epoch.
   [[nodiscard]] std::vector<net::NodeId> stale_nodes() const;
   /// True while ACK-tracked chunk pushes (or their retries) are in flight.
   [[nodiscard]] bool distribution_idle() const noexcept {
-    return dist_.empty();
+    return pushes_ == 0;
   }
   /// Re-send node `x`'s full table at the current epoch, ACK-tracked.
   void push_routes(net::NodeId x);
@@ -252,12 +352,49 @@ class Mapper {
   };
 
   /// ACK-tracked chunk push to one node (current epoch). Chunk i is
-  /// entries [i * kChunk, (i + 1) * kChunk) of the node's table_ row,
+  /// entries [i * kChunk, (i + 1) * kChunk) of the node's table row,
   /// which stays put until the next epoch clears every push.
   struct Distribution {
     std::vector<bool> acked;  // one per chunk
     std::uint32_t round = 0;  // retry rounds used
     std::uint64_t gen = 0;    // invalidates retry timers of older pushes
+  };
+
+  /// The control plane's state for one NodeId. Everything but `entries`
+  /// and the buffers inside is reset at each epoch; the row buffer keeps
+  /// its capacity for the next one.
+  struct NodeState {
+    std::vector<net::RouteEntry> entries;  // table row, ascending dst
+    net::Route home_route;  // home's route to the node (chunk transport)
+    Distribution dist;
+    bool in_table = false;
+    bool has_home_route = false;  // home_route is valid this epoch
+    bool converged = false;       // acked this epoch (in table or not)
+    bool pushing = false;         // dist is an ACK-tracked push in flight
+  };
+
+  /// Scouts in flight, by id. Ids are handed out in increasing order, so
+  /// the live ones lie in a window [first_, next_) kept in a
+  /// power-of-two ring indexed by id.
+  class ScoutSlots {
+   public:
+    /// A slot for scout `id`, which must exceed every id added before.
+    PendingScout& add(std::uint32_t id);
+    [[nodiscard]] PendingScout* find(std::uint32_t id);
+    /// Precondition: find(id) != nullptr.
+    void erase(std::uint32_t id);
+    void clear();
+    [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
+
+   private:
+    struct Slot {
+      PendingScout scout;
+      bool live = false;
+    };
+    std::vector<Slot> slots_;
+    std::uint32_t first_ = 0;  // oldest id that may be live
+    std::uint32_t next_ = 0;   // one past the newest id added
+    std::size_t live_ = 0;
   };
 
   void send_scout(net::Route route, std::optional<std::uint32_t> parent,
@@ -272,6 +409,15 @@ class Mapper {
   bool fold_in(net::NodeId x);
   /// devices_ as a route graph, rebuilt on first use after a change.
   [[nodiscard]] const DeviceGraph& graph() const;
+
+  /// The state of `x`, grown on demand; nullptr for an `x` at or past
+  /// net::kRouteTableBound (such a node is never tabled, so the mapper
+  /// holds nothing about it).
+  [[nodiscard]] NodeState* state(net::NodeId x);
+  /// Clear `x`'s converged mark (keeping converged_count_ exact).
+  void unconverge(NodeState& n);
+  /// End `x`'s ACK-tracked push, if one is in flight; true if it was.
+  bool stop_push(NodeState& n);
 
   void start_distribution(net::NodeId x);
   void send_chunk(net::NodeId x, std::size_t i);
@@ -293,15 +439,20 @@ class Mapper {
   /// graph_dirty_ (run, on_reply, fold_in, retire_node).
   mutable DeviceGraph graph_;
   mutable bool graph_dirty_ = true;
-  std::map<std::uint32_t, PendingScout> pending_;  // scout id -> context
+  ScoutSlots pending_;
   std::uint32_t next_scout_ = 1;
   bool running_ = false;
 
   std::uint32_t epoch_ = 0;
-  std::map<net::NodeId, std::vector<net::RouteEntry>> table_;
-  /// Home's source route to each node of the current epoch (chunk/probe
-  /// transport; pushes must not depend on the stale installed table).
-  std::map<net::NodeId, net::Route> home_route_;
+  /// Per-node state by NodeId: the table rows, home's route to each node
+  /// of the current epoch (chunk/probe transport; pushes must not depend
+  /// on the stale installed table), ack marks and pushes in flight.
+  std::vector<NodeState> nodes_;
+  std::vector<net::NodeId> table_nodes_;  // nodes in_table, ascending
+  std::size_t converged_count_ = 0;       // table nodes marked converged
+  std::size_t pushes_ = 0;                // nodes with a push in flight
+  /// Scratch for compute_and_distribute and route_length_counts.
+  mutable net::RouteGraph::Row row_;
   /// Last route ever known to each node, across epochs (entries are
   /// overwritten, never erased): the census probe's transport of last
   /// resort when the node's old attach switch has left the map too. Best
@@ -327,8 +478,6 @@ class Mapper {
   /// was unplugged).
   std::set<net::NodeId> retired_;
   bool retain_retired_caches_ = false;  // test-only leak plant
-  std::map<net::NodeId, Distribution> dist_;
-  std::set<net::NodeId> converged_;
   std::uint64_t dist_gen_ = 0;
   sim::Time dist_start_ = 0;
   bool distributing_ = false;

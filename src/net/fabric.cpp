@@ -46,26 +46,30 @@ std::string pod_name(int pod, char kind, int index) {
 }  // namespace
 
 std::size_t FabricBuilder::capacity(const FabricConfig& cfg) {
-  switch (cfg.preset) {
-    case FabricPreset::kSingleSwitch:
-      return cfg.radix;
-    case FabricPreset::kLine:
-    case FabricPreset::kRing:
-      if (cfg.radix < 3) return 0;
-      return static_cast<std::size_t>(cfg.radix - 2) * kMaxSwitches;
-    case FabricPreset::kFatTree:
-      if (cfg.radix < 2) return 0;
-      // One spine port per leaf; leaves bounded by the spine port counter.
-      return static_cast<std::size_t>(cfg.radix / 2) * 255;
-    case FabricPreset::kFatTree3: {
-      if (cfg.radix < 2) return 0;
-      // Canonical k-ary fat-tree: k pods of k/2 edge switches with k/2
-      // hosts each — k³/4 endpoints (radix 16 ⇒ 1024).
-      const std::size_t half = cfg.radix / 2;
-      return half * half * cfg.radix;
+  const auto ports = [&]() -> std::size_t {
+    switch (cfg.preset) {
+      case FabricPreset::kSingleSwitch:
+        return cfg.radix;
+      case FabricPreset::kLine:
+      case FabricPreset::kRing:
+        if (cfg.radix < 3) return 0;
+        return static_cast<std::size_t>(cfg.radix - 2) * kMaxSwitches;
+      case FabricPreset::kFatTree:
+        if (cfg.radix < 2) return 0;
+        // One spine port per leaf; leaves bounded by the spine port counter.
+        return static_cast<std::size_t>(cfg.radix / 2) * 255;
+      case FabricPreset::kFatTree3: {
+        if (cfg.radix < 2) return 0;
+        // Canonical k-ary fat-tree: k pods of k/2 edge switches with k/2
+        // hosts each — k³/4 endpoints (radix 16 ⇒ 1024).
+        const std::size_t half = cfg.radix / 2;
+        return half * half * cfg.radix;
+      }
     }
-  }
-  return 0;
+    return 0;
+  };
+  // Every node id needs a slot in every card's route table.
+  return std::min(ports(), kRouteTableBound);
 }
 
 FabricBuilder::FabricBuilder(Topology& topo, FabricConfig cfg)
@@ -268,6 +272,7 @@ void FabricBuilder::release_port(NodeId id) {
 }
 
 std::optional<Placement> FabricBuilder::reserve_port() {
+  if (placements_.size() >= kRouteTableBound) return std::nullopt;
   const auto used = port_usage();
   for (std::size_t s = 0; s < sw_ids_.size(); ++s) {
     for (std::size_t p = 0; p < used[s].size(); ++p) {
@@ -299,12 +304,13 @@ std::optional<Route> FabricBuilder::route(NodeId a, NodeId b) const {
 std::vector<Route> FabricBuilder::routes_from(NodeId a) const {
   std::vector<Route> out(placements_.size());
   if (a >= placements_.size()) return out;
+  // One pass over the tree of a's switch; each endpoint's route ends
+  // with its host port.
+  RouteGraph::Row row;
+  graph_.routes_from(local_index_[a], row);
   for (std::size_t b = 0; b < placements_.size(); ++b) {
-    if (b == a) continue;
-    if (auto r = graph_.route(local_index_[a],
-                              endpoint(static_cast<NodeId>(b)))) {
-      out[b] = std::move(*r);
-    }
+    const RouteGraph::Vertex v = endpoint(static_cast<NodeId>(b));
+    if (b != a && row.reached[v] != 0) out[b] = std::move(row.route[v]);
   }
   return out;
 }

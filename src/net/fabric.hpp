@@ -16,6 +16,7 @@
 
 #include "net/packet.hpp"
 #include "net/route_graph.hpp"
+#include "net/route_table.hpp"
 #include "net/topology.hpp"
 
 namespace myri::net {
@@ -89,14 +90,16 @@ class FabricBuilder {
     return graph_;
   }
 
-  /// Max endpoints the preset supports (0 = unsatisfiable config).
+  /// Max endpoints the preset supports (0 = unsatisfiable config), never
+  /// more than a route table holds (kRouteTableBound).
   [[nodiscard]] static std::size_t capacity(const FabricConfig& cfg);
 
   /// Reserve a free switch port for a hot-added endpoint: the first
   /// (switch, port) — in local switch order, then port order — occupied
   /// by neither a placement nor a trunk. Appends the placement (the new
   /// node id is placements().size() - 1) so route()/routes_from() cover
-  /// it. nullopt when the as-built fabric has no free port.
+  /// it. nullopt when the as-built fabric has no free port, or the new
+  /// id would fall past kRouteTableBound.
   std::optional<Placement> reserve_port();
 
   /// Ports reserve_port() could still hand out on the as-built switches.

@@ -33,9 +33,10 @@ void Link::connect(Switch& dst, std::uint8_t dst_port) {
 void Link::settle() const {
   const sim::Time now = eq_.now();
   const std::uint64_t seq = eq_.current_seq();
-  const std::size_t mask = in_flight_.size() - 1;
+  const InFlight* ring = this->ring();
+  const std::size_t mask = ring_size_ - 1;
   while (queued_ > 0) {
-    const InFlight& f = in_flight_[head_];
+    const InFlight& f = ring[head_];
     if (f.at > now || (f.at == now && f.seq() > seq)) break;
     ++stats_.delivered;
     stats_.delivered_bytes += f.wire();
@@ -53,20 +54,23 @@ bool Link::can_accept_after_arrivals() const {
   settle();
   // What is left at now() follows the executing event in the order.
   std::size_t n = queued_;
-  const std::size_t mask = in_flight_.size() - 1;
+  const InFlight* ring = this->ring();
+  const std::size_t mask = ring_size_ - 1;
   for (std::size_t i = 0; i < queued_; ++i) {
-    if (in_flight_[(head_ + i) & mask].at != eq_.now()) break;
+    if (ring[(head_ + i) & mask].at != eq_.now()) break;
     --n;
   }
   return n < cfg_.max_queued_packets;
 }
 
 void Link::grow_in_flight() {
-  std::vector<InFlight> grown(in_flight_.empty() ? 4 : 2 * queued_);
+  auto grown = std::make_unique<InFlight[]>(2 * ring_size_);
+  const InFlight* old = ring();
   for (std::size_t i = 0; i < queued_; ++i) {
-    grown[i] = in_flight_[(head_ + i) & (in_flight_.size() - 1)];
+    grown[i] = old[(head_ + i) & (ring_size_ - 1)];
   }
-  in_flight_ = std::move(grown);
+  spill_ = std::move(grown);
+  ring_size_ *= 2;
   head_ = 0;
 }
 
@@ -86,12 +90,12 @@ sim::Time Link::serialization_time(std::size_t bytes) const {
 
 void Link::apply_faults(Packet& pkt, bool& drop) {
   drop = false;
-  if (rng_.bernoulli(faults_.drop_prob)) {
+  if (faults_.drop(rng_)) {
     drop = true;
     ++stats_.dropped;
     return;
   }
-  if (rng_.bernoulli(faults_.corrupt_prob)) {
+  if (faults_.corrupt(rng_)) {
     ++stats_.corrupted;
     if (!pkt.payload.empty()) {
       const std::size_t bit = static_cast<std::size_t>(
@@ -104,7 +108,7 @@ void Link::apply_faults(Packet& pkt, bool& drop) {
     }
     // crc left as-is: the receiver's CRC check catches the damage.
   }
-  if (!pkt.route.empty() && rng_.bernoulli(faults_.misroute_prob)) {
+  if (!pkt.route.empty() && faults_.misroute(rng_)) {
     ++stats_.misrouted;
     pkt.route.front() =
         static_cast<std::uint8_t>(pkt.route.front() ^ (1u + rng_.below(7)));
@@ -162,8 +166,8 @@ void Link::send(Packet&& pkt) {
       dst_->deliver(std::move(p), dst_port_);
     });
   }
-  if (queued_ == in_flight_.size()) grow_in_flight();
-  in_flight_[(head_ + queued_) & (in_flight_.size() - 1)] =
+  if (queued_ == ring_size_) grow_in_flight();
+  ring()[(head_ + queued_) & (ring_size_ - 1)] =
       InFlight{arrive, seq << kWireBits | wire};
   ++queued_;
 }

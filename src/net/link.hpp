@@ -14,8 +14,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "metrics/registry.hpp"
 #include "net/packet.hpp"
@@ -76,7 +76,23 @@ class Link {
   /// throws std::invalid_argument otherwise.
   void connect(Switch& dst, std::uint8_t dst_port);
 
-  void set_faults(const LinkFaults& f) { faults_ = f; }
+  /// A LinkFaults as the three per-packet draws, each a
+  /// sim::FixedBernoulli: a packet's fault draws compare integers (same
+  /// draws, same results). Making one costs three threshold searches, so
+  /// a caller setting many links makes it once.
+  struct FaultDraws {
+    FaultDraws() = default;
+    explicit FaultDraws(const LinkFaults& f)
+        : drop(f.drop_prob),
+          corrupt(f.corrupt_prob),
+          misroute(f.misroute_prob) {}
+    sim::FixedBernoulli drop;
+    sim::FixedBernoulli corrupt;
+    sim::FixedBernoulli misroute;
+  };
+
+  void set_faults(const LinkFaults& f) { faults_ = FaultDraws(f); }
+  void set_faults(const FaultDraws& d) { faults_ = d; }
   void set_trace(sim::Trace* t) { trace_ = t; }
 
   /// Publish this link's accounting into `reg` under "link.<name>.*".
@@ -137,6 +153,9 @@ class Link {
     }
   };
   [[gnu::noinline]] void grow_in_flight();
+  [[nodiscard]] InFlight* ring() const noexcept {
+    return spill_ != nullptr ? spill_.get() : inline_ring_;
+  }
 
   sim::EventQueue& eq_;
   sim::Rng rng_;
@@ -145,17 +164,23 @@ class Link {
   PacketSink* dst_ = nullptr;
   Switch* sw_ = nullptr;  // dst_ when it is a switch
   std::uint8_t dst_port_ = 0;
-  LinkFaults faults_;
+  FaultDraws faults_;
   mutable LinkStats stats_;
   sim::Time busy_until_ = 0;
   // Ring buffer of the packets in flight, oldest at head_; its size is a
-  // power of two. settle() retires arrivals from the head.
-  mutable std::vector<InFlight> in_flight_;
+  // power of two. settle() retires arrivals from the head. The first
+  // kInlineInFlight entries live in the link itself (last, so the fields
+  // every packet reads stay together); a link with more packets in flight
+  // moves its ring to the heap (spill_).
+  static constexpr std::size_t kInlineInFlight = 8;
+  std::unique_ptr<InFlight[]> spill_;
+  std::size_t ring_size_ = kInlineInFlight;
   mutable std::size_t head_ = 0;
   mutable std::size_t queued_ = 0;
   bool down_ = false;
   sim::Trace* trace_ = nullptr;
   metrics::CounterViews views_;
+  mutable InFlight inline_ring_[kInlineInFlight] = {};
 };
 
 }  // namespace myri::net

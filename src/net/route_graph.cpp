@@ -32,30 +32,50 @@ RouteGraph::Vertex RouteGraph::tree_root(Vertex src) const {
   return src;
 }
 
-const std::vector<RouteGraph::Hop>& RouteGraph::tree(Vertex root) const {
-  std::vector<Hop>& t = trees_[root];
+const RouteGraph::Tree& RouteGraph::tree(Vertex root) const {
+  Tree& t = trees_[root];
   if (tree_version_[root] == version_) return t;
   tree_version_[root] = version_;
   ++trees_built_;
-  t.assign(size_, Hop{});
-  t[root].parent = root;
-  frontier_.assign(1, root);
-  for (std::size_t head = 0; head < frontier_.size(); ++head) {
-    const Vertex u = frontier_[head];
-    const std::uint32_t len = t[u].len + emits_[u];
+  t.hops.assign(size_, Hop{});
+  t.hops[root].parent = root;
+  // The BFS queue is the tree's order: parents before their children.
+  t.order.assign(1, root);
+  for (std::size_t head = 0; head < t.order.size(); ++head) {
+    const Vertex u = t.order[head];
+    const std::uint32_t len = t.hops[u].len + emits_[u];
     for (const Edge& e : adj_[u]) {
-      if (t[e.to].parent != kUnreached) continue;
-      t[e.to] = {u, len, e.out_port};
-      frontier_.push_back(e.to);
+      if (t.hops[e.to].parent != kUnreached) continue;
+      t.hops[e.to] = {u, len, e.out_port};
+      t.order.push_back(e.to);
     }
   }
   return t;
 }
 
+void RouteGraph::routes_from(Vertex src, Row& out) const {
+  out.route.resize(size_);
+  out.reached.assign(size_, 0);
+  if (src >= size_) return;
+  const Vertex root = tree_root(src);
+  const Tree& t = tree(root);
+  for (const Vertex v : t.order) {
+    out.reached[v] = 1;
+    Route& r = out.route[v];
+    if (v == root) {
+      r.clear();
+      continue;
+    }
+    const Hop& h = t.hops[v];
+    r = out.route[h.parent];
+    if (emits_[h.parent] != 0) r.push_back(h.out_port);
+  }
+}
+
 std::optional<Route> RouteGraph::route(Vertex src, Vertex dst) const {
   if (src == dst || src >= size_ || dst >= size_) return std::nullopt;
   const Vertex root = tree_root(src);
-  const std::vector<Hop>& t = tree(root);
+  const std::vector<Hop>& t = tree(root).hops;
   if (t[dst].parent == kUnreached) return std::nullopt;
   // Filled back to front: the tree already knows the length.
   Route bytes;
@@ -70,7 +90,7 @@ std::optional<Route> RouteGraph::route(Vertex src, Vertex dst) const {
 std::optional<std::size_t> RouteGraph::route_len(Vertex src,
                                                  Vertex dst) const {
   if (src == dst || src >= size_ || dst >= size_) return std::nullopt;
-  const std::vector<Hop>& t = tree(tree_root(src));
+  const std::vector<Hop>& t = tree(tree_root(src)).hops;
   if (t[dst].parent == kUnreached) return std::nullopt;
   return t[dst].len;
 }

@@ -14,6 +14,11 @@
 // expands, so every other vertex gets the same parent and the same route
 // bytes (DESIGN.md section 9). A fabric of n interfaces on s switches
 // therefore costs s BFS runs, not n.
+//
+// A whole row -- the route from one source to every vertex -- is read off
+// the source's tree in one top-down pass (routes_from): each vertex's
+// bytes are its parent's plus at most one port, so no route is walked
+// back to the root.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +62,24 @@ class RouteGraph {
   [[nodiscard]] std::optional<std::size_t> route_len(Vertex src,
                                                      Vertex dst) const;
 
+  /// Every route from one source, by vertex: `reached[v]` says whether a
+  /// route exists, `route[v]` holds it. Reused across calls.
+  struct Row {
+    std::vector<Route> route;
+    std::vector<std::uint8_t> reached;
+  };
+  /// The vertex whose cached tree answers queries from `src`. Sources
+  /// with the same root have the same routes to every vertex but
+  /// themselves.
+  [[nodiscard]] Vertex tree_root(Vertex src) const;
+  /// Fill `out` with route(src, v) for every vertex v != src, in one
+  /// top-down pass over src's tree. The entry at src itself is what the
+  /// shared tree holds there (the root reaches itself with an empty
+  /// route), so one row serves every source with the same tree_root();
+  /// each source skips its own entry. An out-of-range src reaches
+  /// nothing.
+  void routes_from(Vertex src, Row& out) const;
+
   /// BFS trees built so far, over the graph's whole life: a work counter
   /// for tests and benchmarks, not a setting.
   [[nodiscard]] std::uint64_t trees_built() const noexcept {
@@ -72,9 +95,12 @@ class RouteGraph {
     std::uint8_t out_port = 0;   // port taken at the parent
   };
 
-  /// The vertex whose tree answers queries from `src`.
-  [[nodiscard]] Vertex tree_root(Vertex src) const;
-  [[nodiscard]] const std::vector<Hop>& tree(Vertex root) const;
+  struct Tree {
+    std::vector<Hop> hops;      // by vertex
+    std::vector<Vertex> order;  // reached vertices, in BFS order
+  };
+
+  [[nodiscard]] const Tree& tree(Vertex root) const;
   /// Every cached tree is stale after an edit.
   void changed() noexcept { ++version_; }
 
@@ -82,10 +108,9 @@ class RouteGraph {
   std::vector<std::uint8_t> emits_;
   std::vector<std::vector<Edge>> adj_;
   /// Tree of each root vertex, valid while its stamp equals version_.
-  mutable std::vector<std::vector<Hop>> trees_;
+  mutable std::vector<Tree> trees_;
   mutable std::vector<std::uint64_t> tree_version_;
   std::uint64_t version_ = 1;
-  mutable std::vector<Vertex> frontier_;  // BFS queue, reused per tree
   mutable std::uint64_t trees_built_ = 0;
 };
 

@@ -83,15 +83,17 @@ Link& Topology::reattach_endpoint(PacketSink& sink, std::uint16_t sw,
 }
 
 void Topology::set_all_faults(const LinkFaults& f) {
-  for (auto& l : links_) l->set_faults(f);
+  const Link::FaultDraws draws(f);
+  for (auto& l : links_) l->set_faults(draws);
 }
 
 void Topology::set_endpoint_faults(std::uint16_t sw, std::uint8_t port,
                                    const LinkFaults& f) {
   auto [up, dn] =
       endpoints_.at((static_cast<std::uint32_t>(sw) << 8) | port);
-  up->set_faults(f);
-  dn->set_faults(f);
+  const Link::FaultDraws draws(f);
+  up->set_faults(draws);
+  dn->set_faults(draws);
 }
 
 void Topology::set_trace(sim::Trace* t) {

@@ -34,7 +34,8 @@ class Rng {
     return std::uniform_int_distribution<std::uint64_t>(lo, hi)(eng_);
   }
 
-  /// True with probability p.
+  /// True with probability p. Spends one engine output when 0 < p < 1
+  /// (or p is NaN, which is never true), none otherwise.
   bool bernoulli(double p) {
     if (p <= 0.0) return false;
     if (p >= 1.0) return true;
@@ -58,6 +59,75 @@ class Rng {
 
  private:
   std::mt19937_64 eng_;
+};
+
+/// Rng::bernoulli(p) for a probability fixed in advance, decided by one
+/// integer compare. It spends the same engine outputs as bernoulli(p) and
+/// returns the same results: libstdc++'s bernoulli_distribution is true
+/// when generate_canonical<double>(x) < p for the engine output x, and
+/// generate_canonical is non-decreasing in x, so the true outputs are
+/// exactly those below a threshold found once, by binary search over the
+/// library's own predicate.
+class FixedBernoulli {
+ public:
+  /// Never true, draws nothing (p = 0).
+  FixedBernoulli() = default;
+  explicit FixedBernoulli(double p) {
+    if (p <= 0.0) return;
+    if (p >= 1.0) {
+      mode_ = Mode::kAlways;
+      return;
+    }
+    mode_ = Mode::kDraw;
+    // The smallest output the distribution rejects; the largest output
+    // is always rejected (its canonical value is just below 1), and a
+    // NaN p rejects all, leaving the threshold at 0.
+    std::uint64_t lo = 0;
+    std::uint64_t hi = ~std::uint64_t{0};
+    while (lo < hi) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      if (library_hit(p, mid)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    below_ = lo;
+  }
+
+  /// The draw: Rng::bernoulli(p) on `rng`, outputs spent included.
+  bool operator()(Rng& rng) const {
+    if (mode_ != Mode::kDraw) return mode_ == Mode::kAlways;
+    return hit(rng.next_u64());
+  }
+  /// The verdict on engine output `x` when a draw is made.
+  [[nodiscard]] bool hit(std::uint64_t x) const noexcept {
+    return x < below_;
+  }
+  /// The smallest engine output a draw rejects.
+  [[nodiscard]] std::uint64_t threshold() const noexcept { return below_; }
+  /// False for p <= 0 and p >= 1, which decide without drawing.
+  [[nodiscard]] bool draws() const noexcept { return mode_ == Mode::kDraw; }
+
+ private:
+  /// std::bernoulli_distribution(p) fed the engine output `x`.
+  static bool library_hit(double p, std::uint64_t x) {
+    struct Replay {  // an engine of mt19937_64's range that returns x
+      using result_type = std::uint64_t;
+      static constexpr result_type min() { return 0; }
+      static constexpr result_type max() { return ~result_type{0}; }
+      result_type x;
+      result_type operator()() const { return x; }
+    };
+    static_assert(Replay::min() == std::mt19937_64::min() &&
+                  Replay::max() == std::mt19937_64::max());
+    Replay e{x};
+    return std::bernoulli_distribution(p)(e);
+  }
+
+  enum class Mode : std::uint8_t { kNever, kDraw, kAlways };
+  Mode mode_ = Mode::kNever;
+  std::uint64_t below_ = 0;  // a draw is true below this output
 };
 
 }  // namespace myri::sim

@@ -225,7 +225,7 @@ TEST(Membership, DrainGatesNewStreamsFinishesInFlightAndRetires) {
   // Retirement bounds the mapper's cross-epoch caches: the attach point
   // and route memory of the retired node are evicted, not kept forever.
   EXPECT_EQ(fm.mapper().tracked_attach_points(), 3u);
-  EXPECT_EQ(fm.mapper().table().count(3), 0u);
+  EXPECT_FALSE(fm.mapper().has_row(3));
   EXPECT_TRUE(fm.fully_converged());
 }
 
@@ -352,7 +352,7 @@ TEST(Membership, SustainedChurnRecyclesPortsAndBoundsMapperCaches) {
   // caches track live members, not churn history.
   EXPECT_LE(fm.mapper().tracked_attach_points(), 4u);
   EXPECT_LE(fm.mapper().tracked_routes(), 4u);
-  EXPECT_EQ(fm.mapper().table().count(103), 0u);
+  EXPECT_FALSE(fm.mapper().has_row(103));
   EXPECT_TRUE(fm.fully_converged());
 }
 

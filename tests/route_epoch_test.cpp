@@ -146,7 +146,7 @@ TEST(RouteEpoch, AnnounceRetryHealsThroughALossyWindow) {
   cluster.topo().set_cable_down(cluster.fabric().trunk_cables()[1], true);
   cluster.run_for(sim::msec(50));
   ASSERT_GE(fm.mapper().epoch(), 2u);
-  ASSERT_EQ(fm.mapper().table().count(3), 0u);
+  ASSERT_FALSE(fm.mapper().has_row(3));
 
   // 100% loss across every link before the recovery announce goes out:
   // the first announce (and the first few retries) die on the wire.
@@ -186,7 +186,7 @@ TEST(RouteEpoch, CensusProbeRescuesWhenEveryAnnounceIsLost) {
   cluster.topo().set_cable_down(cluster.fabric().trunk_cables()[1], true);
   cluster.run_for(sim::msec(50));
   ASSERT_GE(fm.mapper().epoch(), 2u);
-  ASSERT_EQ(fm.mapper().table().count(3), 0u);
+  ASSERT_FALSE(fm.mapper().has_row(3));
 
   // Hold the loss window through the card's ENTIRE announce budget: the
   // recovered node goes permanently silent from the card side.
@@ -239,7 +239,7 @@ TEST(RouteEpoch, CensusRederivesRoutesWhenTheFrozenRouteIsDead) {
   cluster.topo().set_cable_down(cluster.fabric().trunk_cables()[3], true);
   cluster.run_for(sim::msec(50));
   ASSERT_GE(fm.mapper().epoch(), 2u);
-  ASSERT_EQ(fm.mapper().table().count(3), 0u);
+  ASSERT_FALSE(fm.mapper().has_row(3));
 
   // FTD recovery brings the card back; its announce dies in the dead
   // trunk. The census probe, re-derived from the current switch graph to
@@ -276,7 +276,7 @@ TEST(RouteEpoch, ReturnedNodeFoldsInWithoutRediscovery) {
   fm.remap_now([&](bool r) { ok = r; });
   cluster.run_for(sim::msec(50));
   ASSERT_TRUE(ok);
-  ASSERT_EQ(fm.mapper().table().count(3), 0u);
+  ASSERT_FALSE(fm.mapper().has_row(3));
   const std::uint64_t runs_before = fm.mapper().stats().runs;
 
   // Recovery + census answer/announce: the node must come back via the
@@ -313,7 +313,7 @@ TEST(RouteEpoch, PortSweepRescuesANodeNeverPresentInAnyMap) {
   cluster.run_for(sim::msec(50));
   ASSERT_TRUE(ok);
   ASSERT_EQ(fm.mapper().epoch(), 1u);
-  ASSERT_EQ(fm.mapper().table().count(3), 0u);
+  ASSERT_FALSE(fm.mapper().has_row(3));
 
   // FTD recovery restores the card — but its driver mirror is empty (it
   // never received a single chunk), so it has no route to the mapper and
@@ -352,7 +352,7 @@ TEST(RouteEpoch, RecoveredCardAnnouncesEvenAtEpochZero) {
   cluster.run_for(sim::msec(50));
   ASSERT_TRUE(ok);
   ASSERT_EQ(fm.mapper().epoch(), 1u);
-  ASSERT_EQ(fm.mapper().table().count(3), 0u);
+  ASSERT_FALSE(fm.mapper().has_row(3));
 
   // The first epoch-1 chunk reached node 3's host mirror before the card
   // wedged: the driver knows who the mapper is and holds a partial mirror
@@ -405,9 +405,10 @@ TEST(RouteEpoch, StaleEpochGatesSendsWithRecovering) {
 
   // The full epoch-2 table arrives (one chunk): the gate lifts.
   std::vector<net::RouteEntry> table;
-  for (const auto& [dst, route] : n1.driver().route_mirror()) {
-    table.push_back({dst, route});
-  }
+  n1.driver().route_mirror().for_each(
+      [&](net::NodeId dst, const net::Route& route) {
+        table.push_back({dst, route});
+      });
   const auto push = net::RouteUpdate{2, 0, 1, table}.encode();
   n1.driver().map_route_update(net::RouteUpdateView(push), 0);
   EXPECT_FALSE(n1.routes_stale());
@@ -430,7 +431,7 @@ TEST(RouteEpoch, StaleChunksFromAnOlderEpochAreIgnored) {
   n1.driver().map_route_update(net::RouteUpdateView(replay), 0);
   EXPECT_EQ(n1.route_epoch(), 1u);
   EXPECT_FALSE(n1.routes_stale());
-  EXPECT_EQ(n1.driver().route_mirror().count(9), 0u);
+  EXPECT_FALSE(n1.driver().route_mirror().contains(9));
 }
 
 }  // namespace

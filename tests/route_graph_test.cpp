@@ -49,10 +49,10 @@ std::map<std::uint32_t, Bytes> reference_map_routes(const DeviceMap& devices,
     frontier.pop_front();
     auto it = devices.find(u);
     if (it == devices.end()) continue;
-    for (const auto& [port, edge] : it->second.neighbours) {
-      if (prev.count(edge.first) != 0) continue;
-      prev[edge.first] = {u, port};
-      frontier.push_back(edge.first);
+    for (const auto& [port, nb] : it->second.neighbours) {
+      if (prev.count(nb.key) != 0) continue;
+      prev[nb.key] = {u, port};
+      frontier.push_back(nb.key);
     }
   }
   std::map<std::uint32_t, Bytes> out;
@@ -78,16 +78,39 @@ std::set<std::uint32_t> all_keys(const DeviceMap& devices) {
   std::set<std::uint32_t> keys;
   for (const auto& [k, d] : devices) {
     keys.insert(k);
-    for (const auto& [port, edge] : d.neighbours) keys.insert(edge.first);
+    for (const auto& [port, nb] : d.neighbours) keys.insert(nb.key);
   }
   return keys;
 }
 
+// Every row the one-pass tree walk builds against RouteGraph::route for
+// every ordered pair, including which destinations are unreachable.
+void expect_tree_rows_match(const RouteGraph& g, const std::string& what) {
+  RouteGraph::Row row;
+  for (RouteGraph::Vertex src = 0; src < g.size(); ++src) {
+    g.routes_from(src, row);
+    ASSERT_EQ(row.route.size(), g.size()) << what;
+    ASSERT_EQ(row.reached.size(), g.size()) << what;
+    for (RouteGraph::Vertex dst = 0; dst < g.size(); ++dst) {
+      if (dst == src) continue;
+      const auto want = g.route(src, dst);
+      ASSERT_EQ(row.reached[dst] != 0, want.has_value())
+          << what << ": " << src << " -> " << dst;
+      if (want) {
+        EXPECT_EQ(row.route[dst], *want)
+            << what << ": " << src << " -> " << dst;
+      }
+    }
+  }
+}
+
 // Every row from every key, engine against reference, including which
-// destinations are unreachable.
+// destinations are unreachable; and the engine's tree-walk rows against
+// its own per-pair routes.
 void expect_rows_match(const DeviceMap& devices, const std::string& what) {
   mapper::DeviceGraph g;
   g.build(devices);
+  expect_tree_rows_match(g.graph(), what + " (tree rows)");
   const auto keys = all_keys(devices);
   for (const std::uint32_t src : keys) {
     const auto ref = reference_map_routes(devices, src);
@@ -232,8 +255,9 @@ TEST(RouteGraphDifferential, MapperRowsMatchReferenceOnTruncatedMaps) {
           continue;
         }
         auto& nb = it->second.neighbours;
-        for (auto n = nb.begin(); n != nb.end();) {
-          n = rng() % 8 == 0 ? nb.erase(n) : std::next(n);
+        for (int port = 0; port < 256; ++port) {
+          const auto p = static_cast<std::uint8_t>(port);
+          if (nb.find(p) != nullptr && rng() % 8 == 0) nb.erase(p);
         }
         ++it;
       }
@@ -260,8 +284,8 @@ TEST(RouteGraphDifferential, MapperRowsMatchReferenceOnStaleGraphs) {
   // Interface listed by two switches: a fold_in re-attached x at new_sw
   // while old_sw's record of it was never cleared.
   DeviceMap twice = base;
-  twice[new_sw].neighbours[new_port] = {x, 0};
-  twice[x].neighbours[0] = {new_sw, new_port};
+  twice[new_sw].neighbours.set(new_port, {x, 0});
+  twice[x].neighbours.set(0, {new_sw, new_port});
   expect_rows_match(twice, "interface listed by two switches");
 
   // Dangling neighbour: retire_node then removed x and unlinked only the
@@ -269,7 +293,7 @@ TEST(RouteGraphDifferential, MapperRowsMatchReferenceOnStaleGraphs) {
   DeviceMap dangling = twice;
   dangling[new_sw].neighbours.erase(new_port);
   dangling.erase(x);
-  ASSERT_EQ(dangling.at(old_sw).neighbours.at(old_port).first, x);
+  ASSERT_EQ(dangling.at(old_sw).neighbours.at(old_port).key, x);
   expect_rows_match(dangling, "dangling neighbour after retire");
 
   // Interface with no edge, and one whose only edge dangles.
@@ -277,9 +301,97 @@ TEST(RouteGraphDifferential, MapperRowsMatchReferenceOnStaleGraphs) {
   edgeless[x].neighbours.clear();
   mapper::DeviceInfo lone;
   lone.ref = {net::DeviceKind::kInterface, 40};
-  lone.neighbours[0] = {key(net::DeviceKind::kSwitch, 999), 3};
+  lone.neighbours.set(0, {key(net::DeviceKind::kSwitch, 999), 3});
   edgeless[lone.ref.key()] = lone;
   expect_rows_match(edgeless, "edgeless interfaces");
+}
+
+TEST(RouteGraph, BackToBackCardsHaveAZeroByteRouteInTheirRow) {
+  // Two interfaces cabled to each other: each is the other's tree root.
+  RouteGraph g;
+  const auto a = g.add_vertex(false);
+  const auto b = g.add_vertex(false);
+  g.add_edge(a, b, 0);
+  g.add_edge(b, a, 0);
+  EXPECT_EQ(g.tree_root(a), b);
+  EXPECT_EQ(g.tree_root(b), a);
+  EXPECT_EQ(g.route(a, b), Bytes{});
+  RouteGraph::Row row;
+  g.routes_from(a, row);
+  ASSERT_EQ(row.reached[b], 1);
+  EXPECT_TRUE(row.route[b].empty());
+  expect_tree_rows_match(g, "back to back");
+}
+
+// Route lengths over every ordered pair of mapped interfaces, one
+// route_len() call per pair: what Mapper::route_length_counts() reads
+// off one tree walk per root.
+std::vector<std::uint64_t> per_pair_length_counts(const mapper::Mapper& m) {
+  mapper::DeviceGraph g;
+  g.build(m.devices());
+  std::vector<RouteGraph::Vertex> ifaces;
+  for (const net::NodeId x : m.interfaces()) ifaces.push_back(*g.vertex(iface(x)));
+  std::vector<std::uint64_t> counts;
+  for (const RouteGraph::Vertex a : ifaces) {
+    for (const RouteGraph::Vertex b : ifaces) {
+      if (a == b) continue;
+      const auto len = g.graph().route_len(a, b);
+      if (!len) continue;
+      if (*len >= counts.size()) counts.resize(*len + 1, 0);
+      ++counts[*len];
+    }
+  }
+  return counts;
+}
+
+TEST(RouteGraphDifferential, TreeRowsAndLengthCountsOnTheLargeFatTrees) {
+  for (const PresetCase& c : {PresetCase{FabricPreset::kFatTree, 64, 10},
+                              PresetCase{FabricPreset::kFatTree3, 128, 8}}) {
+    gm::Cluster cluster(mapped_config(c.preset, c.nodes, c.radix));
+    // A patient discovery: the 128-node burst's reply wave outlives the
+    // default scout timeout, and this test wants every node mapped.
+    mapper::Mapper::Config cfg;
+    cfg.scout_timeout = sim::msec(5);
+    mapper::Mapper m(cluster.node(0), cfg);
+    bool ok = false;
+    m.run([&](bool r) { ok = r; });
+    cluster.run_until_idle();
+    ASSERT_TRUE(ok) << name_of(c);
+    ASSERT_EQ(m.interfaces().size(), static_cast<std::size_t>(c.nodes));
+    expect_tree_rows_match(m.route_graph(), name_of(c));
+    const auto counts = m.route_length_counts();
+    EXPECT_EQ(counts, per_pair_length_counts(m)) << name_of(c);
+    std::uint64_t pairs = 0;
+    for (const std::uint64_t n : counts) pairs += n;
+    EXPECT_EQ(pairs, static_cast<std::uint64_t>(c.nodes) * (c.nodes - 1));
+    // Every row the mapper distributed is the per-pair route, in order.
+    for (const net::NodeId x : m.table_nodes()) {
+      std::size_t k = 0;
+      for (const net::NodeId y : m.interfaces()) {
+        if (y == x) continue;
+        const auto want = m.route_between(x, y);
+        ASSERT_TRUE(want.has_value()) << x << " -> " << y;
+        ASSERT_LT(k, m.row(x).size());
+        EXPECT_EQ(m.row(x)[k].dst, y);
+        EXPECT_EQ(m.row(x)[k].route, *want) << x << " -> " << y;
+        ++k;
+      }
+      EXPECT_EQ(k, m.row(x).size());
+    }
+  }
+}
+
+TEST(RouteGraphDifferential, LengthCountsMatchPerPairOnEveryPreset) {
+  for (const PresetCase& c : kPresets) {
+    gm::Cluster cluster(mapped_config(c.preset, c.nodes, c.radix));
+    mapper::Mapper m(cluster.node(0));
+    bool ok = false;
+    m.run([&](bool r) { ok = r; });
+    cluster.run_until_idle();
+    ASSERT_TRUE(ok) << name_of(c);
+    EXPECT_EQ(m.route_length_counts(), per_pair_length_counts(m))
+        << name_of(c);
+  }
 }
 
 // Reference: the builder's per-source dense BFS as it was, over its

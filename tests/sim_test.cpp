@@ -1,6 +1,9 @@
 // Unit tests for the discrete-event simulation kernel.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <random>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -243,6 +246,84 @@ TEST(Rng, PickCoversElements) {
     seen[x / 10 - 1] = true;
   }
   EXPECT_TRUE(seen[0] && seen[1] && seen[2]);
+}
+
+// Probabilities a link is given: the soak profile's baseline and
+// loss-window rates, the chaos generator's 0.01-step drop grid, and edges
+// (the smallest doubles, powers of two around 2^-64, just below 1).
+std::vector<double> fault_probabilities() {
+  std::vector<double> ps = {0.005, 0.002, 0.10, 0.05, 0.001, 1.0 / 3};
+  for (int i = 1; i <= 20; ++i) ps.push_back(i * 0.01);
+  for (const double e :
+       {std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(), 0x1p-66, 0x1p-65, 0x1p-64,
+        0x1p-63, 0x1.8p-64, 1e-19, 1e-12, 0.5, 0.75,
+        std::nextafter(0.5, 0.0), std::nextafter(0.5, 1.0), 0.999999,
+        1.0 - 0x1p-52, std::nextafter(1.0, 0.0)}) {
+    ps.push_back(e);
+  }
+  return ps;
+}
+
+// std::bernoulli_distribution fed one chosen engine output.
+bool library_draw(double p, std::uint64_t x) {
+  struct Replay {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type x;
+    result_type operator()() { return x; }
+  };
+  Replay e{x};
+  return std::bernoulli_distribution(p)(e);
+}
+
+TEST(FixedBernoulli, SameResultsAndSameStreamAsRngBernoulli) {
+  for (const double p : fault_probabilities()) {
+    Rng a(2026);
+    Rng b(2026);
+    const FixedBernoulli fb(p);
+    ASSERT_TRUE(fb.draws()) << p;
+    for (int i = 0; i < 20000; ++i) {
+      ASSERT_EQ(fb(b), a.bernoulli(p)) << "p " << p << ", draw " << i;
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << p;  // as many outputs spent
+  }
+}
+
+TEST(FixedBernoulli, MatchesTheLibraryWithinTwoOfEveryThreshold) {
+  std::mt19937_64 rng(7);
+  for (const double p : fault_probabilities()) {
+    const FixedBernoulli fb(p);
+    const std::uint64_t t = fb.threshold();
+    ASSERT_GT(t, 0u) << p;  // output 0 is below every p > 0
+    for (std::uint64_t d = 0; d <= 4; ++d) {
+      const std::uint64_t x = t - 2 + d;  // wraps past 0 only if t < 2
+      if (t < 2 && d < 2 - t) continue;
+      EXPECT_EQ(fb.hit(x), library_draw(p, x))
+          << "p " << p << ", output " << x << ", threshold " << t;
+    }
+    for (int i = 0; i < 2000; ++i) {
+      const std::uint64_t x = rng();
+      ASSERT_EQ(fb.hit(x), library_draw(p, x)) << "p " << p << ", " << x;
+    }
+    EXPECT_FALSE(fb.hit(~std::uint64_t{0})) << p;
+  }
+}
+
+TEST(FixedBernoulli, ZeroAndOneDecideWithoutDrawing) {
+  for (const double p : {0.0, -0.5, 1.0, 2.0}) {
+    Rng a(9);
+    Rng b(9);
+    const FixedBernoulli fb(p);
+    EXPECT_FALSE(fb.draws());
+    for (int i = 0; i < 10; ++i) EXPECT_EQ(fb(b), a.bernoulli(p));
+    EXPECT_EQ(a.next_u64(), b.next_u64());
+  }
+  Rng r(3);
+  Rng untouched(3);
+  EXPECT_FALSE(FixedBernoulli()(r));
+  EXPECT_EQ(r.next_u64(), untouched.next_u64());
 }
 
 }  // namespace
