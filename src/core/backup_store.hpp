@@ -16,9 +16,9 @@
 // the failure.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "mcp/types.hpp"
@@ -26,25 +26,77 @@
 
 namespace myri::core {
 
+/// Token copies in post order: a vector with a head index. Copies leave
+/// almost always from the front (sends complete and receive buffers fill
+/// in the order they were posted), which only advances the head; a copy
+/// leaving from the middle is erased so the rest keep their order. Once
+/// the live part empties, or is at most as long as the dead prefix, the
+/// vector is reset or compacted, so steady traffic reuses one buffer.
+template <typename T>
+class PostOrder {
+ public:
+  void push(const T& v) { items_.push_back(v); }
+
+  /// Remove the copy whose token_id is `id`; no-op when there is none.
+  void remove(std::uint32_t id) {
+    for (std::size_t i = head_; i < items_.size(); ++i) {
+      if (items_[i].token_id != id) continue;
+      if (i != head_) {
+        items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(i));
+      } else if (++head_ == items_.size()) {
+        items_.clear();
+        head_ = 0;
+      } else if (head_ >= kCompactAt && head_ * 2 >= items_.size()) {
+        items_.erase(items_.begin(),
+                     items_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+      }
+      return;
+    }
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return items_.size() - head_;
+  }
+  [[nodiscard]] const T& operator[](std::size_t i) const {
+    return items_[head_ + i];
+  }
+  [[nodiscard]] const T* begin() const noexcept {
+    return items_.data() + head_;
+  }
+  [[nodiscard]] const T* end() const noexcept {
+    return items_.data() + items_.size();
+  }
+  void clear() {
+    items_.clear();
+    head_ = 0;
+  }
+
+ private:
+  static constexpr std::size_t kCompactAt = 16;
+  std::vector<T> items_;
+  std::size_t head_ = 0;  // items_[0, head_) have been removed
+};
+
 class BackupStore {
  public:
   // ---- send-token copies ----
-  void add_send(const mcp::SendRequest& req) { sends_.push_back(req); }
+  void add_send(const mcp::SendRequest& req) { sends_.push(req); }
 
   /// Remove the copy for `token_id`; call just before the send callback.
-  void remove_send(std::uint32_t token_id);
+  void remove_send(std::uint32_t token_id) { sends_.remove(token_id); }
 
   /// Outstanding (unacknowledged) sends, in original post order — the
   /// order matters: recovery re-posts them with their original sequence
   /// numbers, which must be contiguous per stream.
-  [[nodiscard]] const std::deque<mcp::SendRequest>& sends() const {
+  [[nodiscard]] const PostOrder<mcp::SendRequest>& sends() const {
     return sends_;
   }
 
   // ---- receive-token copies ----
-  void add_recv(const mcp::RecvToken& tok) { recvs_.push_back(tok); }
-  void remove_recv(std::uint32_t token_id);
-  [[nodiscard]] const std::deque<mcp::RecvToken>& recvs() const {
+  void add_recv(const mcp::RecvToken& tok) { recvs_.push(tok); }
+  void remove_recv(std::uint32_t token_id) { recvs_.remove(token_id); }
+  [[nodiscard]] const PostOrder<mcp::RecvToken>& recvs() const {
     return recvs_;
   }
 
@@ -52,14 +104,14 @@ class BackupStore {
   /// Allocate `nfrags` contiguous sequence numbers for a message to `dst`;
   /// returns the first.
   std::uint32_t alloc_seq_block(net::NodeId dst, std::uint32_t nfrags) {
-    std::uint32_t& next = seq_gen_[dst];
+    std::uint32_t& next = seq_slot(dst);
     const std::uint32_t first = next;
     next += nfrags;
     return first;
   }
   [[nodiscard]] std::uint32_t next_seq(net::NodeId dst) const {
-    auto it = seq_gen_.find(dst);
-    return it == seq_gen_.end() ? 0 : it->second;
+    const auto it = seq_lower_bound(dst);
+    return it != seq_gen_.end() && it->first == dst ? it->second : 0;
   }
 
   // ---- ACK-number table (receiver side) ----
@@ -67,16 +119,25 @@ class BackupStore {
   /// process (driven by RECV events, which carry the sequence number).
   void note_recv_seq(net::NodeId peer, std::uint32_t stream,
                      std::uint32_t seq) {
-    auto [it, fresh] = ack_table_.try_emplace(mcp::stream_key(peer, stream),
-                                              AckEntry{peer, stream, seq});
-    if (!fresh && seq + 1 > it->second.last_seq + 1) it->second.last_seq = seq;
+    const std::uint64_t key = mcp::stream_key(peer, stream);
+    auto it = std::lower_bound(
+        ack_table_.begin(), ack_table_.end(), key,
+        [](const AckSlot& s, std::uint64_t k) { return s.first < k; });
+    if (it == ack_table_.end() || it->first != key) {
+      ack_table_.insert(it, {key, AckEntry{peer, stream, seq}});
+    } else if (seq + 1 > it->second.last_seq + 1) {
+      it->second.last_seq = seq;
+    }
   }
   struct AckEntry {
     net::NodeId peer;
     std::uint32_t stream;
     std::uint32_t last_seq;
   };
-  [[nodiscard]] const std::map<std::uint64_t, AckEntry>& ack_table() const {
+  using AckSlot = std::pair<std::uint64_t, AckEntry>;
+  /// One entry per incoming stream, in ascending stream_key order (the
+  /// order recovery restores them in).
+  [[nodiscard]] const std::vector<AckSlot>& ack_table() const {
     return ack_table_;
   }
 
@@ -98,10 +159,25 @@ class BackupStore {
   }
 
  private:
-  std::deque<mcp::SendRequest> sends_;
-  std::deque<mcp::RecvToken> recvs_;
-  std::map<std::uint64_t, AckEntry> ack_table_;
-  std::map<net::NodeId, std::uint32_t> seq_gen_;
+  using SeqSlot = std::pair<net::NodeId, std::uint32_t>;
+  [[nodiscard]] std::vector<SeqSlot>::const_iterator seq_lower_bound(
+      net::NodeId dst) const {
+    return std::lower_bound(
+        seq_gen_.begin(), seq_gen_.end(), dst,
+        [](const SeqSlot& s, net::NodeId d) { return s.first < d; });
+  }
+  std::uint32_t& seq_slot(net::NodeId dst) {
+    auto it = seq_gen_.begin() + (seq_lower_bound(dst) - seq_gen_.cbegin());
+    if (it == seq_gen_.end() || it->first != dst) {
+      it = seq_gen_.insert(it, {dst, 0});
+    }
+    return it->second;
+  }
+
+  PostOrder<mcp::SendRequest> sends_;
+  PostOrder<mcp::RecvToken> recvs_;
+  std::vector<AckSlot> ack_table_;  // sorted by stream key
+  std::vector<SeqSlot> seq_gen_;    // sorted by destination
 };
 
 }  // namespace myri::core

@@ -120,16 +120,12 @@ Scenario Scenario::random(std::uint64_t rand_seed) {
   s.msg_len = 512 + static_cast<std::uint32_t>(rng.below(2048));
 
   // Trunk count of the chosen preset (cable events need redundancy the
-  // mapper can reroute across). Built on a throwaway topology: cheap,
-  // and keeps this function the single source of truth.
-  std::size_t trunks = 0;
-  if (s.fabric != net::FabricPreset::kSingleSwitch) {
-    sim::EventQueue eq;
-    sim::Rng r(0);
-    net::Topology topo(eq, r);
-    net::FabricBuilder fb(topo, {s.fabric, s.nodes, s.radix});
-    trunks = fb.trunk_cables().size();
-  }
+  // mapper can reroute across), read from the builder's wiring plan.
+  const std::size_t trunks =
+      s.fabric == net::FabricPreset::kSingleSwitch
+          ? 0
+          : net::FabricBuilder::plan({s.fabric, s.nodes, s.radix})
+                .trunks.size();
 
   // One mixed profile: cable kills, NIC hangs, lossy links and fault
   // windows now coexist freely. The old disjoint cable-only profile was a
@@ -228,14 +224,10 @@ std::string Scenario::validate() const {
   if (membership) {
     // The preset capacity is theoretical; what a join actually needs is a
     // free port on the *as-built* fabric (a radix-3 ring is full: every
-    // switch spends 2 ports on trunks and 1 on its host). Dry-build the
-    // fabric so an unsatisfiable schedule is rejected here instead of
-    // blowing up add_node() mid-run.
-    sim::EventQueue eq;
-    sim::Rng rng(1);
-    net::Topology topo(eq, rng);
-    const net::FabricBuilder fb(topo, fc);
-    free = fb.free_ports();
+    // switch spends 2 ports on trunks and 1 on its host). Count them on
+    // the builder's wiring plan so an unsatisfiable schedule is rejected
+    // here instead of blowing up add_node() mid-run.
+    free = net::FabricBuilder::plan(fc).free_ports();
   }
   int ids = nodes;                     // ids assigned so far (joins extend)
   std::vector<bool> drained;           // by id: retirement scheduled

@@ -99,14 +99,11 @@ Scenario make_soak_scenario(const SoakProfile& p) {
   // -- Trunk outages: down for cable_outage, then restored; the next cut
   //    waits out the restore plus settle time, so at most one trunk is
   //    ever missing (what ring/fat-tree redundancy tolerates).
-  std::size_t trunks = 0;
-  if (p.fabric != net::FabricPreset::kSingleSwitch) {
-    sim::EventQueue eq;
-    sim::Rng r(0);
-    net::Topology topo(eq, r);
-    const net::FabricBuilder fb(topo, {p.fabric, p.nodes, p.radix});
-    trunks = fb.trunk_cables().size();
-  }
+  const std::size_t trunks =
+      p.fabric == net::FabricPreset::kSingleSwitch
+          ? 0
+          : net::FabricBuilder::plan({p.fabric, p.nodes, p.radix})
+                .trunks.size();
   if (p.cable_every > 0 && p.cable_outage > 0 && trunks > 0) {
     sim::Time t = sim::msec(500) + rng.below(p.cable_every);
     while (t + p.cable_outage < end) {

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 
 #include "sim/event_queue.hpp"
 #include "sim/time.hpp"
@@ -19,14 +20,15 @@ class HostCpu {
  public:
   explicit HostCpu(sim::EventQueue& eq) : eq_(eq) {}
 
-  /// Occupy the CPU for `cost`, then run `then`. `then` is the event
-  /// queue's callback type, so it moves into its event without a second
-  /// type erasure.
-  void run(sim::Time cost, sim::EventQueue::Callback then) {
+  /// Occupy the CPU for `cost`, then run `then`. The caller's closure is
+  /// forwarded to EventQueue::post_at and built in its slab entry, with no
+  /// type-erased wrapper in between.
+  template <typename F>
+  void run(sim::Time cost, F&& then) {
     const sim::Time start = std::max(eq_.now(), busy_until_);
     busy_until_ = start + cost;
     busy_ns_ += cost;
-    eq_.post_at(busy_until_, std::move(then));
+    eq_.post_at(busy_until_, std::forward<F>(then));
   }
 
   [[nodiscard]] sim::Time busy_ns() const noexcept { return busy_ns_; }

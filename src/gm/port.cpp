@@ -1,5 +1,7 @@
 #include "gm/port.hpp"
 
+#include <algorithm>
+
 #include "gm/node.hpp"
 
 namespace myri::gm {
@@ -12,6 +14,8 @@ Port::Port(Node& node, std::uint8_t id, Config cfg)
       recv_tokens_free_(cfg.recv_tokens) {
   send_callbacks_.reserve(cfg.send_tokens);
   recv_buffers_.reserve(cfg.recv_tokens);
+  // Each token in flight comes back as at most one event.
+  queue_.reserve(cfg.send_tokens + cfg.recv_tokens);
 }
 
 bool Port::ftgm() const {
@@ -68,6 +72,16 @@ Buffer Port::alloc_dma_buffer(std::uint32_t size) {
   return Buffer{*addr, size};
 }
 
+bool Port::active_dst(net::NodeId dst) const {
+  return std::binary_search(active_dsts_.begin(), active_dsts_.end(), dst);
+}
+
+void Port::note_active_dst(net::NodeId dst) {
+  const auto it =
+      std::lower_bound(active_dsts_.begin(), active_dsts_.end(), dst);
+  if (it == active_dsts_.end() || *it != dst) active_dsts_.insert(it, dst);
+}
+
 Status Port::post(const Buffer& buf, std::uint32_t len, SendOptions opts) {
   mcp::SendRequest req;
   req.dst = opts.dst;
@@ -105,11 +119,11 @@ Status Port::submit_send(const Buffer& buf, std::uint32_t len,
   // A draining destination accepts traffic only from streams established
   // before the drain began: in-flight conversations finish exactly-once,
   // new ones are refused so the node can quiesce and retire.
-  if (node_.dst_draining(req.dst) && active_dsts_.count(req.dst) == 0) {
+  if (node_.dst_draining(req.dst) && !active_dst(req.dst)) {
     return Status::kDraining;
   }
   if (send_tokens_free_ == 0) return Status::kNoSendToken;
-  active_dsts_.insert(req.dst);
+  note_active_dst(req.dst);
   --send_tokens_free_;
   ++stats_.sends_posted;
   stats_.bytes_sent += len;
@@ -159,10 +173,10 @@ Status Port::get_with_callback(const Buffer& local, std::uint32_t len,
   if (recovering_) return Status::kRecovering;
   if (node_.routes_stale()) return Status::kRecovering;
   if (!node_.has_route(dst)) return Status::kUnreachable;
-  if (node_.dst_draining(dst) && active_dsts_.count(dst) == 0) {
+  if (node_.dst_draining(dst) && !active_dst(dst)) {
     return Status::kDraining;
   }
-  active_dsts_.insert(dst);
+  note_active_dst(dst);
   mcp::GetRequest g;
   g.port = id_;
   g.dst = dst;
@@ -255,8 +269,7 @@ void Port::pump() {
     pump_armed_ = false;
     return;
   }
-  const mcp::EventRecord ev = queue_.front();
-  queue_.pop_front();
+  const mcp::EventRecord ev = queue_.take_front();
   metrics::level(m_.event_queue_depth,
                  static_cast<std::int64_t>(queue_.size()));
 

@@ -10,11 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -23,6 +21,7 @@
 #include "mcp/types.hpp"
 #include "metrics/registry.hpp"
 #include "net/packet.hpp"
+#include "sim/ring.hpp"
 #include "sim/time.hpp"
 
 namespace myri::gm {
@@ -265,7 +264,7 @@ class Port {
   std::uint32_t next_token_id_ = 1;
   std::uint32_t next_msg_id_ = 1;
 
-  std::deque<mcp::EventRecord> queue_;  // host-side receive queue
+  sim::Ring<mcp::EventRecord> queue_;  // host-side receive queue
   bool pump_armed_ = false;
 
   struct PendingGet {
@@ -287,9 +286,11 @@ class Port {
   TokenTable<std::function<void()>> alarms_;  // alarm id -> handler
   std::uint32_t next_alarm_id_ = 1;
 
-  // Destinations this port has posted to: streams already established
-  // when a drain begins are exempt from the kDraining gate.
-  std::set<net::NodeId> active_dsts_;
+  // Destinations this port has posted to, sorted: streams already
+  // established when a drain begins are exempt from the kDraining gate.
+  std::vector<net::NodeId> active_dsts_;
+  void note_active_dst(net::NodeId dst);
+  [[nodiscard]] bool active_dst(net::NodeId dst) const;
 
   RecvHandler recv_handler_;
   std::function<void()> on_recovered_;

@@ -1,6 +1,7 @@
 #include "host/host_memory.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 namespace myri::host {
@@ -76,25 +77,53 @@ bool PinnedAllocator::is_pinned(DmaAddr addr, std::size_t len) const {
   return false;
 }
 
+std::size_t PageHashTable::probe(std::uint64_t k) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = home(k);
+  while (slots_[i].key != k && slots_[i].key != kEmpty) i = (i + 1) & mask;
+  return i;
+}
+
+void PageHashTable::reset(std::size_t slots) {
+  slots_.assign(slots, Slot{});
+  size_ = 0;
+  shift_ = 64 - std::countr_zero(slots);
+}
+
 void PageHashTable::map(std::uint8_t port, std::uint64_t vaddr, DmaAddr dma) {
-  table_[key(port, vaddr / kPageSize)] = dma / kPageSize * kPageSize;
+  // Keep the load at most one half, so probes stay short.
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<Slot> old = std::move(slots_);
+    reset(std::max(kMinSlots, 2 * old.size()));
+    for (const Slot& s : old) {
+      if (s.key == kEmpty) continue;
+      slots_[probe(s.key)] = s;
+      ++size_;
+    }
+  }
+  const std::uint64_t k = key(port, vaddr / kPageSize);
+  Slot& s = slots_[probe(k)];
+  if (s.key == kEmpty) ++size_;
+  s = {k, dma / kPageSize * kPageSize};
 }
 
 void PageHashTable::unmap_port(std::uint8_t port) {
-  for (auto it = table_.begin(); it != table_.end();) {
-    if ((it->first >> 52) == port) {
-      it = table_.erase(it);
-    } else {
-      ++it;
-    }
+  if (slots_.empty()) return;
+  std::vector<Slot> old = std::move(slots_);
+  reset(old.size());
+  for (const Slot& s : old) {
+    if (s.key == kEmpty || (s.key >> kPortShift) == port) continue;
+    slots_[probe(s.key)] = s;
+    ++size_;
   }
 }
 
 std::optional<DmaAddr> PageHashTable::lookup(std::uint8_t port,
                                              std::uint64_t vaddr) const {
-  auto it = table_.find(key(port, vaddr / kPageSize));
-  if (it == table_.end()) return std::nullopt;
-  return it->second + vaddr % kPageSize;
+  if (slots_.empty()) return std::nullopt;
+  const Slot& s = slots_[probe(key(port, vaddr / kPageSize))];
+  if (s.key == kEmpty) return std::nullopt;
+  return s.page + vaddr % kPageSize;
 }
 
 }  // namespace myri::host

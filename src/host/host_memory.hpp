@@ -80,22 +80,49 @@ class PinnedAllocator {
 
 /// (port, virtual page) -> DMA page. Big, so host-resident; the MCP caches
 /// entries in SRAM and re-fetches after recovery (paper Section 4.3).
+///
+/// Open addressing over one power-of-two array with linear probing: every
+/// message translates its buffer three times, and a probe that starts at
+/// a multiplicative hash of the key usually ends on its first slot.
+/// Nothing iterates the table, so its layout cannot reach behaviour.
 class PageHashTable {
  public:
+  /// Map the page holding `vaddr` on `port` to the page holding `dma`
+  /// (a remap overwrites).
   void map(std::uint8_t port, std::uint64_t vaddr, DmaAddr dma);
+  /// Drop every mapping of `port`, rebuilding the table without them.
   void unmap_port(std::uint8_t port);
 
   /// Lookup by any address within a mapped page.
   [[nodiscard]] std::optional<DmaAddr> lookup(std::uint8_t port,
                                               std::uint64_t vaddr) const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return table_.size(); }
+  /// Mappings held.
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
 
  private:
+  static constexpr int kPortShift = 52;
+  // No (port, page) key has its top four bits set.
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  static constexpr std::size_t kMinSlots = 64;
+  struct Slot {
+    std::uint64_t key = kEmpty;
+    DmaAddr page = 0;
+  };
   static std::uint64_t key(std::uint8_t port, std::uint64_t vpage) {
-    return (static_cast<std::uint64_t>(port) << 52) | vpage;
+    return (static_cast<std::uint64_t>(port) << kPortShift) | vpage;
   }
-  std::unordered_map<std::uint64_t, DmaAddr> table_;
+  [[nodiscard]] std::size_t home(std::uint64_t k) const noexcept {
+    return static_cast<std::size_t>((k * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  // The slot holding `k`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t probe(std::uint64_t k) const noexcept;
+  // Start over with `slots` empty slots (a power of two).
+  void reset(std::size_t slots);
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  int shift_ = 64;  // 64 - log2(slots_.size())
 };
 
 }  // namespace myri::host

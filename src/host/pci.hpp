@@ -7,7 +7,10 @@
 // calibration knob.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "host/timing.hpp"
 #include "sim/event_queue.hpp"
@@ -19,12 +22,19 @@ class PciBus {
   PciBus(sim::EventQueue& eq, PciTiming cfg) : eq_(eq), cfg_(cfg) {}
 
   /// Queue a DMA transaction of `bytes`; `done` fires when it completes.
-  /// `done` is the event queue's callback type: a step's closure is
-  /// type-erased once and moves into its event in one piece.
-  void dma(std::size_t bytes, sim::EventQueue::Callback done);
+  /// Like every bus call, `done` is forwarded to EventQueue::post_at and
+  /// built in its slab entry: a step's closure is type-erased once, in
+  /// place.
+  template <typename F>
+  void dma(std::size_t bytes, F&& done) {
+    occupy(dma_time(bytes), std::forward<F>(done));
+  }
 
   /// Queue a programmed-I/O access (doorbell/register); `done` on completion.
-  void pio(sim::EventQueue::Callback done);
+  template <typename F>
+  void pio(F&& done) {
+    occupy(cfg_.pio, std::forward<F>(done));
+  }
 
   /// Cost of one PIO access (for synchronous accounting paths).
   [[nodiscard]] sim::Time pio_cost() const noexcept { return cfg_.pio; }
@@ -36,7 +46,21 @@ class PciBus {
   [[nodiscard]] std::uint64_t transactions() const noexcept { return txns_; }
 
  private:
-  void occupy(sim::Time dur, sim::EventQueue::Callback done);
+  /// Bus time of a DMA of `bytes`: setup plus transfer at the bus rate.
+  [[nodiscard]] sim::Time dma_time(std::size_t bytes) const noexcept {
+    // MB/s == bytes/us; convert to ns.
+    const auto transfer = static_cast<sim::Time>(
+        static_cast<double>(bytes) / cfg_.mb_per_s * 1000.0);
+    return cfg_.dma_setup + transfer;
+  }
+  template <typename F>
+  void occupy(sim::Time dur, F&& done) {
+    const sim::Time start = std::max(eq_.now(), busy_until_);
+    busy_until_ = start + dur;
+    busy_time_ += dur;
+    ++txns_;
+    eq_.post_at(busy_until_, std::forward<F>(done));
+  }
 
   sim::EventQueue& eq_;
   PciTiming cfg_;

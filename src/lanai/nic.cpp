@@ -199,11 +199,7 @@ void Nic::send_packet(net::Packet pkt, bool resolve_route) {
   uplink_->send(std::move(pkt));
 }
 
-net::Packet Nic::rx_pop() {
-  net::Packet p = std::move(rx_queue_.front());
-  rx_queue_.pop_front();
-  return p;
-}
+net::Packet Nic::rx_pop() { return rx_queue_.take_front(); }
 
 void Nic::ring_doorbell() {
   set_isr_bits(kIsrDoorbell);

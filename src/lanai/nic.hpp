@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -31,6 +30,7 @@
 #include "net/link.hpp"
 #include "net/packet.hpp"
 #include "net/route_table.hpp"
+#include "sim/ring.hpp"
 #include "sim/trace.hpp"
 
 namespace myri::lanai {
@@ -206,7 +206,7 @@ class Nic final : public MmioDevice, public net::PacketSink {
   std::uint32_t hdma_len_ = 0;
   std::uint64_t hdma_epoch_ = 0;  // invalidates in-flight DMA on reset
 
-  std::deque<net::Packet> rx_queue_;
+  sim::Ring<net::Packet> rx_queue_;  // bounded by rx_queue_cap
   std::uint32_t scratch_ = 0;
   NicStats stats_;
 };

@@ -112,7 +112,6 @@ void Mcp::load() {
   control_queue_.clear();
   send_streams_.clear();
   recv_streams_.clear();
-  send_rr_.clear();
   dma_active_ = false;
   rto_scan_armed_ = false;
   rx_handler_pending_ = false;
@@ -210,7 +209,6 @@ void Mcp::restart_self() {
   control_queue_.clear();
   send_streams_.clear();
   recv_streams_.clear();
-  send_rr_.clear();
   dma_active_ = false;
   rx_handler_pending_ = false;
   rto_scan_armed_ = false;
@@ -530,13 +528,10 @@ std::size_t Mcp::recv_tokens_held(std::uint8_t port) const {
 // --------------------------------------------------------------------------
 
 Mcp::SendStream& Mcp::send_stream(net::NodeId peer, std::uint32_t sid) {
-  const std::uint64_t key = stream_key(peer, sid);
-  auto [it, inserted] = send_streams_.try_emplace(key);
-  if (inserted) {
-    it->second.peer = peer;
-    it->second.sid = sid;
-  }
-  return it->second;
+  SendStream& s = send_streams_.get(stream_key(peer, sid));
+  s.peer = peer;  // the key is (peer, sid): a no-op unless just added
+  s.sid = sid;
+  return s;
 }
 
 void Mcp::host_post_send(const SendRequest& req) {
@@ -615,7 +610,7 @@ void Mcp::host_restore_ack_entry(net::NodeId peer, std::uint32_t stream,
                                  std::uint32_t last_seq) {
   catch_up();
   if (hung_ || !loaded_) return;
-  RecvStream& rs = recv_streams_[stream_key(peer, stream)];
+  RecvStream& rs = recv_streams_.get(stream_key(peer, stream));
   // Two local ports may hold partial views of the same remote stream (a
   // stream is per sender port, not per receiver port); the furthest-along
   // view wins.
@@ -642,17 +637,18 @@ void Mcp::kick_sender() {
   // Two non-preemptive priority levels (paper Section 3.1): a round-robin
   // pass over streams whose next fragment is high priority, then a pass
   // over the rest. In-flight fragments are never preempted.
+  const std::size_t count = send_streams_.size();
   for (const std::uint8_t want_prio : {std::uint8_t{1}, std::uint8_t{0}}) {
-    auto it = send_streams_.upper_bound(last_served_);
-    for (std::size_t n = 0; n <= send_streams_.size(); ++n) {
-      if (it == send_streams_.end()) it = send_streams_.begin();
-      SendStream& s = it->second;
+    std::size_t i = send_streams_.upper_bound(last_served_);
+    for (std::size_t n = 0; n <= count; ++n, ++i) {
+      if (i == count) i = 0;
+      const auto& slot = send_streams_.slot(i);
+      SendStream& s = *slot.stream;
       if (stream_has_work(s) && next_fragment_priority(s) == want_prio) {
-        last_served_ = it->first;
+        last_served_ = slot.key;
         start_fragment(s);
         return;
       }
-      ++it;
     }
   }
 }
@@ -754,9 +750,8 @@ void Mcp::finish_fragment_tx() {
   if (!run_send_chunk(image_.entry_tx)) return;
   dma_active_ = false;
   ++stats_.fragments_tx;
-  auto it = send_streams_.find(pending_stream_key_);
-  if (it != send_streams_.end()) {
-    SendStream& s = it->second;
+  if (SendStream* sp = send_streams_.find(pending_stream_key_)) {
+    SendStream& s = *sp;
     if (pending_seq_ + 1 > s.high_water) {
       s.high_water = pending_seq_ + 1;
     } else {
@@ -772,9 +767,9 @@ void Mcp::finish_fragment_tx() {
 
 void Mcp::on_ack(const net::Packet& pkt) {
   ++stats_.acks_rx;
-  auto it = send_streams_.find(stream_key(pkt.src, pkt.stream));
-  if (it == send_streams_.end()) return;
-  SendStream& s = it->second;
+  SendStream* sp = send_streams_.find(stream_key(pkt.src, pkt.stream));
+  if (sp == nullptr) return;
+  SendStream& s = *sp;
   const std::uint32_t new_base = pkt.ack_seq + 1;
   if (new_base <= s.base) return;  // stale cumulative ack
   s.base = new_base;
@@ -787,9 +782,9 @@ void Mcp::on_ack(const net::Packet& pkt) {
 
 void Mcp::on_nack(const net::Packet& pkt) {
   ++stats_.nacks_rx;
-  auto it = send_streams_.find(stream_key(pkt.src, pkt.stream));
-  if (it == send_streams_.end()) return;
-  SendStream& s = it->second;
+  SendStream* sp = send_streams_.find(stream_key(pkt.src, pkt.stream));
+  if (sp == nullptr) return;
+  SendStream& s = *sp;
   const std::uint32_t expected = pkt.ack_seq;
   if (s.outstanding.empty()) return;
 
@@ -845,8 +840,7 @@ void Mcp::on_nack(const net::Packet& pkt) {
 
 void Mcp::complete_messages(SendStream& s) {
   while (!s.outstanding.empty() && s.outstanding.front().seq_last < s.base) {
-    const OutMsg m = std::move(s.outstanding.front());
-    s.outstanding.pop_front();
+    const OutMsg m = s.outstanding.take_front();
     if (m.req.internal) continue;  // gm_get response: nothing to tell the host
     EventRecord ev;
     ev.type = EventType::kSent;
@@ -871,7 +865,8 @@ void Mcp::schedule_rto_scan() {
     rto_scan_armed_ = false;
     bool any = false;
     const sim::Time now = nic_.event_queue().now();
-    for (auto& [key, s] : send_streams_) {
+    for (std::size_t i = 0; i < send_streams_.size(); ++i) {
+      SendStream& s = *send_streams_.slot(i).stream;
       if (s.outstanding.empty()) continue;
       any = true;
       if (now - s.last_progress > cfg_.rto * s.rto_backoff) {
@@ -988,7 +983,7 @@ void Mcp::handle_data(net::Packet pkt) {
     return;
   }
 
-  RecvStream& rs = recv_streams_[stream_key(pkt.src, pkt.stream)];
+  RecvStream& rs = recv_streams_.get(stream_key(pkt.src, pkt.stream));
 
   if (pkt.seq < rs.expected) {
     if (pkt.seq + cfg_.send_window < rs.expected) {
@@ -1108,15 +1103,17 @@ void Mcp::handle_data(net::Packet pkt) {
     }
     // Match a receive token: first fit by capacity and priority.
     auto& toks = ports_[port].tokens;
-    auto it = std::find_if(toks.begin(), toks.end(), [&](const RecvToken& t) {
-      return t.size >= pkt.msg_len && t.priority == pkt.priority;
-    });
-    if (it == toks.end()) {
+    std::size_t i = 0;
+    while (i < toks.size() && (toks[i].size < pkt.msg_len ||
+                               toks[i].priority != pkt.priority)) {
+      ++i;
+    }
+    if (i == toks.size()) {
       ++stats_.no_token_drops;  // sender retransmits until a buffer appears
       return;
     }
-    rs.token = *it;
-    toks.erase(it);
+    rs.token = toks[i];
+    toks.erase(i);
     rs.active = true;
     rs.msg_id = pkt.msg_id;
     rs.msg_len = pkt.msg_len;

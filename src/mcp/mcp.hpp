@@ -44,7 +44,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -56,6 +56,7 @@
 #include "mcp/send_chunk.hpp"
 #include "mcp/sram_layout.hpp"
 #include "mcp/types.hpp"
+#include "sim/ring.hpp"
 #include "sim/trace.hpp"
 
 namespace myri::mcp {
@@ -191,15 +192,17 @@ class Mcp {
   /// True while any Go-Back-N stream to `peer` still has unacked
   /// fragments in flight (membership drain polls this on every sender).
   [[nodiscard]] bool has_unacked_to(net::NodeId peer) const {
-    for (const auto& [key, s] : send_streams_) {
-      if (s.peer == peer && !s.outstanding.empty()) return true;
+    for (const auto& slot : send_streams_) {
+      if (slot.stream->peer == peer && !slot.stream->outstanding.empty()) {
+        return true;
+      }
     }
     return false;
   }
   /// True when no send stream on this card has unacked fragments.
   [[nodiscard]] bool sends_quiescent() const {
-    for (const auto& [key, s] : send_streams_) {
-      if (!s.outstanding.empty()) return false;
+    for (const auto& slot : send_streams_) {
+      if (!slot.stream->outstanding.empty()) return false;
     }
     return true;
   }
@@ -226,7 +229,7 @@ class Mcp {
     std::uint32_t base = 0;       // oldest unacked
     std::uint32_t cursor = 0;     // next fragment to (re)transmit
     std::uint32_t high_water = 0; // highest seq ever transmitted + 1
-    std::deque<OutMsg> outstanding;
+    sim::Ring<OutMsg> outstanding;
     sim::Time last_progress = 0;
     std::uint32_t rto_backoff = 1;  // exponential; resets on progress
   };
@@ -244,7 +247,66 @@ class Mcp {
   };
   struct PortState {
     bool open = false;
-    std::deque<RecvToken> tokens;
+    sim::Ring<RecvToken> tokens;  // matched first-fit, front to back
+  };
+  // Streams by stream_key, in ascending key order: a sorted array of
+  // (key, stream) slots, searched by bisection. Each stream lives in an
+  // allocation of its own, so a SendStream& stays valid while another
+  // stream is added; streams are dropped only all at once (load,
+  // restart).
+  template <typename Stream>
+  class StreamTable {
+   public:
+    struct Slot {
+      std::uint64_t key;
+      std::unique_ptr<Stream> stream;
+    };
+    /// The stream under `key`, or null.
+    [[nodiscard]] Stream* find(std::uint64_t key) const {
+      const std::size_t i = lower_bound(key);
+      return i < slots_.size() && slots_[i].key == key
+                 ? slots_[i].stream.get()
+                 : nullptr;
+    }
+    /// The stream under `key`, added (value-initialised) if missing.
+    Stream& get(std::uint64_t key) {
+      const std::size_t i = lower_bound(key);
+      if (i == slots_.size() || slots_[i].key != key) {
+        slots_.insert(slots_.begin() + static_cast<std::ptrdiff_t>(i),
+                      Slot{key, std::make_unique<Stream>()});
+      }
+      return *slots_[i].stream;
+    }
+    /// Index of the first slot whose key is above `key`.
+    [[nodiscard]] std::size_t upper_bound(std::uint64_t key) const {
+      std::size_t i = lower_bound(key);
+      if (i < slots_.size() && slots_[i].key == key) ++i;
+      return i;
+    }
+    [[nodiscard]] const Slot& slot(std::size_t i) const { return slots_[i]; }
+    [[nodiscard]] std::size_t size() const noexcept { return slots_.size(); }
+    [[nodiscard]] bool empty() const noexcept { return slots_.empty(); }
+    [[nodiscard]] const Slot* begin() const noexcept { return slots_.data(); }
+    [[nodiscard]] const Slot* end() const noexcept {
+      return slots_.data() + slots_.size();
+    }
+    void clear() { slots_.clear(); }
+
+   private:
+    [[nodiscard]] std::size_t lower_bound(std::uint64_t key) const {
+      std::size_t lo = 0;
+      std::size_t hi = slots_.size();
+      while (lo < hi) {
+        const std::size_t mid = (lo + hi) / 2;
+        if (slots_[mid].key < key) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
+      }
+      return lo;
+    }
+    std::vector<Slot> slots_;
   };
   struct ControlCmd {
     enum class Kind { kOpen, kClose, kAlarm } kind = Kind::kOpen;
@@ -368,9 +430,8 @@ class Mcp {
 
   std::array<PortState, kMaxPorts> ports_{};
   std::deque<ControlCmd> control_queue_;
-  std::map<std::uint64_t, SendStream> send_streams_;
-  std::map<std::uint64_t, RecvStream> recv_streams_;
-  std::deque<std::uint64_t> send_rr_;   // round-robin of streams with work
+  StreamTable<SendStream> send_streams_;
+  StreamTable<RecvStream> recv_streams_;
 
   bool dma_active_ = false;             // interpreted send DMA in flight
   std::uint64_t pending_stream_key_ = 0;

@@ -72,24 +72,165 @@ std::size_t FabricBuilder::capacity(const FabricConfig& cfg) {
   return std::min(ports(), kRouteTableBound);
 }
 
-FabricBuilder::FabricBuilder(Topology& topo, FabricConfig cfg)
-    : topo_(topo), cfg_(cfg) {
-  if (cfg_.nodes < 1) {
+namespace {
+// The preset recipes. Each adds all its switches, then its trunks, then
+// its endpoints: endpoints follow every switch in the route graph (see
+// FabricBuilder::endpoint()).
+void add_switch(FabricPlan& p, std::uint8_t ports, std::string name) {
+  p.switches.push_back({ports, std::move(name)});
+}
+
+void add_trunk(FabricPlan& p, int a, int port_a, int b, int port_b) {
+  p.trunks.push_back({static_cast<std::uint16_t>(a),
+                      static_cast<std::uint8_t>(port_a),
+                      static_cast<std::uint16_t>(b),
+                      static_cast<std::uint8_t>(port_b)});
+}
+
+void place(FabricPlan& p, int s, int port) {
+  p.endpoints.push_back(
+      {static_cast<std::uint16_t>(s), static_cast<std::uint8_t>(port)});
+}
+
+void plan_single_switch(const FabricConfig& cfg, FabricPlan& p) {
+  add_switch(p, cfg.radix, "sw0");
+  for (int i = 0; i < cfg.nodes; ++i) place(p, 0, i);
+}
+
+void plan_chain(const FabricConfig& cfg, bool closed, FabricPlan& p) {
+  const int hosts_per = cfg.radix - 2;
+  const int num_sw = (cfg.nodes + hosts_per - 1) / hosts_per;
+  const int next_port = cfg.radix - 2;
+  const int prev_port = cfg.radix - 1;
+  for (int k = 0; k < num_sw; ++k) {
+    add_switch(p, cfg.radix, "sw" + std::to_string(k));
+  }
+  for (int k = 0; k + 1 < num_sw; ++k) {
+    add_trunk(p, k, next_port, k + 1, prev_port);
+  }
+  if (closed && num_sw > 1) add_trunk(p, num_sw - 1, next_port, 0, prev_port);
+  for (int i = 0; i < cfg.nodes; ++i) place(p, i / hosts_per, i % hosts_per);
+}
+
+void plan_fat_tree(const FabricConfig& cfg, FabricPlan& p) {
+  const int hosts_per_leaf = cfg.radix / 2;
+  const int uplinks = cfg.radix / 2;
+  const int leaves = (cfg.nodes + hosts_per_leaf - 1) / hosts_per_leaf;
+  // Leaves first (local 0..leaves-1), then spines. A spine carries one
+  // port per leaf; spine j's port L cables to leaf L's uplink j.
+  for (int l = 0; l < leaves; ++l) {
+    add_switch(p, cfg.radix, "leaf" + std::to_string(l));
+  }
+  for (int j = 0; j < uplinks; ++j) {
+    add_switch(p, static_cast<std::uint8_t>(leaves),
+               "spine" + std::to_string(j));
+  }
+  for (int l = 0; l < leaves; ++l) {
+    for (int j = 0; j < uplinks; ++j) {
+      add_trunk(p, l, hosts_per_leaf + j, leaves + j, l);
+    }
+  }
+  for (int i = 0; i < cfg.nodes; ++i) {
+    place(p, i / hosts_per_leaf, i % hosts_per_leaf);
+  }
+}
+
+void plan_fat_tree3(const FabricConfig& cfg, FabricPlan& p) {
+  // Canonical k-ary fat-tree with k = radix. Pods hold k/2 edge switches
+  // (low ports: hosts, high ports: uplinks to every agg in the pod) and
+  // k/2 agg switches (low ports: one per edge, high ports: uplinks to
+  // cores). Core c of agg-column a cables port p to pod p's agg a — the
+  // (a, c) core grid gives (k/2)² disjoint spines between any two pods.
+  const int half = cfg.radix / 2;
+  const int hosts_per_pod = half * half;
+  const int pods = (cfg.nodes + hosts_per_pod - 1) / hosts_per_pod;
+  for (int pod = 0; pod < pods; ++pod) {
+    for (int e = 0; e < half; ++e) {
+      add_switch(p, cfg.radix, pod_name(pod, 'e', e));
+    }
+    for (int a = 0; a < half; ++a) {
+      add_switch(p, cfg.radix, pod_name(pod, 'a', a));
+    }
+  }
+  const int core_base = pods * 2 * half;
+  for (int a = 0; a < half; ++a) {
+    for (int c = 0; c < half; ++c) {
+      add_switch(p, cfg.radix,
+                 "core" + std::to_string(a) + "x" + std::to_string(c));
+    }
+  }
+  for (int pod = 0; pod < pods; ++pod) {
+    const int base = pod * 2 * half;
+    for (int e = 0; e < half; ++e) {
+      for (int a = 0; a < half; ++a) {
+        add_trunk(p, base + e, half + a, base + half + a, e);
+      }
+    }
+  }
+  for (int pod = 0; pod < pods; ++pod) {
+    const int base = pod * 2 * half;
+    for (int a = 0; a < half; ++a) {
+      for (int c = 0; c < half; ++c) {
+        add_trunk(p, base + half + a, half + c, core_base + a * half + c, pod);
+      }
+    }
+  }
+  for (int i = 0; i < cfg.nodes; ++i) {
+    const int pod = i / hosts_per_pod;
+    const int e = (i % hosts_per_pod) / half;
+    place(p, pod * 2 * half + e, i % half);
+  }
+}
+}  // namespace
+
+FabricPlan FabricBuilder::plan(const FabricConfig& cfg) {
+  if (cfg.nodes < 1) {
     throw std::invalid_argument("fabric needs at least one node");
   }
-  if (static_cast<std::size_t>(cfg_.nodes) > capacity(cfg_)) {
+  if (static_cast<std::size_t>(cfg.nodes) > capacity(cfg)) {
     throw std::invalid_argument(
-        std::string("fabric preset ") + to_string(cfg_.preset) + " radix " +
-        std::to_string(cfg_.radix) + " cannot hold " +
-        std::to_string(cfg_.nodes) + " nodes");
+        std::string("fabric preset ") + to_string(cfg.preset) + " radix " +
+        std::to_string(cfg.radix) + " cannot hold " +
+        std::to_string(cfg.nodes) + " nodes");
   }
-  switch (cfg_.preset) {
-    case FabricPreset::kSingleSwitch: build_single_switch(); break;
-    case FabricPreset::kLine: build_chain(false); break;
-    case FabricPreset::kRing: build_chain(true); break;
-    case FabricPreset::kFatTree: build_fat_tree(); break;
-    case FabricPreset::kFatTree3: build_fat_tree3(); break;
+  FabricPlan p;
+  switch (cfg.preset) {
+    case FabricPreset::kSingleSwitch: plan_single_switch(cfg, p); break;
+    case FabricPreset::kLine: plan_chain(cfg, false, p); break;
+    case FabricPreset::kRing: plan_chain(cfg, true, p); break;
+    case FabricPreset::kFatTree: plan_fat_tree(cfg, p); break;
+    case FabricPreset::kFatTree3: plan_fat_tree3(cfg, p); break;
   }
+  return p;
+}
+
+std::size_t FabricPlan::free_ports() const {
+  std::vector<std::vector<bool>> used(switches.size());
+  for (std::size_t s = 0; s < switches.size(); ++s) {
+    used[s].assign(switches[s].ports, false);
+  }
+  for (const Trunk& t : trunks) {
+    used[t.a][t.port_a] = true;
+    used[t.b][t.port_b] = true;
+  }
+  for (const Endpoint& e : endpoints) used[e.sw][e.port] = true;
+  std::size_t n = 0;
+  for (const auto& sw : used) {
+    for (const bool u : sw) n += u ? 0 : 1;
+  }
+  return n;
+}
+
+FabricBuilder::FabricBuilder(Topology& topo, FabricConfig cfg)
+    : topo_(topo), cfg_(cfg) {
+  FabricPlan p = plan(cfg_);
+  for (FabricPlan::Switch& sw : p.switches) {
+    add_switch(sw.ports, std::move(sw.name));
+  }
+  for (const FabricPlan::Trunk& t : p.trunks) {
+    add_trunk(t.a, t.port_a, t.b, t.port_b);
+  }
+  for (const FabricPlan::Endpoint& e : p.endpoints) place(e.sw, e.port);
   compute_tiers();
 }
 
@@ -111,118 +252,12 @@ void FabricBuilder::add_trunk(std::uint16_t a, std::uint8_t port_a,
 
 Placement FabricBuilder::place(std::uint16_t s, std::uint8_t port) {
   // Endpoints follow every switch in the graph (see endpoint()): the
-  // builders add all their switches before placing anyone.
+  // plan adds all its switches before placing anyone.
   const Placement at{sw_ids_[s], port};
   placements_.push_back(at);
   local_index_.push_back(s);
   graph_.add_edge(s, graph_.add_vertex(false), port);
   return at;
-}
-
-void FabricBuilder::build_single_switch() {
-  const std::uint16_t s = add_switch(cfg_.radix, "sw0");
-  for (int i = 0; i < cfg_.nodes; ++i) {
-    place(s, static_cast<std::uint8_t>(i));
-  }
-}
-
-void FabricBuilder::build_chain(bool closed) {
-  const int hosts_per = cfg_.radix - 2;
-  const int num_sw = (cfg_.nodes + hosts_per - 1) / hosts_per;
-  const std::uint8_t next_port = static_cast<std::uint8_t>(cfg_.radix - 2);
-  const std::uint8_t prev_port = static_cast<std::uint8_t>(cfg_.radix - 1);
-  for (int k = 0; k < num_sw; ++k) {
-    add_switch(cfg_.radix, "sw" + std::to_string(k));
-  }
-  for (int k = 0; k + 1 < num_sw; ++k) {
-    add_trunk(static_cast<std::uint16_t>(k), next_port,
-              static_cast<std::uint16_t>(k + 1), prev_port);
-  }
-  if (closed && num_sw > 1) {
-    add_trunk(static_cast<std::uint16_t>(num_sw - 1), next_port, 0,
-              prev_port);
-  }
-  for (int i = 0; i < cfg_.nodes; ++i) {
-    place(static_cast<std::uint16_t>(i / hosts_per),
-          static_cast<std::uint8_t>(i % hosts_per));
-  }
-}
-
-void FabricBuilder::build_fat_tree() {
-  const int hosts_per_leaf = cfg_.radix / 2;
-  const int uplinks = cfg_.radix / 2;
-  const int leaves = (cfg_.nodes + hosts_per_leaf - 1) / hosts_per_leaf;
-  // Leaves first (local 0..leaves-1), then spines. A spine carries one
-  // port per leaf; spine j's port L cables to leaf L's uplink j.
-  for (int l = 0; l < leaves; ++l) {
-    add_switch(cfg_.radix, "leaf" + std::to_string(l));
-  }
-  for (int j = 0; j < uplinks; ++j) {
-    add_switch(static_cast<std::uint8_t>(leaves),
-               "spine" + std::to_string(j));
-  }
-  for (int l = 0; l < leaves; ++l) {
-    for (int j = 0; j < uplinks; ++j) {
-      add_trunk(static_cast<std::uint16_t>(l),
-                static_cast<std::uint8_t>(hosts_per_leaf + j),
-                static_cast<std::uint16_t>(leaves + j),
-                static_cast<std::uint8_t>(l));
-    }
-  }
-  for (int i = 0; i < cfg_.nodes; ++i) {
-    place(static_cast<std::uint16_t>(i / hosts_per_leaf),
-          static_cast<std::uint8_t>(i % hosts_per_leaf));
-  }
-}
-
-void FabricBuilder::build_fat_tree3() {
-  // Canonical k-ary fat-tree with k = radix. Pods hold k/2 edge switches
-  // (low ports: hosts, high ports: uplinks to every agg in the pod) and
-  // k/2 agg switches (low ports: one per edge, high ports: uplinks to
-  // cores). Core c of agg-column a cables port p to pod p's agg a — the
-  // (a, c) core grid gives (k/2)² disjoint spines between any two pods.
-  const int half = cfg_.radix / 2;
-  const int hosts_per_pod = half * half;
-  const int pods = (cfg_.nodes + hosts_per_pod - 1) / hosts_per_pod;
-  for (int p = 0; p < pods; ++p) {
-    for (int e = 0; e < half; ++e) add_switch(cfg_.radix, pod_name(p, 'e', e));
-    for (int a = 0; a < half; ++a) add_switch(cfg_.radix, pod_name(p, 'a', a));
-  }
-  const int core_base = pods * 2 * half;
-  for (int a = 0; a < half; ++a) {
-    for (int c = 0; c < half; ++c) {
-      add_switch(cfg_.radix,
-                 "core" + std::to_string(a) + "x" + std::to_string(c));
-    }
-  }
-  for (int p = 0; p < pods; ++p) {
-    const int base = p * 2 * half;
-    for (int e = 0; e < half; ++e) {
-      for (int a = 0; a < half; ++a) {
-        add_trunk(static_cast<std::uint16_t>(base + e),
-                  static_cast<std::uint8_t>(half + a),
-                  static_cast<std::uint16_t>(base + half + a),
-                  static_cast<std::uint8_t>(e));
-      }
-    }
-  }
-  for (int p = 0; p < pods; ++p) {
-    const int base = p * 2 * half;
-    for (int a = 0; a < half; ++a) {
-      for (int c = 0; c < half; ++c) {
-        add_trunk(static_cast<std::uint16_t>(base + half + a),
-                  static_cast<std::uint8_t>(half + c),
-                  static_cast<std::uint16_t>(core_base + a * half + c),
-                  static_cast<std::uint8_t>(p));
-      }
-    }
-  }
-  for (int i = 0; i < cfg_.nodes; ++i) {
-    const int p = i / hosts_per_pod;
-    const int e = (i % hosts_per_pod) / half;
-    place(static_cast<std::uint16_t>(p * 2 * half + e),
-          static_cast<std::uint8_t>(i % half));
-  }
 }
 
 void FabricBuilder::compute_tiers() {

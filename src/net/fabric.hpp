@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -48,12 +49,47 @@ struct Placement {
   std::uint8_t port = 0;
 };
 
+/// A preset's wiring, worked out without building it: the switches, the
+/// trunk cables in creation order and each endpoint's port. Trunks and
+/// endpoints refer to a switch by its index in `switches`. FabricBuilder
+/// instantiates exactly this plan; code that needs only its counts (trunk
+/// cables, free ports) reads them here instead of building a throwaway
+/// fabric.
+struct FabricPlan {
+  struct Switch {
+    std::uint8_t ports = 0;
+    std::string name;
+  };
+  struct Trunk {
+    std::uint16_t a = 0;
+    std::uint8_t port_a = 0;
+    std::uint16_t b = 0;
+    std::uint8_t port_b = 0;
+  };
+  struct Endpoint {
+    std::uint16_t sw = 0;  // local switch index
+    std::uint8_t port = 0;
+  };
+  std::vector<Switch> switches;
+  std::vector<Trunk> trunks;
+  std::vector<Endpoint> endpoints;  // by node id
+
+  /// Switch ports used by neither a trunk nor an endpoint (what
+  /// FabricBuilder::free_ports() reads on the freshly built fabric).
+  [[nodiscard]] std::size_t free_ports() const;
+};
+
 class FabricBuilder {
  public:
-  /// Builds the preset into `topo` immediately (switches + trunk cables).
+  /// Builds the preset into `topo` immediately (switches + trunk cables),
+  /// from plan(cfg).
   /// Throws std::invalid_argument if `cfg` is unsatisfiable (node count
   /// over capacity, radix too small for the preset).
   FabricBuilder(Topology& topo, FabricConfig cfg);
+
+  /// The wiring the constructor would build for `cfg`, with nothing
+  /// built. Throws std::invalid_argument where the constructor would.
+  [[nodiscard]] static FabricPlan plan(const FabricConfig& cfg);
 
   [[nodiscard]] const FabricConfig& config() const noexcept { return cfg_; }
   /// Endpoint placements, indexed by node id (0..nodes-1).
@@ -115,10 +151,6 @@ class FabricBuilder {
 
  private:
   std::vector<std::vector<bool>> port_usage() const;
-  void build_single_switch();
-  void build_chain(bool closed);
-  void build_fat_tree();
-  void build_fat_tree3();
   std::uint16_t add_switch(std::uint8_t ports, std::string name);
   void add_trunk(std::uint16_t a, std::uint8_t port_a, std::uint16_t b,
                  std::uint8_t port_b);

@@ -1,12 +1,13 @@
 // Move-only callable wrapper with inline storage: the one callback type
 // on the simulator's hot paths.
 //
-// Every scheduled event owns one callback, and so does every step on the
-// message path (EventQueue::Callback, InlineCallback<152>): the host CPU
-// and PCI models take it, and the MCP's exec/post_event wrap their guard
-// around the caller's step and hand the whole closure over in one piece. A
-// closure is type-erased exactly once, and the event queue builds it in
-// its slab entry (emplace), then runs and destroys it there with one
+// Every scheduled event owns one callback (EventQueue::Callback,
+// InlineCallback<152>). The steps on the message path reach it without a
+// wrapper of their own: the host CPU and PCI models forward the caller's
+// closure to EventQueue::post_at, and the MCP's exec/post_event wrap their
+// guard around the caller's step and hand the whole closure over in one
+// piece. A closure is type-erased exactly once, and the event queue builds
+// it in its slab entry (emplace), then runs and destroys it there with one
 // indirect call (run_once), so the steady-state message path does no heap
 // allocation per step. A std::function per step would
 // allocate for every closure past its 16-byte buffer; a captured Packet

@@ -4,6 +4,8 @@
 
 #include <functional>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "faultinject/workload.hpp"
 #include "gm/cluster.hpp"
@@ -283,6 +285,52 @@ TEST(Fabric, RoutesFromMatchesRoutePerPairOnEveryPreset) {
       }
     }
   }
+}
+
+TEST(Fabric, PlanCountsMatchTheBuiltFabricOnEveryPreset) {
+  // Scenario generation and validation count trunk cables and free ports
+  // on the plan alone; the built fabric must agree, switch by switch and
+  // endpoint by endpoint, for every preset over a sweep of sizes and
+  // radices (an unsatisfiable config is refused by both).
+  int built = 0;
+  for (const auto p : {FabricPreset::kSingleSwitch, FabricPreset::kLine,
+                       FabricPreset::kRing, FabricPreset::kFatTree,
+                       FabricPreset::kFatTree3}) {
+    for (const int radix : {2, 3, 4, 5, 6, 8, 10, 16}) {
+      for (const int nodes : {1, 2, 3, 5, 8, 13, 16, 31, 64, 100, 200}) {
+        const FabricConfig fc =
+            make(p, nodes, static_cast<std::uint8_t>(radix));
+        const std::string what = std::string(net::to_string(p)) + " radix " +
+                                 std::to_string(radix) + " nodes " +
+                                 std::to_string(nodes);
+        sim::EventQueue eq;
+        sim::Rng rng(0);
+        net::Topology topo(eq, rng);
+        if (static_cast<std::size_t>(nodes) > FabricBuilder::capacity(fc)) {
+          EXPECT_THROW((void)FabricBuilder::plan(fc), std::invalid_argument)
+              << what;
+          EXPECT_THROW(FabricBuilder(topo, fc), std::invalid_argument) << what;
+          continue;
+        }
+        const net::FabricPlan plan = FabricBuilder::plan(fc);
+        const FabricBuilder fb(topo, fc);
+        ++built;
+        EXPECT_EQ(plan.trunks.size(), fb.trunk_cables().size()) << what;
+        EXPECT_EQ(plan.free_ports(), fb.free_ports()) << what;
+        ASSERT_EQ(plan.switches.size(), fb.num_switches()) << what;
+        for (std::size_t s = 0; s < plan.switches.size(); ++s) {
+          const auto& sw = topo.get_switch(static_cast<std::uint16_t>(s));
+          EXPECT_EQ(plan.switches[s].ports, sw.num_ports()) << what;
+        }
+        ASSERT_EQ(plan.endpoints.size(), fb.placements().size()) << what;
+        for (std::size_t i = 0; i < plan.endpoints.size(); ++i) {
+          EXPECT_EQ(plan.endpoints[i].sw, fb.placements()[i].sw) << what;
+          EXPECT_EQ(plan.endpoints[i].port, fb.placements()[i].port) << what;
+        }
+      }
+    }
+  }
+  EXPECT_GT(built, 150);
 }
 
 TEST(Fabric, ClusterTrafficCrossesTheFatTree3) {

@@ -3,6 +3,11 @@
 // of the paper's Figure 4 (duplicates) and Figure 5 (lost messages).
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "core/backup_store.hpp"
 #include "faultinject/workload.hpp"
 #include "gm/cluster.hpp"
@@ -47,6 +52,94 @@ TEST(BackupStore, SendsKeepPostOrder) {
   ASSERT_EQ(b.send_count(), 2u);
   EXPECT_EQ(b.sends()[0].token_id, 1u);
   EXPECT_EQ(b.sends()[1].token_id, 3u);
+}
+
+TEST(BackupStore, HeadMiddleAndRepeatedRemovalKeepPostOrder) {
+  core::BackupStore b;
+  for (std::uint32_t t = 1; t <= 6; ++t) b.add_send(make_req(t));
+  b.remove_send(1);  // head
+  b.remove_send(4);  // middle
+  b.remove_send(4);  // again: already gone
+  b.remove_send(2);  // the new head
+  b.add_send(make_req(7));
+  std::vector<std::uint32_t> left;
+  for (const auto& r : b.sends()) left.push_back(r.token_id);
+  EXPECT_EQ(left, (std::vector<std::uint32_t>{3, 5, 6, 7}));
+  b.remove_send(7);  // tail
+  b.remove_send(3);
+  b.remove_send(5);
+  b.remove_send(6);
+  EXPECT_EQ(b.send_count(), 0u);
+  b.add_send(make_req(8));
+  ASSERT_EQ(b.send_count(), 1u);
+  EXPECT_EQ(b.sends()[0].token_id, 8u);
+}
+
+TEST(BackupStore, ReplayOrderMatchesADequeUnderRandomTraffic) {
+  // Sends and receive tokens posted and removed the way a port does
+  // (mostly oldest first, sometimes out of order), checked after every
+  // step against a deque holding the copies in post order: what recovery
+  // replays must not depend on how the store keeps its copies.
+  std::mt19937 rng(7);
+  core::BackupStore b;
+  std::deque<std::uint32_t> sends;
+  std::deque<std::uint32_t> recvs;
+  std::uint32_t next = 1;
+  const auto remove_one = [&](std::deque<std::uint32_t>& ref, bool send) {
+    if (ref.empty()) return;
+    const std::size_t i = rng() % 4 == 0 ? rng() % ref.size() : 0;
+    const std::uint32_t id = ref[i];
+    ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
+    if (send) {
+      b.remove_send(id);
+    } else {
+      b.remove_recv(id);
+    }
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const unsigned roll = rng() % 8;
+    if (roll < 2 && sends.size() < 40) {
+      sends.push_back(next);
+      b.add_send(make_req(next++));
+    } else if (roll < 4 && recvs.size() < 40) {
+      mcp::RecvToken t;
+      t.token_id = next;
+      recvs.push_back(next++);
+      b.add_recv(t);
+    } else if (roll < 6) {
+      remove_one(sends, true);
+    } else {
+      remove_one(recvs, false);
+    }
+    if (rng() % 16 == 0) b.remove_send(next + 1000);  // never posted
+    ASSERT_EQ(b.send_count(), sends.size());
+    ASSERT_EQ(b.recv_count(), recvs.size());
+    std::size_t i = 0;
+    for (const auto& r : b.sends()) ASSERT_EQ(r.token_id, sends[i++]);
+    i = 0;
+    for (const auto& t : b.recvs()) ASSERT_EQ(t.token_id, recvs[i++]);
+  }
+}
+
+TEST(BackupStore, AckTableIteratesInStreamKeyOrder) {
+  core::BackupStore b;
+  const std::pair<net::NodeId, std::uint32_t> streams[] = {
+      {5, 2}, {1, 9}, {5, 1}, {0, 3}, {1, 2}, {9, 0}};
+  std::uint32_t seq = 0;
+  for (const auto& [peer, stream] : streams) {
+    b.note_recv_seq(peer, stream, seq++);
+  }
+  b.note_recv_seq(1, 9, 40);
+  std::vector<std::uint64_t> keys;
+  for (const auto& [key, e] : b.ack_table()) {
+    EXPECT_EQ(key, mcp::stream_key(e.peer, e.stream));
+    keys.push_back(key);
+  }
+  EXPECT_EQ(keys, (std::vector<std::uint64_t>{
+                      mcp::stream_key(0, 3), mcp::stream_key(1, 2),
+                      mcp::stream_key(1, 9), mcp::stream_key(5, 1),
+                      mcp::stream_key(5, 2), mcp::stream_key(9, 0)}));
+  EXPECT_EQ(b.ack_table()[2].second.last_seq, 40u);
 }
 
 TEST(BackupStore, RemoveMissingSendIsNoop) {

@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <limits>
 #include <new>
+#include <random>
 #include <type_traits>
+#include <unordered_map>
 #include <utility>
 
 #include "host/host_memory.hpp"
@@ -238,6 +240,56 @@ TEST(PageHashTable, NonIdentityMapping) {
   auto r = t.lookup(0, 0x5010);
   ASSERT_TRUE(r);
   EXPECT_EQ(*r, 0x9010u);
+}
+
+TEST(PageHashTable, MatchesAReferenceMapThroughGrowthRemapAndUnmap) {
+  // Random map (fresh and remap), unmap_port and lookup sequences over
+  // eight ports, checked step by step against an std::unordered_map. The
+  // page range is small enough that remaps are common and large enough
+  // that the table grows several times.
+  std::mt19937_64 rng(2026);
+  PageHashTable t;
+  std::unordered_map<std::uint64_t, DmaAddr> ref;  // (port, page) -> page
+  const auto ref_key = [](std::uint8_t port, std::uint64_t vpage) {
+    return std::uint64_t{port} << 52 | vpage;
+  };
+  const auto draw_vaddr = [&] {
+    // Pages 0..4095, plus an occasional far one near the top of the
+    // address range.
+    const std::uint64_t page = rng() % 64 == 0 ? (std::uint64_t{1} << 51) +
+                                                     rng() % 16
+                                               : rng() % 4096;
+    return page * kPageSize + rng() % kPageSize;
+  };
+  for (int step = 0; step < 60000; ++step) {
+    const auto port = static_cast<std::uint8_t>(rng() % 8);
+    const std::uint64_t vaddr = draw_vaddr();
+    const std::uint64_t roll = rng() % 1000;
+    if (roll < 450) {
+      const DmaAddr dma = (rng() % (1u << 20)) * kPageSize + rng() % 64;
+      t.map(port, vaddr, dma);
+      ref[ref_key(port, vaddr / kPageSize)] = dma / kPageSize * kPageSize;
+    } else if (roll < 452) {
+      t.unmap_port(port);
+      std::erase_if(ref, [&](const auto& kv) { return kv.first >> 52 == port; });
+    } else {
+      const auto got = t.lookup(port, vaddr);
+      const auto it = ref.find(ref_key(port, vaddr / kPageSize));
+      ASSERT_EQ(got.has_value(), it != ref.end()) << "step " << step;
+      if (got) {
+        ASSERT_EQ(*got, it->second + vaddr % kPageSize) << "step " << step;
+      }
+    }
+    ASSERT_EQ(t.size(), ref.size()) << "step " << step;
+  }
+  EXPECT_GT(ref.size(), 1000u);  // the sweep did reach a large table
+  for (const auto& [k, page] : ref) {
+    const auto port = static_cast<std::uint8_t>(k >> 52);
+    const std::uint64_t vpage = k & ((std::uint64_t{1} << 52) - 1);
+    const auto got = t.lookup(port, vpage * kPageSize + 7);
+    ASSERT_TRUE(got);
+    EXPECT_EQ(*got, page + 7);
+  }
 }
 
 TEST(PciBus, DmaTimeMatchesRatePlusSetup) {

@@ -5,7 +5,9 @@
 
 #include <cstdio>
 #include <functional>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "faultinject/workload.hpp"
 #include "gm/cluster.hpp"
@@ -805,6 +807,155 @@ TEST(McpTieOrder, LongIdleRunReplaysEveryTick) {
             "n1=3629/3813200 "
             "sent=700014391 recv=700012082 alarm=0 "
             "ftd=0/0/0 irq=0 conf=0 done=0");
+}
+
+
+// ---- stream service and token matching order (pinned) ----
+//
+// Both pins were computed on the MCP whose streams lived in std::maps and
+// whose token pools and queues were std::deques: the flat tables that
+// replaced them must serve streams and match tokens in exactly the same
+// order.
+
+// FNV-1a over a string (the pins below hash the transmit order).
+std::uint64_t fnv1a(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(McpServiceOrder, RoundRobinOverStreamsAndPrioritiesIsPinned) {
+  // One FTGM card with six send streams (two ports, three peers), both
+  // priorities and multi-fragment messages: the order its data fragments
+  // leave in is the round-robin from the last served stream key, high
+  // priority first.
+  ClusterConfig cc = base_config(mcp::McpMode::kFtgm);
+  cc.nodes = 4;
+  Cluster cluster(cc);
+  std::ostringstream tx_log;
+  sim::Trace trace;
+  trace.enable(sim::TraceCat::kNic, &tx_log);
+  cluster.node(0).set_trace(&trace);
+  gm::Port& a = cluster.node(0).open_port(2);
+  gm::Port& b = cluster.node(0).open_port(4);
+  int received = 0;
+  for (int n = 1; n <= 3; ++n) {
+    gm::Port& rx = cluster.node(n).open_port(3);
+    for (int k = 0; k < 16; ++k) {
+      ASSERT_EQ(rx.provide_receive_buffer(rx.alloc_dma_buffer(16384),
+                                          static_cast<std::uint8_t>(k % 2)),
+                gm::Status::kOk);
+    }
+    rx.set_receive_handler([&](const gm::RecvInfo&) { ++received; });
+  }
+  cluster.run_for(sim::usec(900));
+  struct Post {
+    gm::Port* port;
+    net::NodeId dst;
+    std::uint8_t priority;
+    std::uint32_t len;
+  };
+  const Post posts[] = {
+      {&a, 1, 1, 6000}, {&a, 2, 0, 9000}, {&a, 3, 1, 100},
+      {&b, 1, 0, 5000}, {&b, 2, 1, 4000}, {&b, 3, 0, 12000},
+      {&b, 3, 1, 300},  {&a, 2, 1, 8200}, {&a, 1, 0, 4097},
+      {&b, 1, 1, 70},   {&b, 2, 0, 16000}, {&a, 3, 0, 2000},
+  };
+  int sent = 0;
+  for (const Post& p : posts) {
+    const gm::Buffer buf = p.port->alloc_dma_buffer(16384);
+    ASSERT_EQ(p.port->post(buf, p.len,
+                           {.dst = p.dst, .dst_port = 3,
+                            .priority = p.priority,
+                            .callback = [&](bool ok) { sent += ok; }}),
+              gm::Status::kOk);
+  }
+  cluster.run_for(sim::msec(5));
+  EXPECT_EQ(sent, 12);
+  EXPECT_EQ(received, 12);
+
+  // "dst:stream:seq" of every data fragment, in transmit order.
+  std::string order;
+  int frags = 0;
+  std::istringstream lines(tx_log.str());
+  for (std::string line; std::getline(lines, line);) {
+    const auto at = line.find("TX DATA ");
+    if (at == std::string::npos) continue;
+    unsigned src = 0, sp = 0, dst = 0, dp = 0, stream = 0, seq = 0;
+    ASSERT_EQ(std::sscanf(line.c_str() + at,
+                          "TX DATA %u:%u->%u:%u stream=%u seq=%u", &src, &sp,
+                          &dst, &dp, &stream, &seq),
+              6);
+    order += std::to_string(dst) + ":" + std::to_string(stream) + ":" +
+             std::to_string(seq) + " ";
+    ++frags;
+  }
+  EXPECT_EQ(frags, 24);
+  EXPECT_EQ(order.substr(0, 120),
+            "1:2:0 2:4:0 3:2:0 1:2:1 1:4:0 2:2:0 2:4:1 3:2:1 3:4:0 1:2:2 "
+            "1:4:1 1:4:2 2:2:1 2:4:2 3:4:1 1:2:3 2:2:2 2:2:3 2:2:4 2:2:5 ");
+  EXPECT_EQ(fnv1a(order), 2438451322501878847ull);
+}
+
+TEST(McpTokenMatching, FirstFitAndReturnedTokenGoesFirst) {
+  // Receive tokens are matched first fit by capacity and priority, front
+  // to back; a token taken back from an abandoned partial message goes to
+  // the front of the pool. Fragments are handed to the card directly.
+  Cluster cluster(base_config());
+  gm::Port& rx = cluster.node(1).open_port(3);
+  const std::uint32_t sizes[] = {64, 8192, 8192, 128};
+  const std::uint8_t prios[] = {0, 0, 1, 0};
+  std::vector<gm::Buffer> bufs;
+  for (int i = 0; i < 4; ++i) {
+    bufs.push_back(rx.alloc_dma_buffer(sizes[i]));
+    ASSERT_EQ(rx.provide_receive_buffer(bufs.back(), prios[i]),
+              gm::Status::kOk);
+  }
+  std::string got;  // buffer letter (A..D) and length of each delivery
+  rx.set_receive_handler([&](const gm::RecvInfo& info) {
+    for (std::size_t i = 0; i < bufs.size(); ++i) {
+      if (bufs[i].addr == info.buffer.addr) got += static_cast<char>('A' + i);
+    }
+    got += std::to_string(info.len) + " ";
+  });
+  cluster.run_for(sim::usec(900));
+  ASSERT_EQ(cluster.node(1).mcp().recv_tokens_held(3), 4u);
+
+  struct Frag {
+    std::uint32_t msg_id, msg_len, payload;
+    std::uint8_t priority;
+  };
+  // A 5000-byte message's first fragment, abandoned by a fresh message
+  // on the same stream; then three small ones.
+  const Frag frags[] = {
+      {1, 5000, 4096, 0}, {2, 100, 100, 0}, {3, 100, 100, 0},
+      {4, 50, 50, 1},     {5, 40, 40, 0},
+  };
+  std::uint32_t seq = 0;
+  for (const Frag& f : frags) {
+    net::Packet pkt;
+    pkt.type = net::PacketType::kData;
+    pkt.src = 0;
+    pkt.dst = 1;
+    pkt.src_port = 2;
+    pkt.dst_port = 3;
+    pkt.priority = f.priority;
+    pkt.stream = mcp::stream_id(mcp::McpMode::kGm, 2);
+    pkt.seq = seq++;
+    pkt.msg_id = f.msg_id;
+    pkt.msg_len = f.msg_len;
+    pkt.frag_offset = 0;
+    pkt.payload.assign(f.payload, std::byte{0x5a});
+    pkt.seal();
+    cluster.node(1).nic().deliver(std::move(pkt), 0);
+  }
+  cluster.run_for(sim::msec(1));
+  // B is taken back from the abandoned partial and matched again first;
+  // with the token at the back, the second message would have taken D.
+  EXPECT_EQ(got, "B100 D100 C50 A40 ");
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 // and the switch, receive DMA and the receive handler. Each step's closure
 // is type-erased once, inside its event-queue slab entry, so none of them
 // allocates; a std::function per step costs one heap allocation for every
-// closure past its 16-byte buffer, about 19 per delivered message. What
-// remains is each packet's payload vector and std::deque chunk churn. The
+// closure past its 16-byte buffer, about 19 per delivered message. The
+// queues and tables on the path (backup store, streams, token pools,
+// receive queues, page hash) reuse their storage once grown, so what
+// remains is each data packet's payload vector: one per message. The
 // count depends on the workload and the seed, not on the machine, so this
 // gate holds on any runner.
 //
@@ -174,7 +176,8 @@ TEST(MessageAllocations, PingPongAllocatesAtMostThreeTimesPerMessage) {
   std::printf("%llu events, %llu messages, %zu allocations, %.2f per message\n",
               static_cast<unsigned long long>(events),
               static_cast<unsigned long long>(delivered), allocs, per_msg);
-  EXPECT_LE(per_msg, 3.0);
+  // 1.00 measured: one payload vector per message.
+  EXPECT_LE(per_msg, 1.1);
 }
 
 // A sparse soak-like schedule: 64 nodes, each with a housekeeping timer

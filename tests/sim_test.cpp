@@ -2,16 +2,53 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <deque>
 #include <limits>
 #include <random>
 #include <vector>
 
 #include "sim/event_queue.hpp"
+#include "sim/ring.hpp"
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
 
 namespace myri::sim {
 namespace {
+
+TEST(Ring, BehavesLikeADequeThroughWrapAndGrowth) {
+  // push_back, push_front, take_front and order-keeping erase, checked
+  // after every step against std::deque while the ring wraps and grows.
+  std::mt19937 rng(3);
+  Ring<int> ring;
+  std::deque<int> ref;
+  int next = 0;
+  for (int step = 0; step < 50000; ++step) {
+    const unsigned roll = rng() % 10;
+    if (roll < 4 && ref.size() < 200) {
+      ring.push_back(next);
+      ref.push_back(next++);
+    } else if (roll < 5 && ref.size() < 200) {
+      ring.push_front(next);
+      ref.push_front(next++);
+    } else if (roll < 8 && !ref.empty()) {
+      ASSERT_EQ(ring.take_front(), ref.front());
+      ref.pop_front();
+    } else if (roll < 9 && !ref.empty()) {
+      const std::size_t i = rng() % ref.size();
+      ring.erase(i);
+      ref.erase(ref.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (rng() % 64 == 0) {
+      ring.clear();
+      ref.clear();
+    }
+    ASSERT_EQ(ring.size(), ref.size());
+    std::size_t i = 0;
+    for (const int v : ring) ASSERT_EQ(v, ref[i++]);
+    if (!ref.empty()) {
+      ASSERT_EQ(ring.back(), ref.back());
+    }
+  }
+}
 
 TEST(Time, Conversions) {
   EXPECT_EQ(usec(1), 1000u);

@@ -1,4 +1,4 @@
-// SIGPROF program-counter sampler, loaded into any binary with LD_PRELOAD.
+// SIGPROF sampler, loaded into any binary with LD_PRELOAD.
 //
 //   cmake --build build --target myri_sampler   # build/libmyri_sampler.so
 //   SAMPLER_OUT=prof LD_PRELOAD=$PWD/build/libmyri_sampler.so ./perfbench ...
@@ -7,11 +7,19 @@
 // ITIMER_PROF asks for a signal every millisecond of CPU time; the kernel
 // delivers at most one per scheduler tick, so a 250 Hz kernel gives about
 // 250 samples per CPU second. The handler stores the interrupted
-// instruction's address. At exit the sampler writes every executable
-// segment of every loaded object ("obj <lo> <hi> <load bias> <path>") and
-// then one sampled address per line to $SAMPLER_OUT.<pid>. Sampling costs
-// nothing per call, unlike -pg's mcount hook, so small hot functions are
-// not inflated.
+// instruction's address and the return addresses of up to kCallers of its
+// callers, read with glibc's backtrace() through the signal frame. At exit
+// the sampler writes every executable segment of every loaded object
+// ("obj <lo> <hi> <load bias> <path>") and then one sample per line to
+// $SAMPLER_OUT.<pid>: the sampled address, then its callers, innermost
+// first. Sampling costs nothing per call, unlike -pg's mcount hook, so
+// small hot functions are not inflated.
+//
+// backtrace() loads the unwinder (and allocates) on its first call, which
+// a signal handler must not do: the constructor calls it once before the
+// timer starts. A chain stops early where the unwinder finds no frame
+// information (code built without unwind tables).
+#include <execinfo.h>
 #include <link.h>
 #include <signal.h>
 #include <sys/time.h>
@@ -24,18 +32,37 @@
 
 namespace {
 
-constexpr std::size_t kMaxSamples = std::size_t{1} << 21;
+constexpr std::size_t kMaxSamples = std::size_t{1} << 18;
+constexpr int kCallers = 8;           // callers kept per sample
+constexpr int kSkipMax = 4;           // handler and signal frames to skip
+constexpr int kStride = 1 + kCallers;  // sampled pc, then its callers
 constexpr long kIntervalUs = 1000;
-std::uintptr_t g_pcs[kMaxSamples];
+std::uintptr_t g_samples[kMaxSamples * kStride];
 volatile std::size_t g_count = 0;
 
 void on_prof(int, siginfo_t*, void* ctx) {
   const auto* uc = static_cast<const ucontext_t*>(ctx);
-  if (g_count < kMaxSamples) {
-    g_pcs[g_count] =
-        static_cast<std::uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
-    g_count = g_count + 1;
+  const std::size_t n = g_count;
+  if (n >= kMaxSamples) return;
+  std::uintptr_t* out = g_samples + n * kStride;
+  const auto pc = static_cast<std::uintptr_t>(uc->uc_mcontext.gregs[REG_RIP]);
+  out[0] = pc;
+  // The chain starts in this handler and crosses the kernel's signal
+  // frame; the interrupted function's frame is the one at `pc`.
+  void* frames[kSkipMax + 1 + kCallers];
+  const int got = backtrace(frames, kSkipMax + 1 + kCallers);
+  int at = 0;
+  while (at < got && at <= kSkipMax &&
+         reinterpret_cast<std::uintptr_t>(frames[at]) != pc) {
+    ++at;
   }
+  for (int i = 0; i < kCallers; ++i) {
+    const int f = at + 1 + i;
+    out[1 + i] = at <= kSkipMax && f < got
+                     ? reinterpret_cast<std::uintptr_t>(frames[f])
+                     : 0;
+  }
+  g_count = n + 1;
 }
 
 int write_object(dl_phdr_info* info, std::size_t, void* out) {
@@ -58,6 +85,8 @@ int write_object(dl_phdr_info* info, std::size_t, void* out) {
 }
 
 __attribute__((constructor)) void start() {
+  void* warm[kStride];
+  backtrace(warm, kStride);  // load the unwinder outside the handler
   struct sigaction sa = {};
   sa.sa_sigaction = on_prof;
   sa.sa_flags = SA_SIGINFO | SA_RESTART;
@@ -79,7 +108,12 @@ __attribute__((destructor)) void stop() {
   if (out == nullptr) return;
   dl_iterate_phdr(write_object, out);
   for (std::size_t i = 0; i < g_count; ++i) {
-    std::fprintf(out, "%lx\n", static_cast<unsigned long>(g_pcs[i]));
+    const std::uintptr_t* s = g_samples + i * kStride;
+    std::fprintf(out, "%lx", static_cast<unsigned long>(s[0]));
+    for (int k = 1; k < kStride && s[k] != 0; ++k) {
+      std::fprintf(out, " %lx", static_cast<unsigned long>(s[k]));
+    }
+    std::fputc('\n', out);
   }
   std::fclose(out);
 }
