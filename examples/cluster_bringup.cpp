@@ -35,7 +35,8 @@ int main() {
     nc.id = static_cast<net::NodeId>(i);
     nc.host_mem_bytes = 8u << 20;
     nodes.push_back(
-        std::make_unique<gm::Node>(eq, nc, "node" + std::to_string(i)));
+        std::make_unique<gm::Node>(eq, nc, "node" + std::to_string(i),
+                                   nc.id + 1));
     nodes.back()->attach(topo, attach_sw[i], static_cast<std::uint8_t>(i % 2));
     nodes.back()->boot();
   }

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -37,10 +38,11 @@ class PostOrder {
  public:
   void push(const T& v) { items_.push_back(v); }
 
-  /// Remove the copy whose token_id is `id`; no-op when there is none.
-  void remove(std::uint32_t id) {
+  /// Remove and return the copy whose token_id is `id`, if there is one.
+  std::optional<T> take(std::uint32_t id) {
     for (std::size_t i = head_; i < items_.size(); ++i) {
       if (items_[i].token_id != id) continue;
+      std::optional<T> taken = items_[i];
       if (i != head_) {
         items_.erase(items_.begin() + static_cast<std::ptrdiff_t>(i));
       } else if (++head_ == items_.size()) {
@@ -51,8 +53,9 @@ class PostOrder {
                      items_.begin() + static_cast<std::ptrdiff_t>(head_));
         head_ = 0;
       }
-      return;
+      return taken;
     }
+    return std::nullopt;
   }
 
   [[nodiscard]] std::size_t size() const noexcept {
@@ -67,6 +70,8 @@ class PostOrder {
   [[nodiscard]] const T* end() const noexcept {
     return items_.data() + items_.size();
   }
+  [[nodiscard]] T* begin() noexcept { return items_.data() + head_; }
+  [[nodiscard]] T* end() noexcept { return items_.data() + items_.size(); }
   void clear() {
     items_.clear();
     head_ = 0;
@@ -83,8 +88,27 @@ class BackupStore {
   // ---- send-token copies ----
   void add_send(const mcp::SendRequest& req) { sends_.push(req); }
 
-  /// Remove the copy for `token_id`; call just before the send callback.
-  void remove_send(std::uint32_t token_id) { sends_.remove(token_id); }
+  /// Remove the copy for `token_id`; call on a send error.
+  void remove_send(std::uint32_t token_id) { sends_.take(token_id); }
+
+  /// Remove the copy for `token_id`, whose message the MCP completed
+  /// under `seq_last` (the SENT event's number); call just before the
+  /// send callback. A number other than the copy's means the MCP
+  /// renumbered the stream — a spare card took the peer's place, or a
+  /// refused send left a hole — so the destination's generator and its
+  /// queued copies move by the same distance: a recovery then re-posts
+  /// them under the numbers the receiver expects.
+  void complete_send(std::uint32_t token_id, std::uint32_t seq_last) {
+    const std::optional<mcp::SendRequest> done = sends_.take(token_id);
+    if (!done) return;
+    const std::uint32_t shift =
+        seq_last - (done->seq_first + mcp::fragments_of(done->len) - 1);
+    if (shift == 0) return;
+    seq_slot(done->dst) += shift;
+    for (mcp::SendRequest& req : sends_) {
+      if (req.dst == done->dst) req.seq_first += shift;
+    }
+  }
 
   /// Outstanding (unacknowledged) sends, in original post order — the
   /// order matters: recovery re-posts them with their original sequence
@@ -95,7 +119,7 @@ class BackupStore {
 
   // ---- receive-token copies ----
   void add_recv(const mcp::RecvToken& tok) { recvs_.push(tok); }
-  void remove_recv(std::uint32_t token_id) { recvs_.remove(token_id); }
+  void remove_recv(std::uint32_t token_id) { recvs_.take(token_id); }
   [[nodiscard]] const PostOrder<mcp::RecvToken>& recvs() const {
     return recvs_;
   }

@@ -74,7 +74,7 @@ std::unique_ptr<Node> Cluster::build_node(net::NodeId id,
   nc.send_window = cfg_.send_window;
   nc.rto = cfg_.rto;
   nc.ftgm_delayed_ack = cfg_.ftgm_delayed_ack;
-  return std::make_unique<Node>(eq_, nc, name);
+  return std::make_unique<Node>(eq_, nc, name, ++boards_built_);
 }
 
 void Cluster::install_pristine_routes(net::NodeId id) {

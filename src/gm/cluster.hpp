@@ -101,8 +101,10 @@ class Cluster {
                   std::function<void(net::NodeId)> on_retired = {});
 
   /// Replace a dead node with a spare: the spare takes over `x`'s switch
-  /// port and NodeId. The old card is quarantined (its cable is cut — a
-  /// late recovery transmits into an unplugged link). Returns the spare.
+  /// port and NodeId, but not its board ID: peers tell the spare from the
+  /// old card by the ID its ACKs and NACKs carry. The old card is
+  /// quarantined (its cable is cut — a late recovery transmits into an
+  /// unplugged link). Returns the spare.
   Node& replace_node(net::NodeId x);
 
   /// Run the simulation for `d` of virtual time.
@@ -152,6 +154,7 @@ class Cluster {
   Roster roster_;
   Roster::Observer membership_listener_;
   std::uint32_t replace_gen_ = 0;  // unique names for spare cards
+  std::uint32_t boards_built_ = 0;  // the last card's board ID
 };
 
 }  // namespace myri::gm

@@ -28,7 +28,8 @@ lanai::Nic::Config make_nic_config(const Node::Config& cfg) {
 }
 }  // namespace
 
-Node::Node(sim::EventQueue& eq, Config cfg, std::string name)
+Node::Node(sim::EventQueue& eq, Config cfg, std::string name,
+           std::uint32_t board_id)
     : eq_(eq),
       cfg_(cfg),
       name_(std::move(name)),
@@ -37,7 +38,7 @@ Node::Node(sim::EventQueue& eq, Config cfg, std::string name)
       pci_(eq, cfg.timing.pci),
       irq_(eq, cfg.timing.irq),
       cpu_(eq),
-      nic_(eq, make_nic_config(cfg), name_ + ".nic"),
+      nic_(eq, make_nic_config(cfg), name_ + ".nic", board_id),
       mcp_(nic_, pci_, hmem_, make_mcp_config(cfg)),
       driver_(nic_, mcp_, irq_, cfg.timing) {
   nic_.set_node_id(cfg.id);

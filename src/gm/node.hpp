@@ -44,7 +44,10 @@ class Node final : public mcp::HostIface {
     bool ftgm_delayed_ack = true;  // ablation knob (see Mcp::Config)
   };
 
-  Node(sim::EventQueue& eq, Config cfg, std::string name);
+  /// `board_id` is the card's unique, non-zero ID (lanai::Nic): gm::Cluster
+  /// numbers every card it builds, so a spare never shares its predecessor's.
+  Node(sim::EventQueue& eq, Config cfg, std::string name,
+       std::uint32_t board_id);
 
   /// Cable this node's NIC to a switch port.
   void attach(net::Topology& topo, std::uint16_t sw, std::uint8_t sw_port);

@@ -141,10 +141,7 @@ Status Port::submit_send(const Buffer& buf, std::uint32_t len,
   if (ftgm()) {
     // Host-generated sequence numbers and the send-token copy: the whole
     // "continuous checkpointing" cost on the send side (paper: ~0.25 us).
-    const std::uint32_t nfrags =
-        len == 0 ? 1u
-                 : (len + net::kMaxPacketPayload - 1) / net::kMaxPacketPayload;
-    req.seq_first = backup_.alloc_seq_block(dst, nfrags);
+    req.seq_first = backup_.alloc_seq_block(dst, mcp::fragments_of(len));
     backup_.add_send(req);
     cost += t.hostt.ftgm_send_backup;
     cost += t.hostt.ftgm_seq_sync;  // 0 in the chosen per-port design
@@ -322,7 +319,7 @@ void Port::dispatch(const mcp::EventRecord& ev) {
     case mcp::EventType::kSent: {
       // The backup copy is removed just before the callback is invoked
       // (paper Section 4.1).
-      if (ftgm()) backup_.remove_send(ev.token_id);
+      if (ftgm()) backup_.complete_send(ev.token_id, ev.seq);
       ++send_tokens_free_;
       ++stats_.sends_completed;
       sync_token_gauges();

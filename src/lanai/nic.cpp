@@ -2,20 +2,25 @@
 
 #include <algorithm>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "lanai/tx_descriptor.hpp"
 
 namespace myri::lanai {
 
-Nic::Nic(sim::EventQueue& eq, Config cfg, std::string name)
+Nic::Nic(sim::EventQueue& eq, Config cfg, std::string name,
+         std::uint32_t board_id)
     : eq_(eq),
       cfg_(cfg),
       name_(std::move(name)),
+      board_id_(board_id),
       sram_(cfg.sram_bytes),
       cpu_(sram_, *this),
       timers_(kNumTimers, IntervalTimer(cfg_.timing.timer_tick)),
-      wake_at_(kNumTimers, kNoWake) {}
+      wake_at_(kNumTimers, kNoWake) {
+  if (board_id_ == 0) throw std::invalid_argument(name_ + ": board ID 0");
+}
 
 void Nic::attach_host(host::HostMemory& hmem, host::PciBus& pci,
                       host::InterruptController& irq) {

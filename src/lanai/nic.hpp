@@ -67,7 +67,12 @@ class Nic final : public MmioDevice, public net::PacketSink {
     std::function<void()> rearmed;
   };
 
-  Nic(sim::EventQueue& eq, Config cfg, std::string name);
+  /// `board_id` is the card's EEPROM unique ID (GM's
+  /// gm_get_unique_board_id): fixed for the card's life, kept across MCP
+  /// reloads. It must not be 0, which a send stream uses for a receiver
+  /// it has not heard from (std::invalid_argument).
+  Nic(sim::EventQueue& eq, Config cfg, std::string name,
+      std::uint32_t board_id);
 
   // ---- wiring ----
   void attach_uplink(net::Link& up) { uplink_ = &up; }
@@ -94,6 +99,7 @@ class Nic final : public MmioDevice, public net::PacketSink {
   // ---- identity & routing (programmed by the driver / mapper) ----
   void set_node_id(net::NodeId id) { node_id_ = id; }
   [[nodiscard]] net::NodeId node_id() const noexcept { return node_id_; }
+  [[nodiscard]] std::uint32_t board_id() const noexcept { return board_id_; }
   /// Install (or overwrite) the route to `dst`; a re-install reuses the
   /// entry's capacity. A `dst` at or past net::kRouteTableBound is
   /// refused (false) and counted in routes().refused().
@@ -178,6 +184,7 @@ class Nic final : public MmioDevice, public net::PacketSink {
   sim::EventQueue& eq_;
   Config cfg_;
   std::string name_;
+  const std::uint32_t board_id_;
   Sram sram_;
   Cpu cpu_;
   net::Link* uplink_ = nullptr;

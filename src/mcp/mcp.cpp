@@ -35,11 +35,6 @@ const SendChunkImage& send_chunk_image() {
   static const SendChunkImage image = assemble_send_chunk();
   return image;
 }
-
-std::uint32_t fragments_of(std::uint32_t len) {
-  if (len == 0) return 1;
-  return (len + net::kMaxPacketPayload - 1) / net::kMaxPacketPayload;
-}
 }  // namespace
 
 template <typename F>
@@ -97,26 +92,11 @@ void Mcp::load() {
   }
   sram.watch_code(image_.program.base, code_size());
   code_epoch_ = sram.code_epoch();
-  ++gen_;
+  start_generation();
   loaded_ = true;
-  hung_ = false;
-  hang_reason_.clear();
   page_hash_registered_ = false;
-  const sim::Time now = nic_.event_queue().now();
-  busy_until_ = now;
-  runs_.clear();  // runs reserved by the previous generation never execute
-  for (auto& p : ports_) {
-    p.open = false;
-    p.tokens.clear();
-  }
-  control_queue_.clear();
-  send_streams_.clear();
-  recv_streams_.clear();
-  dma_active_ = false;
-  rto_scan_armed_ = false;
-  rx_handler_pending_ = false;
   route_epoch_ = 0;  // card reset wiped the table; driver restore re-seeds
-  cancel_announce();  // a reload supersedes any pending announce retries
+  const sim::Time now = nic_.event_queue().now();
 
   lanai::Nic::Hooks hooks;
   hooks.on_hdma_done = [this] {
@@ -198,10 +178,20 @@ void Mcp::restart_self() {
   // A corrupted jump landed on the reset vector: the control program
   // reinitializes itself from scratch. All connection/port state is lost
   // (the code image, including any injected fault, stays as-is).
-  ++gen_;
+  start_generation();
   ++stats_.self_restarts;
+  const sim::Time now = nic_.event_queue().now();
+  arm_it0(now);
+  if (cfg_.mode == McpMode::kFtgm) arm_watchdog(now);
+  replan();
+}
+
+void Mcp::start_generation() {
+  ++gen_;  // steps and DMA completions of the previous one find g != gen_
   hung_ = false;
   hang_reason_.clear();
+  busy_until_ = nic_.event_queue().now();
+  runs_.clear();  // runs reserved by the previous generation never execute
   for (auto& p : ports_) {
     p.open = false;
     p.tokens.clear();
@@ -210,15 +200,9 @@ void Mcp::restart_self() {
   send_streams_.clear();
   recv_streams_.clear();
   dma_active_ = false;
-  rx_handler_pending_ = false;
   rto_scan_armed_ = false;
-  cancel_announce();
-  const sim::Time now = nic_.event_queue().now();
-  busy_until_ = now;
-  runs_.clear();
-  arm_it0(now);
-  if (cfg_.mode == McpMode::kFtgm) arm_watchdog(now);
-  replan();
+  rx_handler_pending_ = false;
+  cancel_announce();  // supersedes any pending announce retries
 }
 
 void Mcp::inject_hang(const std::string& reason) {
@@ -235,6 +219,8 @@ void Mcp::bind_metrics(metrics::Registry& reg, const std::string& prefix) {
   views_.expose(reg, p + "acks_rx", stats_.acks_rx);
   views_.expose(reg, p + "nacks_tx", stats_.nacks_tx);
   views_.expose(reg, p + "nacks_rx", stats_.nacks_rx);
+  views_.expose(reg, p + "stale_nacks", stats_.stale_nacks);
+  views_.expose(reg, p + "renumbers", stats_.renumbers);
   views_.expose(reg, p + "crc_drops", stats_.crc_drops);
   views_.expose(reg, p + "msgs_delivered", stats_.msgs_delivered);
   views_.expose(reg, p + "events_posted", stats_.events_posted);
@@ -573,12 +559,13 @@ void Mcp::host_post_send(const SendRequest& req) {
   if (cfg_.mode == McpMode::kFtgm && !req.internal) {
     if (req.seq_first == s.next_seq) {
       first = req.seq_first;
-    } else if (s.outstanding.empty()) {
+    } else if (s.next_seq == 0) {
       // Recovery re-post: the host's sequence generator is authoritative
       // after an MCP reload (paper Section 4.1).
       first = req.seq_first;
       s.base = s.cursor = s.high_water = first;
-    }  // else: host out of sync; fall back to the MCP counter.
+    }  // else: the host lags a renumber; the MCP counter keeps the stream
+       // gap-free, and the SENT event tells the host (BackupStore).
   }
   OutMsg m;
   m.req = req;
@@ -644,7 +631,9 @@ void Mcp::kick_sender() {
       if (i == count) i = 0;
       const auto& slot = send_streams_.slot(i);
       SendStream& s = *slot.stream;
-      if (stream_has_work(s) && next_fragment_priority(s) == want_prio) {
+      if (!stream_has_work(s)) continue;
+      const OutMsg* m = message_at_cursor(s);
+      if ((m != nullptr ? m->req.priority : 0) == want_prio) {
         last_served_ = slot.key;
         start_fragment(s);
         return;
@@ -653,24 +642,15 @@ void Mcp::kick_sender() {
   }
 }
 
-std::uint8_t Mcp::next_fragment_priority(const SendStream& s) const {
+const Mcp::OutMsg* Mcp::message_at_cursor(const SendStream& s) const {
   for (const auto& m : s.outstanding) {
-    if (s.cursor >= m.seq_first && s.cursor <= m.seq_last) {
-      return m.req.priority;
-    }
+    if (s.cursor >= m.seq_first && s.cursor <= m.seq_last) return &m;
   }
-  return 0;
+  return nullptr;
 }
 
 void Mcp::start_fragment(SendStream& s) {
-  // Locate the message containing the cursor.
-  const OutMsg* m = nullptr;
-  for (const auto& om : s.outstanding) {
-    if (s.cursor >= om.seq_first && s.cursor <= om.seq_last) {
-      m = &om;
-      break;
-    }
-  }
+  const OutMsg* m = message_at_cursor(s);
   if (m == nullptr) {
     // Cursor points into a hole (should not happen: seq ranges are
     // contiguous). Skip forward defensively.
@@ -772,6 +752,7 @@ void Mcp::on_ack(const net::Packet& pkt) {
   SendStream& s = *sp;
   const std::uint32_t new_base = pkt.ack_seq + 1;
   if (new_base <= s.base) return;  // stale cumulative ack
+  s.peer_board = pkt.msg_id;
   s.base = new_base;
   s.cursor = std::max(s.cursor, s.base);
   s.last_progress = nic_.event_queue().now();
@@ -787,55 +768,54 @@ void Mcp::on_nack(const net::Packet& pkt) {
   SendStream& s = *sp;
   const std::uint32_t expected = pkt.ack_seq;
   if (s.outstanding.empty()) return;
+  // ACKs and NACKs carry their card's board ID (kept across reloads, new
+  // on a spare). Only the card this stream last heard from acknowledged
+  // what lies below the front, so only its NACK for less can be stale.
+  const bool below_front = expected < s.outstanding.front().seq_first;
+  const bool same_board = pkt.msg_id == s.peer_board;
+  s.peer_board = pkt.msg_id;
 
   const bool may_resync =
       cfg_.mode == McpMode::kGm || s.sid >= kInternalSidBase;
-  if (may_resync && expected > s.high_water) {
+  if ((may_resync && expected > s.high_water) ||
+      (below_front && !same_board)) {
     // GM resynchronizes to the receiver's expectation. This is the
     // mechanism behind the paper's Figure 4: after a naive MCP reload the
     // sender renumbers pending messages to whatever the receiver expects,
     // and a message the receiver already consumed is accepted again.
-    std::uint32_t q = expected;
-    for (auto& m : s.outstanding) {
-      const std::uint32_t n = m.seq_last - m.seq_first + 1;
-      m.seq_first = q;
-      m.seq_last = q + n - 1;
-      q += n;
-    }
-    s.base = s.cursor = s.high_water = expected;
-    s.next_seq = q;
-  } else if (expected < s.outstanding.front().seq_first) {
-    // The peer expects a sequence below everything we still hold. A
-    // same-instance FTGM receiver can never ask this: its reload restores
-    // the ack table, so it re-expects at most the oldest unacked seq. The
-    // acks that advanced us past `expected` therefore came from a previous
-    // card at that address — the node was replaced and the spare's stream
-    // state is pristine. Renumber the outstanding tail down to the spare's
-    // expectation: none of these messages were accepted by the new card,
-    // so this is first delivery to it, not the naive-reload duplicate path
-    // the FTGM no-resync rule exists to prevent.
-    std::uint32_t q = expected;
-    for (auto& m : s.outstanding) {
-      const std::uint32_t n = m.seq_last - m.seq_first + 1;
-      m.seq_first = q;
-      m.seq_last = q + n - 1;
-      q += n;
-    }
-    s.base = s.cursor = s.high_water = expected;
-    s.next_seq = q;
+    // Another card (a spare, or the first this stream hears from) took
+    // none of them under the numbers it expects: a first delivery.
+    renumber(s, expected);
+  } else if (below_front) {
+    // A stale NACK, overtaken by a later ACK: acting on it would put live
+    // messages below the receiver's expectation. It changes nothing,
+    // backoff included.
+    ++stats_.stale_nacks;
+    return;
   } else {
     // Go-Back-N rewind. After an FTGM receiver recovery the expected
     // sequence may regress below our base: the data is still available
     // because send tokens are held until message completion, so we simply
     // rewind into the oldest outstanding message.
-    const std::uint32_t floor_seq = s.outstanding.front().seq_first;
-    const std::uint32_t target = std::max(expected, floor_seq);
-    if (target < s.cursor) s.cursor = target;
+    if (expected < s.cursor) s.cursor = expected;
     s.base = std::min(s.base, s.cursor);
   }
   s.last_progress = nic_.event_queue().now();
   s.rto_backoff = 1;
   kick_sender();
+}
+
+void Mcp::renumber(SendStream& s, std::uint32_t first) {
+  ++stats_.renumbers;
+  std::uint32_t q = first;
+  for (auto& m : s.outstanding) {
+    const std::uint32_t n = m.seq_last - m.seq_first + 1;
+    m.seq_first = q;
+    m.seq_last = q + n - 1;
+    q += n;
+  }
+  s.base = s.cursor = s.high_water = first;
+  s.next_seq = q;
 }
 
 void Mcp::complete_messages(SendStream& s) {
@@ -904,17 +884,13 @@ void Mcp::on_packet() {
         handle_data(std::move(pkt));
         break;
       case net::PacketType::kAck:
-        if (pkt.intact()) {
+      case net::PacketType::kNack:
+        if (!pkt.intact()) {
+          ++stats_.crc_drops;
+        } else if (pkt.type == net::PacketType::kAck) {
           on_ack(pkt);
         } else {
-          ++stats_.crc_drops;
-        }
-        break;
-      case net::PacketType::kNack:
-        if (pkt.intact()) {
           on_nack(pkt);
-        } else {
-          ++stats_.crc_drops;
         }
         break;
       case net::PacketType::kGetReq:
@@ -938,29 +914,20 @@ void Mcp::on_packet() {
   });
 }
 
-void Mcp::send_ack(net::NodeId to, std::uint32_t sid, std::uint32_t ack_seq) {
-  ++stats_.acks_tx;
-  net::Packet ack;
-  ack.type = net::PacketType::kAck;
-  ack.src = nic_.node_id();
-  ack.dst = to;
-  ack.stream = sid;
-  ack.ack_seq = ack_seq;
-  ack.seal();
-  nic_.send_packet(std::move(ack));
-}
-
-void Mcp::send_nack(net::NodeId to, std::uint32_t sid,
-                    std::uint32_t expected) {
-  ++stats_.nacks_tx;
-  net::Packet nack;
-  nack.type = net::PacketType::kNack;
-  nack.src = nic_.node_id();
-  nack.dst = to;
-  nack.stream = sid;
-  nack.ack_seq = expected;
-  nack.seal();
-  nic_.send_packet(std::move(nack));
+void Mcp::reply(net::PacketType type, net::NodeId to, std::uint32_t sid,
+                std::uint32_t seq) {
+  exec(cfg_.timing.lanai.ack_proto, [this, type, to, sid, seq] {
+    ++(type == net::PacketType::kAck ? stats_.acks_tx : stats_.nacks_tx);
+    net::Packet p;
+    p.type = type;
+    p.src = nic_.node_id();
+    p.dst = to;
+    p.stream = sid;
+    p.ack_seq = seq;
+    p.msg_id = nic_.board_id();  // unused by ACK and NACK otherwise
+    p.seal();
+    nic_.send_packet(std::move(p));
+  });
 }
 
 void Mcp::handle_data(net::Packet pkt) {
@@ -985,52 +952,29 @@ void Mcp::handle_data(net::Packet pkt) {
 
   RecvStream& rs = recv_streams_.get(stream_key(pkt.src, pkt.stream));
 
-  if (pkt.seq < rs.expected) {
-    if (pkt.seq + cfg_.send_window < rs.expected) {
-      // Far below the window: not a retransmit but a peer whose MCP lost
-      // its sequence state (e.g. a naive reload). GM NACKs the expected
-      // number and the sender resynchronizes to it — the exact mechanism
-      // that lets a duplicate slip through in the paper's Figure 4.
-      ++stats_.ooo_drops;
-      const sim::Time now = nic_.event_queue().now();
-      if (now - rs.last_nack > cfg_.rto / 4 || rs.last_nack == 0) {
-        rs.last_nack = now;
-        exec(cfg_.timing.lanai.ack_proto,
-             [this, src = pkt.src, sid = pkt.stream, e = rs.expected] {
-               send_nack(src, sid, e);
-             });
-      }
-      return;
-    }
+  if (pkt.seq < rs.expected && pkt.seq + cfg_.send_window >= rs.expected) {
+    // A retransmit of an accepted fragment: re-ACK the stream's front.
     ++stats_.dup_drops;
-    if (rs.expected > 0) {
-      exec(cfg_.timing.lanai.ack_proto, [this, src = pkt.src,
-                                         sid = pkt.stream,
-                                         a = rs.expected - 1] {
-        send_ack(src, sid, a);
-      });
-    }
+    reply(net::PacketType::kAck, pkt.src, pkt.stream, rs.expected - 1);
     return;
   }
-  if (pkt.seq > rs.expected) {
+  if (pkt.seq != rs.expected) {
+    // A gap (a fragment was lost), or far below the window: not a
+    // retransmit but a peer whose MCP lost its sequence state (e.g. a
+    // naive reload). NACK the expected number, at most once per rto/4;
+    // GM's sender resynchronizes to it — the exact mechanism that lets a
+    // duplicate slip through in the paper's Figure 4.
     ++stats_.ooo_drops;
     const sim::Time now = nic_.event_queue().now();
     if (now - rs.last_nack > cfg_.rto / 4 || rs.last_nack == 0) {
       rs.last_nack = now;
-      exec(cfg_.timing.lanai.ack_proto,
-           [this, src = pkt.src, sid = pkt.stream, e = rs.expected] {
-             send_nack(src, sid, e);
-           });
+      reply(net::PacketType::kNack, pkt.src, pkt.stream, rs.expected);
     }
     return;
   }
 
   // In-sequence fragment.
   const std::uint8_t port = pkt.dst_port;
-  if (port >= kMaxPorts || !ports_[port].open) {
-    ++stats_.no_token_drops;
-    return;
-  }
 
   if (pkt.directed) {
     // Directed send (RDMA put): no receive token, no event — the payload
@@ -1048,15 +992,11 @@ void Mcp::handle_data(net::Packet pkt) {
     ++stats_.directed_frags;
     const bool last = pkt.frag_offset + pkt.payload.size() >= pkt.msg_len;
     if (last) ++stats_.directed_puts;
-    const bool ack_now =
-        cfg_.mode == McpMode::kGm || !last || !cfg_.ftgm_delayed_ack;
+    const bool ack_now = !ack_waits_for_host(last);
     const net::NodeId src = pkt.src;
     const std::uint32_t sid = pkt.stream;
     const std::uint32_t seq = pkt.seq;
-    if (ack_now) {
-      exec(cfg_.timing.lanai.ack_proto,
-           [this, src, sid, seq] { send_ack(src, sid, seq); });
-    }
+    if (ack_now) reply(net::PacketType::kAck, src, sid, seq);
     // A notify put (gm_get response) reports its landing to the host; the
     // event precedes the ACK so the host's ACK-number backup stays ahead.
     EventRecord got;
@@ -1078,15 +1018,11 @@ void Mcp::handle_data(net::Packet pkt) {
       if (!last) return;
       if (notify) {
         post_event(got.port, got, [this, ack_now, src, sid, seq] {
-          if (!ack_now) {
-            exec(cfg_.timing.lanai.ack_proto,
-                 [this, src, sid, seq] { send_ack(src, sid, seq); });
-          }
+          if (!ack_now) reply(net::PacketType::kAck, src, sid, seq);
         });
       } else if (!ack_now) {
         // FTGM delayed commit point: ACK only once the put has landed.
-        exec(cfg_.timing.lanai.ack_proto,
-             [this, src, sid, seq] { send_ack(src, sid, seq); });
+        reply(net::PacketType::kAck, src, sid, seq);
       }
     });
     return;
@@ -1139,7 +1075,6 @@ void Mcp::handle_data(net::Packet pkt) {
   rs.expected = pkt.seq + 1;
   rs.accepted += static_cast<std::uint32_t>(pkt.payload.size());
   const bool last = rs.accepted >= rs.msg_len;
-  const std::uint64_t key = stream_key(pkt.src, pkt.stream);
   const RecvToken token = rs.token;
   const std::uint32_t msg_len = rs.msg_len;
   const std::uint32_t msg_id = rs.msg_id;
@@ -1152,11 +1087,8 @@ void Mcp::handle_data(net::Packet pkt) {
   // acceptance, before the host DMA; FTGM acknowledges intermediate
   // fragments immediately but defers the final fragment's ACK until the
   // payload DMA and the RECV event post have completed.
-  const bool ack_now =
-      cfg_.mode == McpMode::kGm || !last || !cfg_.ftgm_delayed_ack;
-  if (ack_now) {
-    exec(cfg_.timing.lanai.ack_proto,
-         [this, src, sid, a = pkt.seq] { send_ack(src, sid, a); });
+  if (!ack_waits_for_host(last)) {
+    reply(net::PacketType::kAck, src, sid, pkt.seq);
   }
 
   // DMA the fragment into the user buffer. (Size taken before the lambda's
@@ -1164,22 +1096,22 @@ void Mcp::handle_data(net::Packet pkt) {
   const std::uint32_t seq = pkt.seq;
   const std::size_t dma_bytes = pkt.payload.size();
   pci_.dma(dma_bytes,
-           [this, g = gen_, data = std::move(pkt.payload), addr = *dma, key,
-            seq, last, token, msg_len, msg_id, src, src_port, sid] {
+           [this, g = gen_, data = std::move(pkt.payload), addr = *dma, seq,
+            last, token, msg_len, msg_id, src, src_port, sid] {
              // The DMA engine itself is hardware: the copy lands even if
              // the MCP hung meanwhile. Post-DMA bookkeeping, however,
              // requires a live MCP.
              hmem_.write(addr, data);
              if (hung_ || !loaded_ || g != gen_) return;
-             fragment_dma_done(key, seq, last, token, msg_len, msg_id, src,
+             fragment_dma_done(seq, last, token, msg_len, msg_id, src,
                                src_port, sid);
            });
 }
 
-void Mcp::fragment_dma_done(std::uint64_t /*key*/, std::uint32_t seq,
-                            bool last, RecvToken token, std::uint32_t msg_len,
-                            std::uint32_t msg_id, net::NodeId src,
-                            std::uint8_t src_port, std::uint32_t sid) {
+void Mcp::fragment_dma_done(std::uint32_t seq, bool last, RecvToken token,
+                            std::uint32_t msg_len, std::uint32_t msg_id,
+                            net::NodeId src, std::uint8_t src_port,
+                            std::uint32_t sid) {
   if (!last) return;
   ++stats_.msgs_delivered;
   EventRecord ev;
@@ -1192,12 +1124,11 @@ void Mcp::fragment_dma_done(std::uint64_t /*key*/, std::uint32_t seq,
   ev.len = msg_len;
   ev.token_id = token.token_id;
   ev.msg_id = msg_id;
-  if (cfg_.mode == McpMode::kFtgm && cfg_.ftgm_delayed_ack) {
+  if (ack_waits_for_host(last)) {
     // Delayed commit point: the RECV event (which updates the host's
     // backup) must land before the ACK releases the sender's token.
     post_event(ev.port, ev, [this, src, sid, seq] {
-      exec(cfg_.timing.lanai.ack_proto,
-           [this, src, sid, seq] { send_ack(src, sid, seq); });
+      reply(net::PacketType::kAck, src, sid, seq);
     });
   } else {
     post_event(ev.port, ev);

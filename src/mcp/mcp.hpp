@@ -232,6 +232,9 @@ class Mcp {
     sim::Ring<OutMsg> outstanding;
     sim::Time last_progress = 0;
     std::uint32_t rto_backoff = 1;  // exponential; resets on progress
+    // Board ID the peer's last ACK or NACK carried, skipping stale ACKs
+    // and NACKs that found nothing outstanding; 0 = not heard from yet.
+    std::uint32_t peer_board = 0;
   };
   // ---- receiver state ----
   struct RecvStream {
@@ -328,6 +331,9 @@ class Mcp {
   void handle_cpu_failure(const lanai::RunResult& r);
   void become_hung(const std::string& reason);
   void restart_self();
+  // What load() and restart_self() share: a new generation with no
+  // protocol state (ports closed, no streams, nothing queued or in flight).
+  void start_generation();
 
   // Tickless L_timer. A virtual event is an IT0/IT1/IT2 expiry or a
   // reserved run, keyed like a queue entry: (time, scheduling time).
@@ -356,12 +362,16 @@ class Mcp {
   // Sender pipeline.
   SendStream& send_stream(net::NodeId peer, std::uint32_t sid);
   [[nodiscard]] bool stream_has_work(const SendStream& s) const;
-  [[nodiscard]] std::uint8_t next_fragment_priority(const SendStream& s) const;
+  /// The outstanding message holding the cursor's fragment, or null.
+  [[nodiscard]] const OutMsg* message_at_cursor(const SendStream& s) const;
   void kick_sender();
   void start_fragment(SendStream& s);
   void finish_fragment_tx();
   void on_ack(const net::Packet& pkt);
   void on_nack(const net::Packet& pkt);
+  // Move every outstanding message, in order, onto fresh numbers from
+  // `first`, and restart the window there.
+  void renumber(SendStream& s, std::uint32_t first);
   void complete_messages(SendStream& s);
   void drop_message(SendStream& s, const OutMsg& m, EventType why);
   void schedule_rto_scan();
@@ -369,12 +379,19 @@ class Mcp {
   // Receiver pipeline.
   void on_packet();
   void handle_data(net::Packet pkt);
-  void send_ack(net::NodeId to, std::uint32_t sid, std::uint32_t ack_seq);
-  void send_nack(net::NodeId to, std::uint32_t sid, std::uint32_t expected);
-  void fragment_dma_done(std::uint64_t key, std::uint32_t seq, bool last,
-                         RecvToken token, std::uint32_t msg_len,
-                         std::uint32_t msg_id, net::NodeId src,
-                         std::uint8_t src_port, std::uint32_t sid);
+  // Send an ACK (`seq` = last accepted) or a NACK (`seq` = expected) after
+  // one ack_proto step; it carries this card's board ID.
+  void reply(net::PacketType type, net::NodeId to, std::uint32_t sid,
+             std::uint32_t seq);
+  // The commit point: FTGM's ACK for a message's final fragment waits
+  // until the payload DMA and the RECV event post have completed.
+  [[nodiscard]] bool ack_waits_for_host(bool last) const {
+    return cfg_.mode == McpMode::kFtgm && last && cfg_.ftgm_delayed_ack;
+  }
+  void fragment_dma_done(std::uint32_t seq, bool last, RecvToken token,
+                         std::uint32_t msg_len, std::uint32_t msg_id,
+                         net::NodeId src, std::uint8_t src_port,
+                         std::uint32_t sid);
   // A receive token joined `port`'s pool: tell the invariant checker.
   void report_recv_token(std::uint8_t port) const;
   // DMA an event record to the host; `after` runs once it has landed,

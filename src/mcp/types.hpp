@@ -25,6 +25,13 @@ enum class McpMode : std::uint8_t {
   kFtgm,  // the paper's fault-tolerant variant
 };
 
+/// Packets (and sequence numbers) a message of `len` bytes takes; a
+/// zero-byte message still sends one.
+constexpr std::uint32_t fragments_of(std::uint32_t len) {
+  return len == 0 ? 1u
+                  : (len + net::kMaxPacketPayload - 1) / net::kMaxPacketPayload;
+}
+
 struct SendRequest {
   std::uint8_t port = 0;          // source GM port
   net::NodeId dst = net::kInvalidNode;
@@ -152,6 +159,8 @@ struct McpStats {
   std::uint64_t acks_rx = 0;
   std::uint64_t nacks_tx = 0;
   std::uint64_t nacks_rx = 0;
+  std::uint64_t stale_nacks = 0;  // NACKs below everything still held: dropped
+  std::uint64_t renumbers = 0;    // outstanding tails moved to a NACK's seq
   std::uint64_t crc_drops = 0;
   std::uint64_t foreign_drops = 0;  // misrouted packets for another node
   std::uint64_t dup_drops = 0;

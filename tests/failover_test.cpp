@@ -35,7 +35,8 @@ struct Triangle {
       nc.id = static_cast<net::NodeId>(i);
       nc.host_mem_bytes = 8u << 20;
       nodes.push_back(
-          std::make_unique<gm::Node>(eq, nc, std::string("n").append(std::to_string(i))));
+          std::make_unique<gm::Node>(eq, nc, std::string("n").append(std::to_string(i)),
+                                     nc.id + 1));
     }
     nodes[0]->attach(*topo, s0, 0);
     nodes[1]->attach(*topo, s1, 0);

@@ -75,6 +75,36 @@ TEST(BackupStore, HeadMiddleAndRepeatedRemovalKeepPostOrder) {
   EXPECT_EQ(b.sends()[0].token_id, 8u);
 }
 
+TEST(BackupStore, CompletedSendUnderAnotherNumberMovesItsDestination) {
+  // Three one-fragment messages to node 1 and one to node 2, numbered by
+  // the generators. The MCP renumbered node 1's stream down by 5 (a spare
+  // took its place): the SENT event for the first reports seq 0, not 5.
+  core::BackupStore b;
+  std::uint32_t token = 1;
+  auto post = [&](net::NodeId dst) {
+    mcp::SendRequest r = make_req(token++);
+    r.dst = dst;
+    r.seq_first = b.alloc_seq_block(dst, mcp::fragments_of(r.len));
+    b.add_send(r);
+  };
+  b.alloc_seq_block(1, 5);  // five numbers the old card acknowledged
+  post(1);
+  post(2);
+  post(1);
+  post(1);
+  b.complete_send(1, 0);
+  std::vector<std::uint32_t> seqs;
+  for (const auto& r : b.sends()) seqs.push_back(r.seq_first);
+  EXPECT_EQ(seqs, (std::vector<std::uint32_t>{0, 1, 2}));  // dst 2 kept 0
+  EXPECT_EQ(b.next_seq(1), 3u);
+  EXPECT_EQ(b.next_seq(2), 1u);
+  // Completed under its own number: nothing moves.
+  b.complete_send(3, 1);
+  EXPECT_EQ(b.sends()[1].seq_first, 2u);
+  EXPECT_EQ(b.next_seq(1), 3u);
+  EXPECT_EQ(b.send_count(), 2u);
+}
+
 TEST(BackupStore, ReplayOrderMatchesADequeUnderRandomTraffic) {
   // Sends and receive tokens posted and removed the way a port does
   // (mostly oldest first, sometimes out of order), checked after every

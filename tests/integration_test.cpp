@@ -30,7 +30,8 @@ TEST(Integration, MapperThenRecoveryOnMappedFabric) {
     nc.mode = mcp::McpMode::kFtgm;
     nc.host_mem_bytes = 8u << 20;
     nodes.push_back(
-        std::make_unique<gm::Node>(eq, nc, std::string("n").append(std::to_string(i))));
+        std::make_unique<gm::Node>(eq, nc, std::string("n").append(std::to_string(i)),
+                                   nc.id + 1));
     nodes.back()->attach(topo, i < 2 ? s0 : s1, static_cast<std::uint8_t>(i % 2));
     nodes.back()->boot();
   }
@@ -172,6 +173,13 @@ TEST(Integration, TwoLocalPortsReceivingOneStreamMergeAckState) {
   EXPECT_EQ(got_a + got_b, 30);  // exactly once across both ports
   EXPECT_EQ(got_a, 15);
   EXPECT_EQ(got_b, 15);
+  // Every NACK the reloaded receiver sends asks for a sequence number the
+  // sender already saw acknowledged. It comes from the same board, so it
+  // is stale and changes nothing; nothing renumbers the stream.
+  const mcp::McpStats& st = cluster.node(0).mcp().stats();
+  EXPECT_EQ(st.nacks_rx, 17u);
+  EXPECT_EQ(st.stale_nacks, 17u);
+  EXPECT_EQ(st.renumbers, 0u);
 }
 
 TEST(Integration, IdenticalSeedsGiveIdenticalRuns) {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <type_traits>
 
 #include "host/host_memory.hpp"
@@ -35,7 +36,7 @@ class NicTest : public ::testing::Test {
       : hmem(1 << 20),
         pci(eq, {}),
         irq(eq, {}),
-        nic(eq, {}, "nic"),
+        nic(eq, {}, "nic", 1),
         uplink(eq, sim::Rng(1), {}, "up") {
     nic.attach_host(hmem, pci, irq);
     nic.attach_uplink(uplink);
@@ -229,10 +230,17 @@ TEST_F(NicTest, TxOversizedPayloadRejected) {
   EXPECT_EQ(nic.stats().tx_errors, 1u);
 }
 
+// Board ID 0 is what a send stream holds for a receiver it has not heard
+// from, so no card may carry it.
+TEST_F(NicTest, BoardIdZeroIsRefused) {
+  EXPECT_THROW(Nic(eq, {}, "no-id", 0), std::invalid_argument);
+  EXPECT_EQ(nic.board_id(), 1u);
+}
+
 TEST_F(NicTest, RxQueueCapDropsWhenFull) {
   Nic::Config cfg;
   cfg.rx_queue_cap = 2;
-  Nic small(eq, cfg, "small");
+  Nic small(eq, cfg, "small", 2);
   net::Packet p;
   p.seal();
   small.deliver(p, 0);

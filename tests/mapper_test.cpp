@@ -23,7 +23,8 @@ struct Fabric {
     nc.mode = mode;
     nc.host_mem_bytes = 4u << 20;
     nodes.push_back(std::make_unique<gm::Node>(
-        eq, nc, std::string("n").append(std::to_string(nodes.size()))));
+        eq, nc, std::string("n").append(std::to_string(nodes.size())),
+        nc.id + 1));
     nodes.back()->attach(*topo, sw, port);
     nodes.back()->boot();
     return *nodes.back();
@@ -191,7 +192,7 @@ TEST(Mapper, EmptyFabricReportsFailure) {
   gm::Node::Config nc;
   nc.id = 0;
   nc.host_mem_bytes = 4u << 20;
-  gm::Node lone(eq, nc, "lone");
+  gm::Node lone(eq, nc, "lone", 1);
   lone.boot();
   mapper::Mapper m(lone);
   bool fired = false, ok = true;

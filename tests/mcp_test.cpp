@@ -958,5 +958,111 @@ TEST(McpTokenMatching, FirstFitAndReturnedTokenGoesFirst) {
   EXPECT_EQ(got, "B100 D100 C50 A40 ");
 }
 
+// ---- NACK rules: one Go-Back-N, renumbering keyed on the board ID ----
+
+// Node 0 sends one-fragment messages (seqs 0, 1, ...) on port 2 to
+// node 1, whose port 3 stays closed: node 1 answers nothing, and the
+// tests hand node 0 the ACKs and NACKs themselves.
+class McpNack : public ::testing::Test {
+ protected:
+  void start(mcp::McpMode mode, int msgs) {
+    ClusterConfig cc = base_config(mode);
+    cluster_ = std::make_unique<Cluster>(cc);
+    trace_.enable(sim::TraceCat::kNic, &tx_log_);
+    cluster_->node(0).set_trace(&trace_);
+    tx_ = &cluster_->node(0).open_port(2);
+    cluster_->run_for(sim::usec(900));
+    for (int i = 0; i < msgs; ++i) {
+      const gm::Buffer buf = tx_->alloc_dma_buffer(128);
+      ASSERT_EQ(tx_->post(buf, 100,
+                          {.dst = 1, .dst_port = 3,
+                           .callback = [this](bool ok) { sent_ += ok; }}),
+                gm::Status::kOk);
+    }
+    cluster_->run_for(sim::usec(60));
+    std::string first_pass;
+    for (int i = 0; i < msgs; ++i) first_pass += std::to_string(i) + " ";
+    EXPECT_EQ(tx_seqs(), first_pass);
+  }
+  // Hand node 0 an ACK or NACK from node 1 carrying `board`.
+  void reply(net::PacketType type, std::uint32_t seq, std::uint32_t board) {
+    net::Packet p;
+    p.type = type;
+    p.src = 1;
+    p.dst = 0;
+    p.stream = mcp::stream_id(cluster_->node(0).mcp().mode(), 2);
+    p.ack_seq = seq;
+    p.msg_id = board;
+    p.seal();
+    cluster_->node(0).nic().deliver(std::move(p), 0);
+    cluster_->run_for(sim::usec(30));
+  }
+  // Sequence numbers of the data fragments node 0 sent since the last
+  // call, in order.
+  std::string tx_seqs() {
+    std::string seqs;
+    std::istringstream lines(tx_log_.str());
+    for (std::string line; std::getline(lines, line);) {
+      if (line.find("TX DATA ") == std::string::npos) continue;
+      const auto at = line.find(" seq=") + 5;
+      seqs += line.substr(at, line.find(' ', at) - at) + " ";
+    }
+    tx_log_.str("");
+    return seqs;
+  }
+  [[nodiscard]] const mcp::McpStats& stats() {
+    return cluster_->node(0).mcp().stats();
+  }
+  [[nodiscard]] std::uint32_t board() {
+    return cluster_->node(1).nic().board_id();
+  }
+
+  std::unique_ptr<Cluster> cluster_;
+  std::ostringstream tx_log_;
+  sim::Trace trace_;
+  gm::Port* tx_ = nullptr;
+  int sent_ = 0;
+};
+
+TEST_F(McpNack, SameBoardNackBelowTheFrontIsDropped) {
+  start(mcp::McpMode::kFtgm, 3);
+  reply(net::PacketType::kAck, 0, board());
+  EXPECT_EQ(sent_, 1);
+  // Overtaken by the ACK: expects seq 0, which is acknowledged.
+  reply(net::PacketType::kNack, 0, board());
+  EXPECT_EQ(stats().stale_nacks, 1u);
+  EXPECT_EQ(stats().renumbers, 0u);
+  EXPECT_EQ(tx_seqs(), "");  // no rewind: the cursor stayed put
+  // The retransmit timeout still counts from the ACK and goes back to
+  // base 1, under the original numbers.
+  cluster_->run_for(sim::usec(600));
+  EXPECT_EQ(tx_seqs(), "1 2 ");
+  reply(net::PacketType::kAck, 2, board());
+  EXPECT_EQ(sent_, 3);
+}
+
+TEST_F(McpNack, OtherBoardNackRenumbersToItsExpectation) {
+  start(mcp::McpMode::kFtgm, 3);
+  reply(net::PacketType::kAck, 0, board());
+  // A spare with pristine stream state: it expects 0.
+  reply(net::PacketType::kNack, 0, board() + 100);
+  EXPECT_EQ(stats().renumbers, 1u);
+  EXPECT_EQ(stats().stale_nacks, 0u);
+  EXPECT_EQ(tx_seqs(), "0 1 ");  // messages 1 and 2, renumbered
+  reply(net::PacketType::kAck, 1, board() + 100);
+  EXPECT_EQ(sent_, 3);
+}
+
+TEST_F(McpNack, GmResyncsToAnExpectationAboveEverythingSent) {
+  // The paper's Figure 4: the receiver expects more than this card ever
+  // sent (the sender's MCP reloaded), and GM renumbers up to it.
+  start(mcp::McpMode::kGm, 2);
+  reply(net::PacketType::kNack, 50, board());
+  EXPECT_EQ(stats().renumbers, 1u);
+  EXPECT_EQ(tx_seqs(), "50 51 ");
+  reply(net::PacketType::kAck, 51, board());
+  EXPECT_EQ(sent_, 2);
+}
+
 }  // namespace
 }  // namespace myri

@@ -116,7 +116,8 @@ TEST(MultiHop, TrafficAcrossThreeSwitchesUnderLoss) {
     gm::Node::Config nc;
     nc.id = id;
     nc.host_mem_bytes = 8u << 20;
-    auto n = std::make_unique<gm::Node>(eq, nc, std::string("n").append(std::to_string(id)));
+    auto n = std::make_unique<gm::Node>(eq, nc, std::string("n").append(std::to_string(id)),
+                                        id + 1);
     n->attach(topo, sw, port);
     n->boot();
     return n;
